@@ -9,8 +9,9 @@ to that many times one width's peak (1.45 GB at wmax 21); to hold it lower,
 compute widths one at a time with ``--width``.  When every width is cached
 the ledgers are assembled into the final series file.
 
-The sweep is the compiled kernel (``sawenum.ckernel``) when a C compiler is
-found, else the Python engine; both write the same ledger bytes.
+Each width is swept by ``flm``'s sweep, which runs the compiled kernel
+(``sawenum.ckernel``) when a C compiler is found, else the Python engine;
+both write the same ledger bytes.
 
 A ledger file holds '#'-prefixed headers, then one ``column<TAB>degree<TAB>
 residues`` line per nonzero coefficient (residues comma-separated, in the
@@ -41,7 +42,7 @@ from pathlib import Path
 
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
-from sawenum import ckernel, engine, flm  # noqa: E402
+from sawenum import flm  # noqa: E402
 from sawenum.modseries import (  # noqa: E402
     DEFAULT_MODULI,
     TruncatedPolynomial,
@@ -123,16 +124,10 @@ def run_width(wmax: int, width: int, cache: Path) -> None:
     n_max = 2 * wmax + 1
     l_max = 2 * wmax - width + 1
     t0 = time.time()
-    stats: dict = {}
-    if ckernel.available():
-        kernel = "c"
-        rows, stats = ckernel.sweep_residues(width, l_max, n_max, DEFAULT_MODULI)
-    else:
-        kernel = "python"
-        ledger = engine.sweep(width, l_max, n_max, DEFAULT_MODULI, prune=True)
-        rows = [p.coeffs for p in ledger]
+    ledger, stats = flm._sweep(width, l_max, n_max, DEFAULT_MODULI)
+    rows = [p.coeffs for p in ledger]
     stats = {
-        "kernel": kernel,
+        "kernel": stats.pop("kernel"),
         "seconds": round(time.time() - t0, 1),
         **stats,
         "peak_rss_mb": round(

@@ -11,7 +11,8 @@
  * A state's nonzero degrees span only a few consecutive values, so each
  * state stores a window of ``win`` degrees starting at its own base degree
  * instead of all n_max + 1; a sum that does not fit fails with error 5 and
- * the caller retries with a wider window.
+ * the caller retries with a wider window, up to win = n_max + 1, which always
+ * fits.  Moduli may be anything from 2 to 2**64 - 1.
  *
  * Error codes: 1 forbidden kink state, 2 occupied vertical edge above the
  * lattice, 3 out of memory, 4 bad arguments, 5 degree window overflow.
@@ -25,7 +26,7 @@ typedef uint64_t u64;
 
 #define MAX_SLOTS 30
 #define MAX_TARGETS 32
-#define MAX_WIN 64
+#define MAX_NMAX (1 << 30) /* keeps degree arithmetic inside an int */
 
 /* Residue layout of a state: ``nmod`` rows of ``win`` residues, row i for
  * modulus i, column j for degree base + j. */
@@ -47,8 +48,8 @@ typedef struct {
 typedef struct {
     u64 *keys;
     u64 *coeffs; /* count * stride residues */
-    uint8_t *base, *lo, *hi;
-    int16_t *top; /* highest degree that can still complete; < 0: none */
+    int32_t *base, *lo, *hi;
+    int32_t *top; /* highest degree that can still complete; < 0: none */
     Slot *index;
     size_t count, cap, index_size;
     int stride;
@@ -72,10 +73,10 @@ static int map_init(Map *m, int stride)
     m->index_size = 4096;
     m->keys = malloc(m->cap * sizeof(u64));
     m->coeffs = malloc(m->cap * stride * sizeof(u64));
-    m->base = malloc(m->cap);
-    m->lo = malloc(m->cap);
-    m->hi = malloc(m->cap);
-    m->top = malloc(m->cap * sizeof(int16_t));
+    m->base = malloc(m->cap * sizeof(int32_t));
+    m->lo = malloc(m->cap * sizeof(int32_t));
+    m->hi = malloc(m->cap * sizeof(int32_t));
+    m->top = malloc(m->cap * sizeof(int32_t));
     m->index = calloc(m->index_size, sizeof(Slot));
     return m->keys && m->coeffs && m->base && m->lo && m->hi && m->top
            && m->index ? 0 : 3;
@@ -152,9 +153,10 @@ static size_t map_insert(Map *m, u64 key, size_t h, int top)
         size_t cap = m->cap + m->cap / 2; /* 1.5x: the pools dominate memory */
         if (grow((void **)&m->keys, cap * sizeof(u64))
             || grow((void **)&m->coeffs, cap * m->stride * sizeof(u64))
-            || grow((void **)&m->base, cap) || grow((void **)&m->lo, cap)
-            || grow((void **)&m->hi, cap)
-            || grow((void **)&m->top, cap * sizeof(int16_t)))
+            || grow((void **)&m->base, cap * sizeof(int32_t))
+            || grow((void **)&m->lo, cap * sizeof(int32_t))
+            || grow((void **)&m->hi, cap * sizeof(int32_t))
+            || grow((void **)&m->top, cap * sizeof(int32_t)))
             return NO_ENTRY;
         m->cap = cap;
     }
@@ -166,12 +168,20 @@ static size_t map_insert(Map *m, u64 key, size_t h, int top)
     m->index[h].entry = (uint32_t)(i + 1);
     memset(m->coeffs + i * m->stride, 0, m->stride * sizeof(u64));
     m->base[i] = 0;
-    m->lo[i] = UINT8_MAX;
+    m->lo[i] = 1; /* empty: lo > hi */
     m->hi[i] = 0;
-    m->top[i] = (int16_t)top;
+    m->top[i] = top;
     if (2 * m->count > m->index_size && map_grow_index(m))
         return NO_ENTRY;
     return i;
+}
+
+/* (a + b) mod ``mod`` for a, b < mod, without overflow for any mod < 2**64:
+ * a sum that wraps past 2**64 is at least mod, and wrapping back is exact. */
+static inline u64 add_mod(u64 a, u64 b, u64 mod)
+{
+    u64 x = a + b;
+    return x < a || x >= mod ? x - mod : x;
 }
 
 static int zero_at(const Ring *R, const u64 *v, int j)
@@ -208,38 +218,36 @@ static int add_shifted(const Ring *R, Map *dst, size_t j, const Map *src,
     u64 *dv = dst->coeffs + j * dst->stride;
     const u64 *sv = src->coeffs + i * src->stride + (src->lo[i] - src->base[i]);
     if (dst->lo[j] > dst->hi[j]) {
-        dst->base[j] = (uint8_t)lo;
-        dst->lo[j] = (uint8_t)lo;
-        dst->hi[j] = (uint8_t)hi;
+        dst->base[j] = dst->lo[j] = lo;
+        dst->hi[j] = hi;
     } else {
         int nlo = lo < dst->lo[j] ? lo : dst->lo[j];
         int nhi = hi > dst->hi[j] ? hi : dst->hi[j];
         if (nhi - nlo + 1 > R->win)
             return 5;
         if (nlo < dst->base[j] || nhi >= dst->base[j] + R->win) {
-            /* re-base the window at nlo */
-            u64 tmp[MAX_WIN];
-            int from = dst->lo[j] - dst->base[j], len = dst->hi[j] - dst->lo[j] + 1;
+            /* re-base the window at nlo: move the live degrees in place
+             * and zero the rest of the row */
+            int from = dst->lo[j] - dst->base[j], to = dst->lo[j] - nlo;
+            int len = dst->hi[j] - dst->lo[j] + 1;
             for (int r = 0; r < R->nmod; r++) {
                 u64 *row = dv + r * R->win;
-                memcpy(tmp, row + from, len * sizeof(u64));
-                memset(row, 0, R->win * sizeof(u64));
-                memcpy(row + (dst->lo[j] - nlo), tmp, len * sizeof(u64));
+                memmove(row + to, row + from, len * sizeof(u64));
+                memset(row, 0, to * sizeof(u64));
+                memset(row + to + len, 0, (R->win - to - len) * sizeof(u64));
             }
-            dst->base[j] = (uint8_t)nlo;
+            dst->base[j] = nlo;
         }
-        dst->lo[j] = (uint8_t)nlo;
-        dst->hi[j] = (uint8_t)nhi;
+        dst->lo[j] = nlo;
+        dst->hi[j] = nhi;
     }
     int off = lo - dst->base[j];
     for (int r = 0; r < R->nmod; r++) {
         u64 mod = R->mod[r];
         u64 *d = dv + r * R->win + off;
         const u64 *s = sv + r * R->win;
-        for (int t = 0; t <= hi - lo; t++) {
-            u64 x = d[t] + s[t];
-            d[t] = x >= mod ? x - mod : x;
-        }
+        for (int t = 0; t <= hi - lo; t++)
+            d[t] = add_mod(d[t], s[t], mod);
     }
     return 0;
 }
@@ -251,10 +259,9 @@ static void add_full(const Ring *R, u64 *dst, const Map *src, size_t i)
     int b = src->base[i];
     for (int r = 0; r < R->nmod; r++) {
         u64 mod = R->mod[r];
-        for (int d = src->lo[i]; d <= src->hi[i]; d++) {
-            u64 x = dst[r * R->n + d] + v[r * R->win + d - b];
-            dst[r * R->n + d] = x >= mod ? x - mod : x;
-        }
+        for (int d = src->lo[i]; d <= src->hi[i]; d++)
+            dst[r * R->n + d] = add_mod(dst[r * R->n + d],
+                                        v[r * R->win + d - b], mod);
     }
 }
 
@@ -569,9 +576,9 @@ static void truncate_live(const Ring *R, Map *m, size_t i, int n_add)
         for (int d = from; d <= m->hi[i]; d++)
             v[r * R->win + d - m->base[i]] = 0;
     if (keep <= m->lo[i])
-        m->lo[i] = UINT8_MAX; /* emptied */
+        m->hi[i] = m->lo[i] - 1; /* emptied */
     else
-        m->hi[i] = (uint8_t)(keep - 1);
+        m->hi[i] = keep - 1;
 }
 
 /* ------------------------------------------------------------------------
@@ -614,11 +621,12 @@ int sawenum_sweep(int width, int l_max, int n_max, const u64 *moduli,
                   int nmod, int win, int prune, u64 *ledger, u64 *stats)
 {
     int nslots = width + 2;
-    if (width < 0 || l_max < 0 || n_max < 0 || n_max > 250 || nmod < 1
-        || win < 1 || win > MAX_WIN || nslots > MAX_SLOTS || 2 * nslots + 2 > 62)
+    if (width < 0 || l_max < 0 || n_max < 0 || n_max > MAX_NMAX || nmod < 1
+        || win < 1 || win > n_max + 1 || nslots > MAX_SLOTS
+        || 2 * nslots + 2 > 62)
         return 4;
     for (int i = 0; i < nmod; i++)
-        if (moduli[i] < 2 || moduli[i] > (1ULL << 63))
+        if (moduli[i] < 2)
             return 4;
     Ring ring = {n_max + 1, nmod, win, moduli}, *R = &ring;
     int fb = 2 * nslots;

@@ -2,10 +2,11 @@
 
 ``ckernel.c`` ports the engine's kink move, prune bounds and boundary shift
 one for one, but keeps each generating function as arrays of residues modulo
-machine-word moduli, so it returns the same ledger as ``engine.sweep``.  It
-exists for the long per-width runs of ``scripts/generate_series.py``; the
-Python engine stays the reference and the generator behind every other
-command.
+machine-word moduli, so it returns the same ledger as ``engine.sweep``.
+``flm`` runs every sweep on it (``enumerate``, ``box`` and
+``scripts/generate_series.py`` alike) when a C compiler is found and every
+modulus fits a machine word.  The Python engine stays the reference the
+kernel is tested against, and the fallback where no compiler is found.
 
 The shared library is built on first use with the C compiler named by ``CC``
 (default ``cc``) and cached next to this module's bytecode, keyed by a hash of
@@ -15,12 +16,7 @@ it; a build that fails raises.
 
 from __future__ import annotations
 
-import ctypes
-import hashlib
 import os
-import shutil
-import subprocess
-import tempfile
 from pathlib import Path
 
 from .engine import EngineFault
@@ -36,17 +32,19 @@ _ERRORS = {
     5: "degree window overflow",
 }
 _WINDOW_OVERFLOW = 5
-_MAX_WINDOW = 64  # MAX_WIN in ckernel.c
 
 #: Consecutive degrees each state stores at first; a sweep that needs more
-#: starts over with twice as many.  In the 43-term run 24 sufficed for every
-#: costly width (12 did not), while the cheap narrow widths 2-9 reran at 44.
+#: starts over with twice as many, up to all n_max + 1.  In the 43-term run
+#: 24 sufficed for every costly width (12 did not), while the cheap narrow
+#: widths 2-9 reran at 44.
 START_WINDOW = 24
 
 _lib = None
 
 
 def _compiler() -> str | None:
+    import shutil
+
     return shutil.which(os.environ.get("CC", "cc"))
 
 
@@ -59,6 +57,12 @@ def _load():
     global _lib
     if _lib is not None:
         return _lib
+    # imported here, not at module level, so that importing the CLI stays cheap
+    import ctypes
+    import hashlib
+    import subprocess
+    import tempfile
+
     src = SOURCE.read_bytes()
     tag = hashlib.sha256(src).hexdigest()[:16]
     build_dir = Path(__file__).with_name("__pycache__")
@@ -95,7 +99,7 @@ def sweep_residues(
     width: int, l_max: int, n_max: int, moduli=DEFAULT_MODULI,
     prune: bool = True,
 ) -> tuple[list[list[list[int]]], dict]:
-    """Ledger of one sweep modulo each of ``moduli`` (each 2..2**63), all
+    """Ledger of one sweep modulo each of ``moduli`` (each 2..2**64 - 1), all
     moduli in one pass over the states.
 
     Returns ``(ledger, stats)``: ``ledger[c][i][d]`` is the degree-``d``
@@ -109,19 +113,23 @@ def sweep_residues(
 
 
 def _sweep_residues(width, l_max, n_max, moduli, prune, window):
+    import ctypes
+
+    if any(m >= 2**64 for m in moduli):
+        raise ValueError("the compiled kernel needs moduli below 2**64")
     lib = _load()
     n = n_max + 1
     k = len(moduli)
     ledger = (ctypes.c_uint64 * ((l_max + 1) * k * n))()
     stats = (ctypes.c_uint64 * 2)()
-    window = max(1, min(window, n, _MAX_WINDOW))
+    window = max(1, min(window, n))
     while True:
         err = lib.sawenum_sweep(width, l_max, n_max,
                                 (ctypes.c_uint64 * k)(*moduli), k, window,
                                 int(prune), ledger, stats)
-        if err != _WINDOW_OVERFLOW or window >= min(n, _MAX_WINDOW):
+        if err != _WINDOW_OVERFLOW or window >= n:
             break
-        window = min(2 * window, n, _MAX_WINDOW)
+        window = min(2 * window, n)
     if err:
         raise EngineFault(f"compiled sweep failed: {_ERRORS.get(err, err)}")
     rows = [

@@ -105,8 +105,13 @@ def _cmd_verify(args) -> int:
     a = _load_series(args.file_a).to_exact()
     b = _load_series(args.file_b).to_exact()
     overlap = min(len(a), len(b))
-    if overlap == 0:
-        raise CliError("no overlapping coefficients to compare")
+    if overlap < 2:
+        # c_0 = 1 by convention, so agreeing on it alone checks nothing
+        raise CliError("the files share no coefficient beyond n = 0 to compare")
+    for path, table in ((args.file_a, a), (args.file_b, b)):
+        if len(table) > overlap:
+            print(f"warning: {path} has nmax {len(table) - 1}, but only "
+                  f"n = 0..{overlap - 1} can be compared", file=sys.stderr)
     for n in range(overlap):
         if a[n] != b[n]:
             print(f"mismatch at n={n}: {a[n]} != {b[n]}")

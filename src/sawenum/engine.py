@@ -504,6 +504,16 @@ def _process_column(
     return states, completions
 
 
+def check_sweep_args(width: int, l_max: int, n_max: int) -> None:
+    """Reject a negative size or a sweep whose states the packed key layout
+    cannot hold; the compiled kernel shares the layout, so ``flm`` checks
+    this for both."""
+    if width < 0 or l_max < 0 or n_max < 0:
+        raise ValueError("width, l_max and n_max must be non-negative")
+    if 2 * (width + 2) + 2 > 62:
+        raise ValueError(f"width {width} overflows the packed key layout")
+
+
 def sweep(
     width: int,
     l_max: int,
@@ -529,11 +539,8 @@ def sweep(
     ``spill_dir``, a fresh temporary directory by default); results are
     identical.  The spilled path is single-process, so it ignores ``workers``.
     """
-    if width < 0 or l_max < 0:
-        raise ValueError("width and l_max must be non-negative")
+    check_sweep_args(width, l_max, n_max)
     nslots = width + 2
-    if 2 * nslots + 2 > 62:
-        raise ValueError(f"width {width} overflows the packed key layout")
     edges_mask = (1 << (2 * nslots)) - 1
     flags_mask = 3 << (2 * nslots)
     bits = field_bits(n_max)

@@ -5,13 +5,19 @@ enumerated by one sweep per width (each completion is attributed to the column
 where it occurs); rectangles with L > W are counted twice for the transposed
 orientation.  The result is c_n, the number of walks per lattice vertex,
 correct for n <= N = 2*W_max + 1.
+
+Every sweep goes through :func:`_sweep`, the one place that picks the sweep
+implementation: the compiled kernel (``ckernel``) when a C compiler is found
+and every modulus fits a machine word, else the Python engine
+(``engine.sweep``), which is the reference the kernel is tested against.  Both
+give the same ledger.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
-from . import engine
+from . import ckernel, engine
 from .modseries import DEFAULT_MODULI, SeriesTable, TruncatedPolynomial, check_coprime
 
 ALGORITHM_VERSION = "1"
@@ -36,9 +42,23 @@ class RunPlan:
         return 2 * self.w_max + 1
 
 
+def _sweep(width: int, l_max: int, n_max: int, moduli, prune: bool = True):
+    """Completion ledger of one width, as ``engine.sweep`` returns it, and the
+    sweep's stats: ``kernel`` ("c" or "python") and, for the compiled kernel,
+    the stats of ``ckernel.sweep_residues``."""
+    engine.check_sweep_args(width, l_max, n_max)
+    # a modulus of 2**64 or more does not fit the kernel's machine words
+    if ckernel.available() and max(moduli) < 2**64:
+        rows, stats = ckernel.sweep_residues(width, l_max, n_max, moduli, prune)
+        ledger = [TruncatedPolynomial.from_residues(moduli, n_max, col)
+                  for col in rows]
+        return ledger, {"kernel": "c", **stats}
+    ledger = engine.sweep(width, l_max, n_max, moduli, prune=prune)
+    return ledger, {"kernel": "python"}
+
+
 def _sweep_job(args):
-    width, l_max, n_max, moduli, prune = args
-    return engine.sweep(width, l_max, n_max, moduli, prune=prune)
+    return _sweep(*args)[0]
 
 
 def enumerate_series(plan: RunPlan) -> SeriesTable:
@@ -107,7 +127,7 @@ def box_counts(
         raise ValueError("box_counts requires width <= length")
     if n_max is None:
         n_max = width + 3 * length  # generous default for small test boxes
-    ledger = engine.sweep(width, length, n_max, moduli, prune=prune)
+    ledger, _ = _sweep(width, length, n_max, moduli, prune)
     poly = ledger[length]
     doubled = TruncatedPolynomial(moduli, n_max)
     doubled.add_shifted(poly, 0)

@@ -34,6 +34,29 @@ class TestEnumerateOracleVerify:
         write_series(SeriesTable([1, 4, 12, 36]), b)
         assert run("verify", str(a), str(b)) == 0
 
+    def test_verify_warns_when_the_overlap_stops_short(self, tmp_path, capsys):
+        a = tmp_path / "a.series"
+        b = tmp_path / "b.series"
+        write_series(SeriesTable([1, 4, 12], metadata={"nmax": "2"}), a)
+        write_series(SeriesTable([1, 4, 12, 36], metadata={"nmax": "3"}), b)
+        assert run("verify", str(a), str(b)) == 0
+        out, err = capsys.readouterr()
+        assert "OK: 3 coefficients agree" in out
+        assert f"warning: {b} has nmax 3" in err
+        assert str(a) not in err
+
+    @pytest.mark.parametrize("a_values", [[1], []])
+    def test_verify_refuses_an_overlap_of_n0_only(self, tmp_path, capsys,
+                                                  a_values):
+        a = tmp_path / "a.series"
+        b = tmp_path / "b.series"
+        write_series(SeriesTable(a_values), a)
+        write_series(SeriesTable([1, 4, 12]), b)
+        assert run("verify", str(a), str(b)) == 2
+        out, err = capsys.readouterr()
+        assert "OK" not in out
+        assert "beyond n = 0" in err
+
     def test_exact_output_is_default_with_residues_opt_in(self, tmp_path):
         exact = tmp_path / "e.series"
         resid = tmp_path / "r.series"

@@ -2,9 +2,12 @@
 
 import pytest
 
-from sawenum import flm, oracle
+from sawenum import ckernel, engine, flm, oracle
 from sawenum.flm import RunPlan, assemble, box_counts, enumerate_series
 from sawenum.modseries import DEFAULT_MODULI, crt_reconstruct
+
+needs_compiler = pytest.mark.skipif(
+    not ckernel.available(), reason="no C compiler to build the kernel")
 
 
 def exact(table):
@@ -90,3 +93,78 @@ class TestBoxCounts:
             if any(poly.residues(d))
         )
         assert first == 2 + 3
+
+
+def force_engine(monkeypatch):
+    """Act as if no C compiler were found, and fail if the kernel runs."""
+    def no_kernel(*args, **kwargs):
+        raise AssertionError("the compiled kernel ran")
+
+    monkeypatch.setattr(ckernel, "available", lambda: False)
+    monkeypatch.setattr(ckernel, "sweep_residues", no_kernel)
+
+
+class TestSweepChoice:
+    """``flm._sweep`` runs the compiled kernel when a C compiler is found and
+    the Python engine otherwise; both must give the same ledgers."""
+
+    @pytest.mark.parametrize("w_max", range(7))
+    def test_engine_fallback_matches_oracle_and_kernel(self, monkeypatch,
+                                                        w_max):
+        on_kernel = enumerate_series(RunPlan(w_max=w_max))
+        force_engine(monkeypatch)
+        on_engine = enumerate_series(RunPlan(w_max=w_max))
+        assert on_engine.values == on_kernel.values
+        assert exact(on_engine) == list(oracle.count_walks(2 * w_max + 1).values)
+
+    @pytest.mark.parametrize("width,length", [(1, 2), (2, 2), (2, 3)])
+    def test_engine_fallback_box_matches_oracle(self, monkeypatch, width,
+                                                length):
+        force_engine(monkeypatch)
+        n_max = width + 3 * length
+        poly = box_counts(width, length, n_max)
+        got = [crt_reconstruct(poly.residues(d), poly.moduli)
+               for d in range(n_max + 1)]
+        want = list(oracle.box_spanning_counts(width, length, n_max).values)
+        assert got == want
+
+    @needs_compiler
+    @pytest.mark.parametrize("width,length", [(3, 40), (4, 40), (1, 90)])
+    def test_kernel_covers_long_boxes(self, width, length):
+        # the default n_max of these boxes (123, 124 and 271) once overflowed
+        # the kernel's fixed degree window or its 8-bit degree fields
+        n_max = width + 3 * length
+        ledger, stats = flm._sweep(width, length, n_max, DEFAULT_MODULI)
+        assert stats["kernel"] == "c"
+        want = engine.sweep(width, length, n_max)
+        assert [p.coeffs for p in ledger] == [p.coeffs for p in want]
+        assert box_counts(width, length).coeffs == [
+            [2 * c % m for c in row]
+            for row, m in zip(want[length].coeffs, DEFAULT_MODULI)]
+
+    @needs_compiler
+    def test_kernel_adds_safely_near_two_to_the_64(self):
+        # counts of this sweep reach 2**79, so residues modulo the largest
+        # prime below 2**64 fill the word and their sums wrap past it
+        moduli = (2**64 - 59,)
+        ledger, stats = flm._sweep(3, 30, 100, moduli)
+        assert stats["kernel"] == "c"
+        want = engine.sweep(3, 30, 100, moduli)
+        assert [p.coeffs for p in ledger] == [p.coeffs for p in want]
+
+    @pytest.mark.parametrize("width,l_max,n_max",
+                             [(-1, 3, 10), (2, -1, 10), (2, 3, -1), (29, 29, 10)])
+    def test_bad_sizes_are_refused_before_either_sweep(self, width, l_max,
+                                                       n_max):
+        with pytest.raises(ValueError):
+            flm._sweep(width, l_max, n_max, DEFAULT_MODULI)
+
+    @pytest.mark.parametrize("moduli", [(2**64 + 13,), (2**62, 2**64 + 1)])
+    def test_moduli_beyond_a_machine_word_run_on_the_engine(self, moduli):
+        table = enumerate_series(RunPlan(w_max=4, moduli=moduli))
+        got = [crt_reconstruct(v, moduli) for v in table.values]
+        assert got == list(oracle.count_walks(9).values)
+        assert flm._sweep(2, 3, 9, moduli)[1] == {"kernel": "python"}
+        # ctypes would silently cut such a modulus to 64 bits
+        with pytest.raises(ValueError, match="below 2\\*\\*64"):
+            ckernel.sweep_residues(2, 3, 9, moduli)
