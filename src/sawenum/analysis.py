@@ -5,9 +5,12 @@ of an inhomogeneous linear ODE
 
     sum_{i=0..K} Q_i(x) (x d/dx)^i F(x) = P(x),
 
-whose polynomial coefficients are fitted exactly (rational arithmetic) to the
-highest available series coefficients.  Singularities of F are estimated by
-the roots of Q_K; the critical exponent at a root x* of multiplicity one is
+whose polynomial coefficients are fitted exactly to the highest available
+series coefficients.  The fit is one square linear system, solved in
+integers by fraction-free (Bareiss) elimination: each row is scaled once to
+integers, every elimination step divides exactly, and only the solution is
+formed as Fractions.  Singularities of F are estimated by the roots of Q_K;
+the critical exponent at a root x* of multiplicity one is
 
     lambda = Q_{K-1}(x*) / (x* Q_K'(x*)) - K + 1.
 
@@ -69,37 +72,60 @@ class SingularityEstimate:
     last_n: int  # index of the highest series coefficient used
 
 
-def _solve_exact(matrix: list[list[Fraction]], rhs: list[Fraction]):
-    """Gaussian elimination over the rationals; None for inconsistent systems.
+def _integer_row(values) -> list[int]:
+    """``values`` (ints or Fractions) scaled by the lcm of their denominators."""
+    scale = math.lcm(*(v.denominator for v in values))
+    return [v.numerator * (scale // v.denominator) for v in values]
 
-    Rank-deficient but consistent systems (the series satisfies a smaller
-    exact ODE, so the fit has spare freedom) get the particular solution with
-    every free variable set to zero.
+
+def _solve_exact(matrix, rhs):
+    """Exact solution of a square rational system; None if inconsistent.
+
+    Each augmented row is scaled once to integers, then reduced to row
+    echelon form by Bareiss's fraction-free elimination (Math. Comp. 22
+    (1968) 565): every update ``(p*a - f*b) // prev`` is an exact integer
+    division, because every entry stays a minor of the scaled matrix.
+    Columns are scanned in order and the first nonzero row at or below the
+    current one is the pivot; a column without one is free and leaves
+    ``prev`` as it is.  Rank-deficient but consistent systems (the series
+    satisfies a smaller exact ODE, so the fit has spare freedom) get the
+    particular solution with every free variable set to zero, which is
+    unique, so the result does not depend on the elimination method.
+    Back-substitution stays in integers by solving for ``d * x``, where
+    ``d``, the last pivot, is the determinant of the pivot block up to sign.
     """
     n = len(matrix)
-    a = [row[:] + [rhs[i]] for i, row in enumerate(matrix)]
-    pivots: dict[int, int] = {}  # column -> pivot row
+    a = [_integer_row([*row, b]) for row, b in zip(matrix, rhs)]
+    pivot_cols: list[int] = []
     prow = 0
+    prev = 1
     for col in range(n):
         pivot = next((r for r in range(prow, n) if a[r][col]), None)
         if pivot is None:
             continue  # free column
         a[prow], a[pivot] = a[pivot], a[prow]
-        inv = 1 / a[prow][col]
-        a[prow] = [v * inv for v in a[prow]]
-        for r in range(n):
-            if r != prow and a[r][col]:
-                f = a[r][col]
-                a[r] = [v - f * w for v, w in zip(a[r], a[prow])]
-        pivots[col] = prow
+        top = a[prow][col:]
+        p = top[0]
+        for r in range(prow + 1, n):
+            row = a[r]
+            f = row[col]
+            row[col:] = [(p * v - f * w) // prev
+                         for v, w in zip(row[col:], top)]
+        pivot_cols.append(col)
+        prev = p
         prow += 1
     for r in range(prow, n):
         if a[r][n]:
             return None  # inconsistent
-    sol = [Fraction(0)] * n
-    for col, r in pivots.items():
-        sol[col] = a[r][n]
-    return sol
+    scaled = [0] * n  # prev * solution
+    for r in reversed(range(prow)):
+        row = a[r]
+        col = pivot_cols[r]
+        acc = prev * row[n]
+        for c in pivot_cols[r + 1:]:
+            acc -= row[c] * scaled[c]
+        scaled[col] = acc // row[col]
+    return [Fraction(v, prev) for v in scaled]
 
 
 def differential_approximant(coeffs, spec: DASpec, last_n: int | None = None):
@@ -132,15 +158,15 @@ def differential_approximant(coeffs, spec: DASpec, last_n: int | None = None):
     matrix = []
     rhs = []
     for m in ms:
-        row = [Fraction(0)] * n_eq
+        row = [0] * n_eq
         for idx, (i, j) in enumerate(cols):
             if 0 <= m - j < len(coeffs):
-                row[idx] = Fraction((m - j) ** i) * coeffs[m - j]
+                row[idx] = (m - j) ** i * coeffs[m - j]
         if 0 <= m <= spec.pdegree:
-            row[npq + m] = Fraction(-1)
+            row[npq + m] = -1
         matrix.append(row)
         # normalized term q_{K,0} = 1 moved to the right-hand side
-        rhs.append(-Fraction(m**k) * coeffs[m])
+        rhs.append(-(m**k) * coeffs[m])
     sol = _solve_exact(matrix, rhs)
     if sol is None:
         raise AnalysisError("singular fitting system (defective approximant)")

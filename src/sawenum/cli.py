@@ -25,11 +25,11 @@ class CliError(Exception):
     """User-facing error: bad input file or unusable parameters."""
 
 
-def _parse_moduli(text: str) -> tuple[int, ...]:
+def _parse_ints(text: str, option: str) -> tuple[int, ...]:
     try:
-        return tuple(int(m) for m in text.split(","))
+        return tuple(int(v) for v in text.split(","))
     except ValueError as exc:
-        raise CliError(f"bad --moduli value {text!r}: {exc}") from exc
+        raise CliError(f"bad {option} value {text!r}: {exc}") from exc
 
 
 def _load_series(path) -> SeriesTable:
@@ -56,7 +56,7 @@ def _write_csv(path, header_meta: dict, columns: tuple[str, ...], rows) -> None:
 def _cmd_enumerate(args) -> int:
     plan = flm.RunPlan(
         w_max=args.wmax,
-        moduli=_parse_moduli(args.moduli),
+        moduli=_parse_ints(args.moduli, "--moduli"),
         workers=args.workers,
         prune=not args.no_prune,
     )
@@ -87,7 +87,7 @@ def _cmd_box(args) -> int:
         table = oracle.box_spanning_counts(args.width, args.length, nmax)
     else:
         poly = flm.box_counts(args.width, args.length, nmax,
-                              moduli=_parse_moduli(args.moduli))
+                              moduli=_parse_ints(args.moduli, "--moduli"))
         table = SeriesTable(
             [poly.residues(d) for d in range(nmax + 1)],
             poly.moduli,
@@ -133,16 +133,17 @@ def _cmd_crt(args) -> int:
 def _cmd_analyze(args) -> int:
     table = _load_series(args.series).to_exact()
     min_last_n = args.min_terms - 1 if args.min_terms else None
+    pdegrees = _parse_ints(args.inhomog, "--inhomog")
     estimates = analysis.da_scan(
         table.values,
         orders=(args.order,),
-        pdegrees=(args.inhomog,),
+        pdegrees=pdegrees,
         min_last_n=min_last_n,
     )
     if not estimates:
         raise CliError("no surviving approximants (all defective)")
-    meta = _base_meta(
-        f"analyze --order {args.order} --inhomog {args.inhomog}")
+    meta = _base_meta(f"analyze --order {args.order} --inhomog "
+                      + ",".join(str(d) for d in pdegrees))
     meta["series"] = str(args.series)
     rows = [
         (e.spec.pdegree, e.spec.order, e.last_n, repr(e.x), repr(e.exponent))
@@ -246,8 +247,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--series", required=True)
     p.add_argument("--order", type=int, default=2,
                    help="order K of the fitted ODE")
-    p.add_argument("--inhomog", type=int, default=0,
-                   help="degree of the inhomogeneous polynomial (-1: none)")
+    p.add_argument("--inhomog", default="0",
+                   help="comma-separated degrees of the inhomogeneous "
+                        "polynomial, each scanned (-1: none)")
     p.add_argument("--min-terms", type=int, default=0,
                    help="keep only approximants using at least this many "
                         "series terms (default: 3/4 of the series)")

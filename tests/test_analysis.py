@@ -2,14 +2,18 @@
 
 import math
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from sawenum.analysis import (
     MODEL_EXPONENTS,
     AnalysisError,
     DASpec,
     SingularityEstimate,
+    _solve_exact,
     amplitude_fit,
     amplitude_trajectory,
     balanced_spec,
@@ -20,6 +24,9 @@ from sawenum.analysis import (
     summarize_estimates,
     universal_ratios,
 )
+from sawenum.modseries import read_series
+
+DATA = Path(__file__).resolve().parent.parent / "data"
 
 
 def power_law_series(mu, gamma, n_terms, amplitude=1):
@@ -119,6 +126,165 @@ class TestDaScan:
     def test_summarize_rejects_empty(self):
         with pytest.raises(AnalysisError):
             summarize_estimates([])
+
+
+def reference_solve(matrix, rhs):
+    """Gauss-Jordan over Fraction; (solution or None, pivot columns).
+
+    Free variables are set to zero, as in the solver under test.
+    """
+    n = len(matrix)
+    a = [[Fraction(v) for v in row] + [Fraction(rhs[i])]
+         for i, row in enumerate(matrix)]
+    pivots: dict[int, int] = {}  # column -> pivot row
+    prow = 0
+    for col in range(n):
+        pivot = next((r for r in range(prow, n) if a[r][col]), None)
+        if pivot is None:
+            continue
+        a[prow], a[pivot] = a[pivot], a[prow]
+        inv = 1 / a[prow][col]
+        a[prow] = [v * inv for v in a[prow]]
+        for r in range(n):
+            if r != prow and a[r][col]:
+                f = a[r][col]
+                a[r] = [v - f * w for v, w in zip(a[r], a[prow])]
+        pivots[col] = prow
+        prow += 1
+    if any(a[r][n] for r in range(prow, n)):
+        return None, set(pivots)
+    sol = [Fraction(0)] * n
+    for col, r in pivots.items():
+        sol[col] = a[r][n]
+    return sol, set(pivots)
+
+
+def residual(matrix, rhs, sol):
+    return [sum(Fraction(a) * x for a, x in zip(row, sol)) - b
+            for row, b in zip(matrix, rhs)]
+
+
+INTEGERS = st.integers(-6, 6)
+FRACTIONS = st.fractions(min_value=-4, max_value=4, max_denominator=9)
+
+
+@st.composite
+def systems(draw, entries, min_size=1):
+    n = draw(st.integers(min_size, 6))
+    row = st.lists(entries, min_size=n, max_size=n)
+    return draw(st.lists(row, min_size=n, max_size=n)), draw(row)
+
+
+@st.composite
+def rank_deficient(draw, entries):
+    """(matrix, x0): rows are combinations of fewer than n basis rows."""
+    n = draw(st.integers(2, 6))
+    vec = st.lists(entries, min_size=n, max_size=n)
+    basis = draw(st.lists(vec, min_size=1, max_size=n - 1))
+    weights = st.lists(entries, min_size=len(basis), max_size=len(basis))
+    matrix = []
+    for w in (draw(weights) for _ in range(n)):
+        matrix.append([sum(u * b[j] for u, b in zip(w, basis))
+                       for j in range(n)])
+    return matrix, draw(vec)
+
+
+class TestSolveExact:
+    """The fraction-free solver against a Fraction Gauss-Jordan reference."""
+
+    @given(systems(INTEGERS))
+    def test_integer_systems_match_reference(self, system):
+        matrix, rhs = system
+        assert _solve_exact(matrix, rhs) == reference_solve(matrix, rhs)[0]
+
+    @given(systems(FRACTIONS))
+    def test_fraction_systems_match_reference(self, system):
+        matrix, rhs = system
+        assert _solve_exact(matrix, rhs) == reference_solve(matrix, rhs)[0]
+
+    @given(systems(INTEGERS, min_size=2), st.integers(1, 6))
+    def test_zero_leading_entry_needs_a_row_swap(self, system, lead):
+        matrix, rhs = system
+        matrix[0][0] = 0
+        matrix[-1][0] = lead
+        sol = _solve_exact(matrix, rhs)
+        assert sol == reference_solve(matrix, rhs)[0]
+        if sol is not None:
+            assert not any(residual(matrix, rhs, sol))
+
+    def test_row_swap_example(self):
+        assert _solve_exact([[0, 2], [3, 1]], [4, 5]) == [1, 2]
+
+    @given(rank_deficient(INTEGERS))
+    def test_consistent_rank_deficient_systems_zero_free_variables(
+            self, system):
+        matrix, x0 = system
+        rhs = [sum(a * x for a, x in zip(row, x0)) for row in matrix]
+        sol = _solve_exact(matrix, rhs)
+        ref, pivots = reference_solve(matrix, rhs)
+        assert len(pivots) < len(matrix)
+        assert sol is not None and sol == ref
+        assert not any(residual(matrix, rhs, sol))
+        assert all(sol[c] == 0 for c in range(len(sol)) if c not in pivots)
+
+    def test_free_columns_are_zero(self):
+        assert _solve_exact([[1, 2], [2, 4]], [3, 6]) == [3, 0]
+        assert _solve_exact([[0, 1], [0, 2]], [1, 2]) == [0, 1]
+        assert _solve_exact([[0, 0], [0, 0]], [0, 0]) == [0, 0]
+
+    @given(systems(FRACTIONS, min_size=2),
+           st.fractions(min_value=-4, max_value=4).filter(bool),
+           st.fractions(min_value=-4, max_value=4).filter(bool))
+    def test_inconsistent_systems_return_none(self, system, k, delta):
+        matrix, rhs = system
+        matrix[-1] = [k * v for v in matrix[0]]
+        rhs[-1] = k * rhs[0] + delta
+        assert _solve_exact(matrix, rhs) is None
+        assert reference_solve(matrix, rhs)[0] is None
+
+    def test_inconsistent_examples(self):
+        assert _solve_exact([[1, 2], [2, 4]], [3, 7]) is None
+        assert _solve_exact([[0, 0], [0, 0]], [0, 1]) is None
+
+
+#: (x, exponent, Q degrees, P degree, last_n) of every estimate of
+#: da_scan(orders=(2,)) on data/saw_counts_n43.series, as computed by the
+#: Fraction Gauss-Jordan solver the fraction-free one replaced.
+DA_SCAN_N43_ORDER2 = [
+    (0.37905177246225846, 1.3435199429987694, (10, 10, 10), 0, 32),
+    (0.37905169368762387, 1.3435063508556535, (8, 8, 8), 6, 32),
+    (0.3790516880240249, 1.3434999558662053, (9, 9, 9), 4, 33),
+    (0.37905327619952, 1.3441366885922779, (7, 7, 7), 10, 33),
+    (0.3790517288843597, 1.3435044474928315, (10, 10, 10), 2, 34),
+    (0.379052048667461, 1.3436042422993737, (8, 8, 8), 8, 34),
+    (0.3790514907755678, 1.3434162158586893, (11, 11, 11), 0, 35),
+    (0.3790519408352857, 1.3435789465901193, (9, 9, 9), 6, 35),
+    (0.3790523338216552, 1.3436877326760701, (10, 10, 10), 4, 36),
+    (0.3790519702085121, 1.3435860838727482, (8, 8, 8), 10, 36),
+    (0.37905196852144274, 1.3435854111779326, (11, 11, 11), 2, 37),
+    (0.3790519529414886, 1.3435802403714314, (9, 9, 9), 8, 37),
+    (0.2622181699073815, 1.419521280932802, (12, 12, 12), 0, 38),
+    (0.3790519636920595, 1.3435837095548444, (10, 10, 10), 6, 38),
+    (0.07260488498413244, -85.73661866289834, (11, 11, 11), 4, 39),
+    (0.32577391568340763, 17.18405736493742, (9, 9, 9), 10, 39),
+    (0.3790520704637049, 1.3436194658646765, (12, 12, 12), 2, 40),
+    (0.3790518147012229, 1.3435530420260713, (10, 10, 10), 8, 40),
+    (0.3790521504936444, 1.3436598678970706, (13, 13, 13), 0, 41),
+    (0.37905211430019436, 1.3436427262528907, (11, 11, 11), 6, 41),
+    (0.30589851931872925, 17.11765968394478, (12, 12, 12), 4, 42),
+    (0.37905218748164965, 1.3436746857448705, (10, 10, 10), 10, 42),
+    (0.3790507025982765, 1.344163913953556, (13, 13, 13), 2, 43),
+    (0.355210475253696, 6.666947234689369, (11, 11, 11), 8, 43),
+]
+
+
+def test_da_scan_on_committed_series_is_unchanged():
+    coeffs = read_series(DATA / "saw_counts_n43.series").values
+    got = [repr((e.x, e.exponent, e.spec, e.last_n))
+           for e in da_scan(coeffs, orders=(2,))]
+    want = [repr((x, lam, DASpec(q, p), n))
+            for x, lam, q, p, n in DA_SCAN_N43_ORDER2]
+    assert got == want
 
 
 class TestAmplitudeFit:

@@ -119,6 +119,31 @@ class TestAnalyzeFitRatios:
         assert any(line.startswith("inhomog_degree,") for line in lines)
         assert "0.3333333333333333" in capsys.readouterr().out
 
+    def test_analyze_scans_a_list_of_inhomogeneous_degrees(self, tmp_path):
+        series = tmp_path / "s.series"
+        write_series(SeriesTable([(n + 1) * 3**n for n in range(30)]), series)
+
+        def csv_lines(degrees):
+            csv = tmp_path / f"da{degrees}.csv"
+            assert run("analyze", "--series", str(series), "--order", "2",
+                       "--inhomog", degrees, "-o", str(csv)) == 0
+            return csv.read_text().splitlines()
+
+        both = csv_lines("0,2")
+        assert "# command: analyze --order 2 --inhomog 0,2" in both
+        rows = [line for line in both if line[0].isdigit()]
+        singles = [line for d in ("0", "2") for line in csv_lines(d)
+                   if line[0].isdigit()]
+        assert {r.split(",")[0] for r in rows} == {"0", "2"}
+        assert sorted(rows) == sorted(singles)
+
+    def test_analyze_rejects_a_bad_degree_list(self, tmp_path, capsys):
+        series = tmp_path / "s.series"
+        write_series(SeriesTable([3**n for n in range(20)]), series)
+        assert run("analyze", "--series", str(series), "--inhomog", "0,x",
+                   "-o", str(tmp_path / "da.csv")) == 2
+        assert "bad --inhomog value" in capsys.readouterr().err
+
     def test_fit_writes_trajectory(self, tmp_path, capsys):
         series = tmp_path / "s.series"
         mu = 1 / 0.379052277752
