@@ -14,6 +14,12 @@ the critical exponent at a root x* of multiplicity one is
 
     lambda = Q_{K-1}(x*) / (x* Q_K'(x*)) - K + 1.
 
+The physical singularity x_c is the smallest positive root of Q_K, located
+exactly on Q_K's integer coefficients: a Sturm chain of pseudo-remainders
+isolates it by bisection on dyadic points, and sign bisection on Q_K's
+squarefree part refines it to a few bits past working precision, so it is
+rounded to an mpf only once.
+
 Amplitude fits solve for the leading amplitudes of the standard asymptotic
 form with analytic and half-integer correction terms plus an antiferromagnetic
 (alternating) background term.
@@ -197,6 +203,140 @@ def _poly_derivative(poly):
     return [c * j for j, c in enumerate(poly)][1:]
 
 
+def _sign_at(poly, num: int, k: int) -> int:
+    """Sign of the integer polynomial ``poly`` at ``num / 2**k``.
+
+    Polynomials are coefficient lists, lowest degree first.  Horner's rule
+    runs on the value times ``2**(k * degree)``, which is an integer.
+    """
+    d = len(poly) - 1
+    acc = poly[d]
+    for i in range(d - 1, -1, -1):
+        acc = acc * num + (poly[i] << (k * (d - i)))
+    return (acc > 0) - (acc < 0)
+
+
+def _sign_changes(values) -> int:
+    """Sign changes along ``values``, zeros skipped."""
+    count = 0
+    last = 0
+    for v in values:
+        if v:
+            if last and (v < 0) != (last < 0):
+                count += 1
+            last = v
+    return count
+
+
+def _pseudo_remainder(a, b):
+    """The remainder of ``lc(b)**(deg a - deg b + 1) * a`` divided by ``b``."""
+    r = list(a)
+    db = len(b) - 1
+    lc = b[db]
+    for _ in range(len(a) - db):
+        f = r.pop()
+        shift = len(r) - db
+        r = [lc * v for v in r]
+        for j in range(db):
+            r[shift + j] -= f * b[j]
+    while r and r[-1] == 0:
+        r.pop()
+    return r
+
+
+def _sturm_chain(p):
+    """p, p', then negated pseudo-remainders, each divided by its content.
+
+    The content's sign cancels the sign of the pseudo-remainder's factor
+    ``lc**delta``, so each member is a positive multiple of the classical
+    Sturm remainder and sign changes count distinct real roots.  The last
+    member is gcd(p, p') up to a constant factor.
+    """
+    chain = [p, _poly_derivative(p)]
+    while len(chain[-1]) > 1:
+        a, b = chain[-2], chain[-1]
+        r = _pseudo_remainder(a, b)
+        if not r:
+            break
+        g = math.gcd(*r)
+        if b[-1] < 0 and (len(a) - len(b)) % 2 == 0:  # odd delta
+            g = -g
+        chain.append([-v // g for v in r])
+    return chain
+
+
+def _exact_quotient(a, b):
+    """``a / b`` for integer polynomials where ``b`` divides ``a`` in Z[x]."""
+    q = [0] * (len(a) - len(b) + 1)
+    r = list(a)
+    for i in reversed(range(len(q))):
+        q[i] = r[i + len(b) - 1] // b[-1]
+        for j, c in enumerate(b):
+            r[i + j] -= q[i] * c
+    return q
+
+
+def _smallest_positive_root(p, bits: int) -> Fraction | None:
+    """Smallest positive real root of the integer polynomial ``p``, or None.
+
+    ``p`` is a coefficient list, lowest degree first, with a nonzero leading
+    coefficient.  The result is a dyadic rational within a relative
+    ``2**-bits`` of the root (exactly the root when bisection lands on it).
+    Roots at 0 are not positive and are divided out first.  Counting runs on
+    the Sturm chain of the squarefree part s = p / gcd(p, p'), where the
+    number of roots in (a, b] is V(a) - V(b), V counting sign changes along
+    the chain: the bracket (lo, hi] doubles from (0, 1] until it holds a root,
+    then halves until it holds exactly one.  That root is simple in s, so s
+    changes sign across it, and sign bisection on s refines it.
+    """
+    while p[0] == 0:
+        p = p[1:]
+    if len(p) < 2:
+        return None
+    chain = _sturm_chain(p)
+    if len(chain[-1]) > 1:  # repeated roots: go to the squarefree part
+        g = chain[-1]
+        content = math.gcd(*g)
+        p = _exact_quotient(p, [v // content for v in g])
+        chain = _sturm_chain(p)
+
+    def changes(num, k):
+        return _sign_changes(_sign_at(c, num, k) for c in chain)
+
+    v_lo = _sign_changes(c[0] for c in chain)
+    if v_lo == _sign_changes(c[-1] for c in chain):
+        return None
+    lo, hi, k = 0, 1, 0
+    v_hi = changes(hi, k)
+    while v_lo == v_hi:
+        lo, v_lo = hi, v_hi
+        hi *= 2
+        v_hi = changes(hi, k)
+    while v_lo - v_hi > 1:
+        lo, hi, k = 2 * lo, 2 * hi, k + 1
+        mid = (lo + hi) // 2
+        v_mid = changes(mid, k)
+        if v_mid < v_lo:
+            hi, v_hi = mid, v_mid
+        else:
+            lo, v_lo = mid, v_mid
+    # (lo, hi] holds one root and lo is not a root
+    if _sign_at(p, hi, k) == 0:
+        return Fraction(hi, 1 << k)
+    sign_lo = _sign_at(p, lo, k)
+    while (hi - lo) << bits > hi:
+        lo, hi, k = 2 * lo, 2 * hi, k + 1
+        mid = (lo + hi) // 2
+        s = _sign_at(p, mid, k)
+        if s == 0:
+            return Fraction(mid, 1 << k)
+        if s == sign_lo:
+            lo = mid
+        else:
+            hi = mid
+    return Fraction(lo + hi, 1 << (k + 1))
+
+
 def singularity_estimate(
     coeffs,
     spec: DASpec,
@@ -205,32 +345,24 @@ def singularity_estimate(
 ) -> SingularityEstimate:
     """Physical singularity (smallest positive real root of Q_K) and exponent.
 
-    Raises AnalysisError for defective approximants: singular fit, no positive
-    real root, or a root of Q_K shared with Q_{K-1} (non-simple behaviour).
+    Raises AnalysisError for defective approximants: singular fit, Q_K
+    constant, no positive real root, or a multiple root (Q_K'(x*) = 0).
     """
     if last_n is None:
         last_n = len(coeffs) - 1
     q_polys, _ = differential_approximant(coeffs, spec, last_n)
     k = spec.order
     with mpmath.workdps(dps):
-        qk = [mpmath.mpf(c.numerator) / c.denominator for c in q_polys[k]]
+        qk = _integer_row(q_polys[k])
         while qk and qk[-1] == 0:
             qk.pop()
         if len(qk) < 2:
             raise AnalysisError("Q_K is constant; no singularity")
-        try:
-            roots = mpmath.polyroots(list(reversed(qk)), maxsteps=200,
-                                     extraprec=80)
-        except mpmath.libmp.NoConvergence as exc:
-            raise AnalysisError("root finding did not converge") from exc
-        real_tol = mpmath.mpf(10) ** (-dps // 2)
-        positive = [
-            r.real for r in roots
-            if abs(r.imag) < real_tol * max(1, abs(r)) and r.real > 0
-        ]
-        if not positive:
+        root = _smallest_positive_root(qk, mpmath.mp.prec + 20)
+        if root is None:
             raise AnalysisError("no positive real root of Q_K")
-        x_star = min(positive)
+        # the denominator is a power of two: one rounding, of the numerator
+        x_star = mpmath.mpf(root.numerator) / root.denominator
         dqk = _poly_derivative(q_polys[k])
         denom = x_star * _poly_eval(dqk, x_star)
         if denom == 0:
@@ -431,14 +563,6 @@ def universal_ratios(c: float, d: float, e: float) -> RatioReport:
     doc = d / c
     eoc = e / c
     return RatioReport(doc, eoc, (246.0 / 91.0) * doc - 2.0 * eoc + 0.5)
-
-
-def da_report_rows(estimates):
-    """CSV rows (order, pdegree, last_n, x, exponent) for a scan result."""
-    return [
-        (e.spec.order, e.spec.pdegree, e.last_n, repr(e.x), repr(e.exponent))
-        for e in estimates
-    ]
 
 
 def amplitude_report_rows(fits):

@@ -5,7 +5,8 @@ from fractions import Fraction
 from pathlib import Path
 
 import pytest
-from hypothesis import given
+import mpmath
+from hypothesis import assume, given
 from hypothesis import strategies as st
 
 from sawenum.analysis import (
@@ -13,6 +14,7 @@ from sawenum.analysis import (
     AnalysisError,
     DASpec,
     SingularityEstimate,
+    _smallest_positive_root,
     _solve_exact,
     amplitude_fit,
     amplitude_trajectory,
@@ -285,6 +287,183 @@ def test_da_scan_on_committed_series_is_unchanged():
     want = [repr((x, lam, DASpec(q, p), n))
             for x, lam, q, p, n in DA_SCAN_N43_ORDER2]
     assert got == want
+
+
+#: (x, exponent, Q degrees, P degree, last_n) of every estimate of
+#: da_scan(orders=(2, 3)) on data/saw_counts_n43.series, as computed when
+#: x_c came from mpmath.polyroots, before exact root isolation replaced it.
+DA_SCAN_N43_ORDERS23 = [
+    (0.37905177246225846, 1.3435199429987694, (10, 10, 10), 0, 32),
+    (0.37905169368762387, 1.3435063508556535, (8, 8, 8), 6, 32),
+    (0.3790516880240249, 1.3434999558662053, (9, 9, 9), 4, 33),
+    (0.37905327619952, 1.3441366885922779, (7, 7, 7), 10, 33),
+    (0.3790517780569427, 1.3435289714192051, (7, 7, 7, 7), 2, 33),
+    (0.3790517381641007, 1.3435152453979322, (6, 6, 6, 6), 6, 33),
+    (0.37905187037939087, 1.3435583031429563, (5, 5, 5, 5), 10, 33),
+    (0.3790517288843597, 1.3435044474928315, (10, 10, 10), 2, 34),
+    (0.379052048667461, 1.3436042422993737, (8, 8, 8), 8, 34),
+    (0.3790514907755678, 1.3434162158586893, (11, 11, 11), 0, 35),
+    (0.3790519408352857, 1.3435789465901193, (9, 9, 9), 6, 35),
+    (0.37905173926379626, 1.3435055940589764, (8, 8, 8, 8), 0, 35),
+    (0.3790517500091774, 1.343516993763602, (7, 7, 7, 7), 4, 35),
+    (0.3790520007071897, 1.3435932300811433, (6, 6, 6, 6), 8, 35),
+    (0.3790523338216552, 1.3436877326760701, (10, 10, 10), 4, 36),
+    (0.3790519702085121, 1.3435860838727482, (8, 8, 8), 10, 36),
+    (0.37905196852144274, 1.3435854111779326, (11, 11, 11), 2, 37),
+    (0.3790519529414886, 1.3435802403714314, (9, 9, 9), 8, 37),
+    (0.3790519855450457, 1.3435919284687248, (8, 8, 8, 8), 2, 37),
+    (0.3790519605055596, 1.3435827622842418, (7, 7, 7, 7), 6, 37),
+    (0.3790519638151988, 1.3435844755306294, (6, 6, 6, 6), 10, 37),
+    (0.2622181699073815, 1.419521280932802, (12, 12, 12), 0, 38),
+    (0.3790519636920595, 1.3435837095548444, (10, 10, 10), 6, 38),
+    (0.07260488498413244, -85.73661866289834, (11, 11, 11), 4, 39),
+    (0.32577391568340763, 17.18405736493742, (9, 9, 9), 10, 39),
+    (0.3790517465929506, 1.3435240546910907, (9, 9, 9, 9), 0, 39),
+    (0.3790517586585918, 1.3435403464554323, (8, 8, 8, 8), 4, 39),
+    (0.3260394236958186, 7.660083660161961, (7, 7, 7, 7), 8, 39),
+    (0.3790520704637049, 1.3436194658646765, (12, 12, 12), 2, 40),
+    (0.3790518147012229, 1.3435530420260713, (10, 10, 10), 8, 40),
+    (0.3790521504936444, 1.3436598678970706, (13, 13, 13), 0, 41),
+    (0.37905211430019436, 1.3436427262528907, (11, 11, 11), 6, 41),
+    (0.1461318800466258, 34.63300839367713, (9, 9, 9, 9), 2, 41),
+    (0.3504056639073672, 13.262828677759883, (8, 8, 8, 8), 6, 41),
+    (0.3790521282129133, 1.3436455464832717, (7, 7, 7, 7), 10, 41),
+    (0.30589851931872925, 17.11765968394478, (12, 12, 12), 4, 42),
+    (0.37905218748164965, 1.3436746857448705, (10, 10, 10), 10, 42),
+    (0.3790507025982765, 1.344163913953556, (13, 13, 13), 2, 43),
+    (0.355210475253696, 6.666947234689369, (11, 11, 11), 8, 43),
+    (0.3433939967971771, 6.97316753018818, (10, 10, 10, 10), 0, 43),
+    (0.26910549909886944, 12.456177198551147, (9, 9, 9, 9), 4, 43),
+    (0.3505908334339807, 7.718526989548093, (8, 8, 8, 8), 8, 43),
+]
+
+
+def test_da_scan_orders_2_3_on_committed_series_is_unchanged():
+    coeffs = read_series(DATA / "saw_counts_n43.series").values
+    got = [repr((e.x, e.exponent, e.spec, e.last_n))
+           for e in da_scan(coeffs, orders=(2, 3))]
+    want = [repr((x, lam, DASpec(q, p), n))
+            for x, lam, q, p, n in DA_SCAN_N43_ORDERS23]
+    assert got == want
+
+
+def poly_product(factors):
+    """Integer coefficients (lowest degree first) of a product of factors."""
+    out = [1]
+    for f in factors:
+        prod = [0] * (len(out) + len(f) - 1)
+        for i, a in enumerate(out):
+            for j, b in enumerate(f):
+                prod[i + j] += a * b
+        out = prod
+    return out
+
+
+def reference_smallest_positive_root(factors, dps=50):
+    """Smallest positive real root of the product of ``factors``, or None.
+
+    Each factor has simple roots, and mpmath.polyroots finds its roots at
+    ``dps`` digits; a root whose imaginary part is below 1e-20 counts as
+    real.  Complex roots of the factors below have imaginary parts of 0.05
+    or more.
+    """
+    best = None
+    with mpmath.workdps(dps):
+        for f in factors:
+            for r in mpmath.polyroots(list(reversed(f)), extraprec=dps):
+                r = mpmath.mpc(r)
+                if abs(r.imag) < 1e-20 and r.real > 0:
+                    best = r.real if best is None else min(best, r.real)
+    return best
+
+
+def assert_root_matches(factors, bits):
+    got = _smallest_positive_root(poly_product(factors), bits)
+    want = reference_smallest_positive_root(factors)
+    if want is None:
+        assert got is None
+        return
+    assert got is not None
+    assert got.denominator & (got.denominator - 1) == 0  # dyadic
+    with mpmath.workdps(60):
+        x = mpmath.mpf(got.numerator) / got.denominator
+        assert abs(x - want) <= want * (mpmath.ldexp(1, -bits)
+                                        + mpmath.mpf(10) ** -45)
+
+
+SIGNS = st.sampled_from([1, -1])
+
+
+@st.composite
+def linear_factors(draw):
+    """s * (a x - b): the rational root b / a, which may be 0 or negative."""
+    a, b, s = draw(st.integers(1, 12)), draw(st.integers(-12, 12)), draw(SIGNS)
+    return [-s * b, s * a]
+
+
+@st.composite
+def irreducible_quadratics(draw):
+    """s * (a x^2 + b x + c) with a discriminant that is not a square."""
+    a, b, c, s = (draw(st.integers(1, 9)), draw(st.integers(-9, 9)),
+                  draw(st.integers(-9, 9).filter(bool)), draw(SIGNS))
+    disc = b * b - 4 * a * c
+    assume(disc < 0 or math.isqrt(disc) ** 2 != disc)
+    return [s * c, s * b, s * a]
+
+
+FACTORS = st.lists(st.one_of(linear_factors(), irreducible_quadratics()),
+                   min_size=1, max_size=6)
+
+
+class TestSmallestPositiveRoot:
+    """Exact root isolation against mpmath.polyroots on each known factor."""
+
+    @given(FACTORS, st.integers(1, 6))
+    def test_products_of_factors_match_reference(self, factors, content):
+        assert_root_matches(factors + [[content]], 123)
+
+    @given(FACTORS, st.integers(4, 200))
+    def test_any_precision(self, factors, bits):
+        assert_root_matches(factors, bits)
+
+    def test_negative_roots_only(self):
+        factors = [[1, 1], [3, 2], [1, 1, 1], [2, 0, 1]]
+        assert _smallest_positive_root(poly_product(factors), 123) is None
+        assert reference_smallest_positive_root(factors) is None
+
+    def test_root_at_zero_is_not_positive(self):
+        assert _smallest_positive_root([0, 0, 1, 1], 123) is None
+        assert _smallest_positive_root([0, 1, 0, 1], 123) is None
+        assert_root_matches([[0, 1], [-1, 3]], 123)
+        assert_root_matches([[0, 1], [0, -1], [5, 2], [-7, 2]], 123)
+
+    def test_double_root(self):
+        assert_root_matches([[-1, 3], [-1, 3], [-2, 1]], 123)
+        assert_root_matches([[5, -7], [-5, 7], [-7, 1, 2], [1, 1]], 123)
+        assert_root_matches([[2, -5]] * 3 + [[-1, 0, 1]] * 2, 123)
+
+    def test_exact_dyadic_root(self):
+        p = poly_product([[-3, 8], [-5, 1]])
+        assert _smallest_positive_root(p, 123) == Fraction(3, 8)
+        p = poly_product([[-3, 8], [-3, 8], [1, 0, 1]])
+        assert _smallest_positive_root(p, 123) == Fraction(3, 8)
+
+    def test_remainder_sequence_with_a_degree_gap(self):
+        # x^5 + a x^2 + b x + c: the first remainder has degree 2, so the
+        # next pseudo-remainder carries lc^3 with a negative lc
+        for factors in ([[-1, 1, 1], [-1, 1], [2, 0, 1]],
+                        [[1, -3, 1, 0, 0, 1]], [[1, -5, 3, 0, 0, 1]]):
+            assert_root_matches(factors, 123)
+
+    def test_roots_closer_than_2_to_the_minus_90(self):
+        scale = 3 << 91
+        a = (1 << 91) // 4 + 1
+        close = [[-a, scale], [-(a + 1), scale]]
+        for factors in (close, close[::-1], close + [[-1, 1]],
+                        close + [[1, -7, 3]]):
+            assert_root_matches(factors, 123)
+        got = _smallest_positive_root(poly_product(close), 123)
+        assert abs(got - Fraction(a, scale)) < Fraction(1, scale) / 4
 
 
 class TestAmplitudeFit:
