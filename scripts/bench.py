@@ -7,8 +7,8 @@ Measures, for each checkout, in fresh interpreters:
   and (2, 3) on the checkout's 44-term ``data/saw_counts_n43.series``
   (the call alone, not the import);
 - ``run_analysis_s``: ``scripts/run_analysis.py`` on a copy of that series;
-- ``enumerate_w<K>_s`` and ``enumerate_w<K>_rss_mb``: wall time and peak
-  RSS of ``sawenum enumerate --wmax K`` (the first call of a checkout also
+- ``enumerate_w13_s`` and ``enumerate_w13_rss_mb``: wall time and peak
+  RSS of ``sawenum enumerate --wmax 13`` (the first call of a checkout also
   builds the compiled kernel, so one warm-up call runs before timing);
 - ``tier1_s``: the tier-1 suite, with its summary line.
 
@@ -36,6 +36,7 @@ from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
 SERIES = Path("data") / "saw_counts_n43.series"
+WMAX = 13
 
 #: run in the measured checkout: time one da_scan call, print the seconds
 DA_SCAN = """
@@ -93,7 +94,7 @@ def timed(cmd, cwd: Path, env) -> dict:
     return result
 
 
-def measure(checkout: Path, wmax: int, tier1: bool) -> dict:
+def measure(checkout: Path) -> dict:
     env = dict(os.environ, PYTHONPATH=str(checkout / "src"))
     py = sys.executable
     series = str(checkout / SERIES)
@@ -109,17 +110,16 @@ def measure(checkout: Path, wmax: int, tier1: bool) -> dict:
         row["run_analysis_s"] = timed(
             [py, "scripts/run_analysis.py", str(copy)], checkout,
             env)["wall_s"]
-        enum = [py, "-m", "sawenum.cli", "enumerate", "--wmax", str(wmax),
+        enum = [py, "-m", "sawenum.cli", "enumerate", "--wmax", str(WMAX),
                 "-o", str(Path(tmp) / "walks.series")]
         timed(enum, checkout, env)  # warm-up: builds the kernel if needed
         result = timed(enum, checkout, env)
-    row[f"enumerate_w{wmax}_s"] = result["wall_s"]
-    row[f"enumerate_w{wmax}_rss_mb"] = result["peak_rss_mb"]
-    if tier1:
-        result = timed([py, "-m", "pytest", "-q", "-p", "no:cacheprovider",
-                        "--continue-on-collection-errors"], checkout, env)
-        row["tier1_s"] = result["wall_s"]
-        row["tier1_summary"] = result["last_line"]
+    row[f"enumerate_w{WMAX}_s"] = result["wall_s"]
+    row[f"enumerate_w{WMAX}_rss_mb"] = result["peak_rss_mb"]
+    result = timed([py, "-m", "pytest", "-q", "-p", "no:cacheprovider",
+                    "--continue-on-collection-errors"], checkout, env)
+    row["tier1_s"] = result["wall_s"]
+    row["tier1_summary"] = result["last_line"]
     return row
 
 
@@ -128,8 +128,6 @@ def main() -> int:
     ap.add_argument("--checkout", action="append", metavar="LABEL=DIR",
                     help="a checkout to measure (default: change=<repo>)")
     ap.add_argument("--repeat", type=int, default=3)
-    ap.add_argument("--wmax", type=int, default=13)
-    ap.add_argument("--no-tier1", action="store_true")
     ap.add_argument("--out", required=True)
     args = ap.parse_args()
 
@@ -141,7 +139,7 @@ def main() -> int:
     for i in range(args.repeat):
         order = list(checkouts) if i % 2 == 0 else list(checkouts)[::-1]
         for label in order:
-            row = measure(checkouts[label], args.wmax, not args.no_tier1)
+            row = measure(checkouts[label])
             runs[label].append(row)
             print(label, i, json.dumps(row), file=sys.stderr, flush=True)
     results = {}

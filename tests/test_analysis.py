@@ -418,13 +418,10 @@ FACTORS = st.lists(st.one_of(linear_factors(), irreducible_quadratics()),
 class TestSmallestPositiveRoot:
     """Exact root isolation against mpmath.polyroots on each known factor."""
 
-    @given(FACTORS, st.integers(1, 6))
-    def test_products_of_factors_match_reference(self, factors, content):
-        assert_root_matches(factors + [[content]], 123)
-
-    @given(FACTORS, st.integers(4, 200))
-    def test_any_precision(self, factors, bits):
-        assert_root_matches(factors, bits)
+    @given(FACTORS, st.integers(1, 6), st.sampled_from([123, 4, 40, 200]))
+    def test_products_of_factors_match_reference(self, factors, content,
+                                                 bits):
+        assert_root_matches(factors + [[content]], bits)
 
     def test_negative_roots_only(self):
         factors = [[1, 1], [3, 2], [1, 1, 1], [2, 0, 1]]
