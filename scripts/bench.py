@@ -14,12 +14,12 @@ Measures, for each checkout, in fresh interpreters:
 
 The host's speed for one process drifts, so checkouts are interleaved,
 alternating which goes first, and each metric is reported as the median
-over ``--repeat`` rounds with every run kept.
+over ``ROUNDS`` rounds with every run kept.
 
 Usage:
     python3 scripts/bench.py --out BENCH_6.json
     python3 scripts/bench.py --checkout parent=../parent --checkout change=. \\
-        --repeat 5 --out BENCH_6.json
+        --out BENCH_6.json
 """
 
 from __future__ import annotations
@@ -37,6 +37,8 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parent.parent
 SERIES = Path("data") / "saw_counts_n43.series"
 WMAX = 13
+#: interleaved rounds per checkout; ten pairs before a median is quoted
+ROUNDS = 10
 
 #: run in the measured checkout: time one da_scan call, print the seconds
 DA_SCAN = """
@@ -127,7 +129,6 @@ def main() -> int:
     ap = argparse.ArgumentParser(description=__doc__)
     ap.add_argument("--checkout", action="append", metavar="LABEL=DIR",
                     help="a checkout to measure (default: change=<repo>)")
-    ap.add_argument("--repeat", type=int, default=3)
     ap.add_argument("--out", required=True)
     args = ap.parse_args()
 
@@ -136,7 +137,7 @@ def main() -> int:
         label, _, path = item.partition("=")
         checkouts[label] = Path(path).resolve()
     runs = {label: [] for label in checkouts}
-    for i in range(args.repeat):
+    for i in range(ROUNDS):
         order = list(checkouts) if i % 2 == 0 else list(checkouts)[::-1]
         for label in order:
             row = measure(checkouts[label])
@@ -152,7 +153,7 @@ def main() -> int:
                                        "runs": values}
             else:
                 results[label][key] = values
-    report = {"machine": machine(), "repeat": args.repeat,
+    report = {"machine": machine(), "rounds": ROUNDS,
               "results": results}
     with open(args.out, "w", encoding="utf-8") as fh:
         json.dump(report, fh, indent=1)

@@ -276,17 +276,24 @@ def _exact_quotient(a, b):
     return q
 
 
-def _smallest_positive_root(p, bits: int) -> Fraction | None:
+def _variations(chain, num: int, k: int) -> int:
+    """Sign changes along the Sturm ``chain`` at ``num / 2**k``."""
+    return _sign_changes(_sign_at(c, num, k) for c in chain)
+
+
+def _smallest_positive_root(p, bits: int) -> tuple[Fraction, bool] | None:
     """Smallest positive real root of the integer polynomial ``p``, or None.
 
     ``p`` is a coefficient list, lowest degree first, with a nonzero leading
-    coefficient.  The result is a dyadic rational within a relative
-    ``2**-bits`` of the root (exactly the root when bisection lands on it).
-    Roots at 0 are not positive and are divided out first.  Counting runs on
-    the Sturm chain of the squarefree part s = p / gcd(p, p'), where the
-    number of roots in (a, b] is V(a) - V(b), V counting sign changes along
+    coefficient.  The root is returned as a dyadic rational within a relative
+    ``2**-bits`` of it (exactly the root when bisection lands on it), with a
+    flag that is true when the root is a multiple root of ``p``.  Roots at 0
+    are not positive and are divided out first.  Counting runs on the Sturm
+    chain of the squarefree part s = p / g, g = gcd(p, p'), where the number
+    of distinct roots in (a, b] is V(a) - V(b), V counting sign changes along
     the chain: the bracket (lo, hi] doubles from (0, 1] until it holds a root,
-    then halves until it holds exactly one.  That root is simple in s, so s
+    then halves until it holds exactly one.  That root is multiple in p
+    exactly when g has a root in the bracket too.  It is simple in s, so s
     changes sign across it, and sign bisection on s refines it.
     """
     while p[0] == 0:
@@ -294,47 +301,48 @@ def _smallest_positive_root(p, bits: int) -> Fraction | None:
     if len(p) < 2:
         return None
     chain = _sturm_chain(p)
-    if len(chain[-1]) > 1:  # repeated roots: go to the squarefree part
-        g = chain[-1]
+    g = chain[-1]
+    if len(g) > 1:  # repeated roots: go to the squarefree part
         content = math.gcd(*g)
         p = _exact_quotient(p, [v // content for v in g])
         chain = _sturm_chain(p)
-
-    def changes(num, k):
-        return _sign_changes(_sign_at(c, num, k) for c in chain)
 
     v_lo = _sign_changes(c[0] for c in chain)
     if v_lo == _sign_changes(c[-1] for c in chain):
         return None
     lo, hi, k = 0, 1, 0
-    v_hi = changes(hi, k)
+    v_hi = _variations(chain, hi, k)
     while v_lo == v_hi:
         lo, v_lo = hi, v_hi
         hi *= 2
-        v_hi = changes(hi, k)
+        v_hi = _variations(chain, hi, k)
     while v_lo - v_hi > 1:
         lo, hi, k = 2 * lo, 2 * hi, k + 1
         mid = (lo + hi) // 2
-        v_mid = changes(mid, k)
+        v_mid = _variations(chain, mid, k)
         if v_mid < v_lo:
             hi, v_hi = mid, v_mid
         else:
             lo, v_lo = mid, v_mid
     # (lo, hi] holds one root and lo is not a root
+    multiple = False
+    if len(g) > 1:
+        g_chain = _sturm_chain(g)
+        multiple = _variations(g_chain, lo, k) > _variations(g_chain, hi, k)
     if _sign_at(p, hi, k) == 0:
-        return Fraction(hi, 1 << k)
+        return Fraction(hi, 1 << k), multiple
     sign_lo = _sign_at(p, lo, k)
     while (hi - lo) << bits > hi:
         lo, hi, k = 2 * lo, 2 * hi, k + 1
         mid = (lo + hi) // 2
         s = _sign_at(p, mid, k)
         if s == 0:
-            return Fraction(mid, 1 << k)
+            return Fraction(mid, 1 << k), multiple
         if s == sign_lo:
             lo = mid
         else:
             hi = mid
-    return Fraction(lo + hi, 1 << (k + 1))
+    return Fraction(lo + hi, 1 << (k + 1)), multiple
 
 
 def singularity_estimate(
@@ -346,7 +354,8 @@ def singularity_estimate(
     """Physical singularity (smallest positive real root of Q_K) and exponent.
 
     Raises AnalysisError for defective approximants: singular fit, Q_K
-    constant, no positive real root, or a multiple root (Q_K'(x*) = 0).
+    constant, no positive real root, or a multiple root (a root of
+    gcd(Q_K, Q_K'), or Q_K'(x*) = 0 at the rounded root).
     """
     if last_n is None:
         last_n = len(coeffs) - 1
@@ -358,14 +367,15 @@ def singularity_estimate(
             qk.pop()
         if len(qk) < 2:
             raise AnalysisError("Q_K is constant; no singularity")
-        root = _smallest_positive_root(qk, mpmath.mp.prec + 20)
-        if root is None:
+        found = _smallest_positive_root(qk, mpmath.mp.prec + 20)
+        if found is None:
             raise AnalysisError("no positive real root of Q_K")
+        root, multiple = found
         # the denominator is a power of two: one rounding, of the numerator
         x_star = mpmath.mpf(root.numerator) / root.denominator
         dqk = _poly_derivative(q_polys[k])
         denom = x_star * _poly_eval(dqk, x_star)
-        if denom == 0:
+        if multiple or denom == 0:
             raise AnalysisError("multiple root of Q_K")
         lam = _poly_eval(q_polys[k - 1], x_star) / denom - k + 1
         return SingularityEstimate(float(x_star), float(lam), spec, last_n)

@@ -360,21 +360,26 @@ def poly_product(factors):
 
 
 def reference_smallest_positive_root(factors, dps=50):
-    """Smallest positive real root of the product of ``factors``, or None.
+    """Smallest positive real root of the product of ``factors`` and its
+    multiplicity, or None.
 
     Each factor has simple roots, and mpmath.polyroots finds its roots at
     ``dps`` digits; a root whose imaginary part is below 1e-20 counts as
     real.  Complex roots of the factors below have imaginary parts of 0.05
-    or more.
+    or more, and distinct real roots lie more than 1e-30 apart, so the
+    multiplicity is the number of factors with a root within 1e-40.
     """
-    best = None
+    roots = []
     with mpmath.workdps(dps):
         for f in factors:
             for r in mpmath.polyroots(list(reversed(f)), extraprec=dps):
                 r = mpmath.mpc(r)
                 if abs(r.imag) < 1e-20 and r.real > 0:
-                    best = r.real if best is None else min(best, r.real)
-    return best
+                    roots.append(r.real)
+        if not roots:
+            return None
+        best = min(roots)
+        return best, sum(abs(r - best) < 1e-40 for r in roots)
 
 
 def assert_root_matches(factors, bits):
@@ -384,11 +389,13 @@ def assert_root_matches(factors, bits):
         assert got is None
         return
     assert got is not None
-    assert got.denominator & (got.denominator - 1) == 0  # dyadic
+    (root, multiple), (want_root, multiplicity) = got, want
+    assert multiple == (multiplicity > 1)
+    assert root.denominator & (root.denominator - 1) == 0  # dyadic
     with mpmath.workdps(60):
-        x = mpmath.mpf(got.numerator) / got.denominator
-        assert abs(x - want) <= want * (mpmath.ldexp(1, -bits)
-                                        + mpmath.mpf(10) ** -45)
+        x = mpmath.mpf(root.numerator) / root.denominator
+        assert abs(x - want_root) <= want_root * (mpmath.ldexp(1, -bits)
+                                                  + mpmath.mpf(10) ** -45)
 
 
 SIGNS = st.sampled_from([1, -1])
@@ -439,11 +446,20 @@ class TestSmallestPositiveRoot:
         assert_root_matches([[5, -7], [-5, 7], [-7, 1, 2], [1, 1]], 123)
         assert_root_matches([[2, -5]] * 3 + [[-1, 0, 1]] * 2, 123)
 
+    def test_only_a_larger_root_is_repeated(self):
+        # gcd(p, p') = 3x - 2 vanishes above the smallest root 1/2
+        assert_root_matches([[-1, 2], [-2, 3], [-2, 3]], 123)
+        assert_root_matches([[-2, 3], [-1, 2], [-2, 3], [-1, 0, 1]], 123)
+        root, multiple = _smallest_positive_root(
+            poly_product([[-1, 2], [-2, 3], [-2, 3]]), 123)
+        assert abs(root - Fraction(1, 2)) < Fraction(1, 2 ** 120)
+        assert not multiple
+
     def test_exact_dyadic_root(self):
         p = poly_product([[-3, 8], [-5, 1]])
-        assert _smallest_positive_root(p, 123) == Fraction(3, 8)
+        assert _smallest_positive_root(p, 123) == (Fraction(3, 8), False)
         p = poly_product([[-3, 8], [-3, 8], [1, 0, 1]])
-        assert _smallest_positive_root(p, 123) == Fraction(3, 8)
+        assert _smallest_positive_root(p, 123) == (Fraction(3, 8), True)
 
     def test_remainder_sequence_with_a_degree_gap(self):
         # x^5 + a x^2 + b x + c: the first remainder has degree 2, so the
@@ -459,8 +475,9 @@ class TestSmallestPositiveRoot:
         for factors in (close, close[::-1], close + [[-1, 1]],
                         close + [[1, -7, 3]]):
             assert_root_matches(factors, 123)
-        got = _smallest_positive_root(poly_product(close), 123)
+        got, multiple = _smallest_positive_root(poly_product(close), 123)
         assert abs(got - Fraction(a, scale)) < Fraction(1, scale) / 4
+        assert not multiple
 
 
 class TestAmplitudeFit:
