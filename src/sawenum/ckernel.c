@@ -1,12 +1,12 @@
 /* Compiled twin of engine.sweep for one rectangle width.
  *
- * The state layout, the kink move (engine.transitions), the two prune bounds
- * (pruning.additional_steps_packed at column boundaries and
- * pruning.additional_steps_mid after each row) and the boundary shift are
- * line-for-line ports of the Python engine.  A generating function is kept
- * as residues modulo each of ``nmod`` moduli; every operation on it is an
- * addition or a degree shift, so working modulo m gives the exact ledger
- * modulo m, and all moduli share one pass over the states.
+ * The state layout, the kink move (engine.transitions), the prune bound
+ * (pruning.additional_steps_mid, after each row and, at row -1, at column
+ * boundaries) and the boundary shift are line-for-line ports of the Python
+ * engine.  A generating function is kept as residues modulo each of
+ * ``nmod`` moduli; every operation on it is an addition or a degree shift,
+ * so working modulo m gives the exact ledger modulo m, and all moduli share
+ * one pass over the states.
  *
  * A state's nonzero degrees span only a few consecutive values, so each
  * state stores a window of ``win`` degrees starting at its own base degree
@@ -457,51 +457,8 @@ static int transitions(u64 key, int r, int width, int first_col, Emitter *em)
 
 static int imax(int a, int b) { return a > b ? a : b; }
 
-/* pruning.additional_steps_packed: row q of ``ekey`` at bits 2q..2q+1. */
-static int steps_boundary(u64 ekey, int bottom, int top, int width, int column)
-{
-    int cost = 0, depth = 0, lo = -1, hi = -1, has_free = 0, top_reach = 0;
-    int stack[MAX_SLOTS + 1];
-    stack[0] = 0;
-    for (int pos = 0; pos <= width; pos++) {
-        int e = (ekey >> (2 * pos)) & 3;
-        if (!e)
-            continue;
-        if (lo < 0)
-            lo = pos;
-        hi = pos;
-        if (e == 1) {
-            stack[++depth] = 0;
-            cost -= pos;
-        } else if (e == 2) {
-            int reach = stack[depth--];
-            cost += pos + 2 * reach;
-            if (depth) {
-                if (reach + 1 > stack[depth])
-                    stack[depth] = reach + 1;
-            } else if (reach > top_reach) {
-                top_reach = reach;
-            }
-        } else {
-            has_free = 1;
-        }
-    }
-    if (lo >= 0) {
-        int trip = has_free ? 1 : 2;
-        if (!bottom)
-            cost += trip * lo;
-        if (!top)
-            cost += trip * (width - hi);
-        cost += trip * imax(0, width - column - top_reach);
-    } else {
-        if (!(bottom && top))
-            cost += width;
-        cost += imax(0, width - column - top_reach);
-    }
-    return cost;
-}
-
-/* pruning.additional_steps_mid, right after the kink move at row r. */
+/* pruning.additional_steps_mid, right after the kink move at row r; at
+ * r = -1 the bound at a column boundary, on the start-of-column key. */
 static int steps_mid(u64 key, int r, int width, int bottom, int top, int column)
 {
     int cost = 0, depth = 0, lo = -1, hi = -1, has_free = 0, top_reach = 0;
@@ -586,7 +543,7 @@ static void truncate_live(const Ring *R, Map *m, size_t i, int n_add)
 
 typedef struct {
     int width, fb, prune, n_max;
-    u64 edges_mask, flags_mask, rows_mask;
+    u64 edges_mask, flags_mask;
 } Geometry;
 
 static u64 shifted_key(const Geometry *g, u64 key)
@@ -596,9 +553,8 @@ static u64 shifted_key(const Geometry *g, u64 key)
 
 /* Highest degree of ``key`` that can still complete, right after the kink
  * move at row r of column c.  Truncating each addend there equals the
- * engine's prune of the summed state: after rows below the top the
- * mid-column bound, after the top row the next column's boundary bound on
- * the shifted key. */
+ * engine's prune of the summed state: after the top row that is the prune
+ * at row -1 of the next column, on the shifted key. */
 static int degree_cap(const Geometry *g, u64 key, int r, int c)
 {
     if (!g->prune)
@@ -609,8 +565,8 @@ static int degree_cap(const Geometry *g, u64 key, int r, int c)
         n_add = steps_mid(key & g->edges_mask, r, g->width, bottom, top,
                           c < g->width ? c : g->width);
     else
-        n_add = steps_boundary((shifted_key(g, key) >> 2) & g->rows_mask,
-                               bottom, top, g->width, c + 1);
+        n_add = steps_mid(shifted_key(g, key) & g->edges_mask, -1, g->width,
+                          bottom, top, c + 1);
     return g->n_max - n_add;
 }
 
@@ -630,8 +586,7 @@ int sawenum_sweep(int width, int l_max, int n_max, const u64 *moduli,
             return 4;
     Ring ring = {n_max + 1, nmod, win, moduli}, *R = &ring;
     int fb = 2 * nslots;
-    Geometry geo = {width, fb, prune, n_max, (1ULL << fb) - 1, 3ULL << fb,
-                    (1ULL << (2 * (width + 1))) - 1};
+    Geometry geo = {width, fb, prune, n_max, (1ULL << fb) - 1, 3ULL << fb};
     Map cur, nxt;
     Emitter em;
     int err = 0;
@@ -653,7 +608,7 @@ int sawenum_sweep(int width, int l_max, int n_max, const u64 *moduli,
     cur.lo[0] = cur.hi[0] = 0;
     if (prune) /* the seed's boundary prune */
         truncate_live(R, &cur, 0,
-                      steps_boundary(0, 0, 0, width, 0));
+                      steps_mid(0, -1, width, 0, 0, 0));
 
     for (int c = 0; c <= l_max; c++) {
         u64 *comp = ledger + (size_t)c * nmod * R->n;

@@ -1,4 +1,8 @@
-"""The cut-line sweep.
+"""The cut-line sweep, in pure Python.
+
+This is the reference sweep: the compiled kernel ``sawenum.ckernel`` is a
+line-for-line port of it that runs every sweep when a C compiler is found,
+and is tested against it; without a compiler this module is the fallback.
 
 The lattice is built one vertex at a time, bottom row to top row within a
 column, column by column.  While row ``r`` of a column is being processed the
@@ -25,15 +29,10 @@ reduction happens only when the completion ledger is converted for output.
 
 from __future__ import annotations
 
-import os
-import pickle
-import shutil
-import tempfile
 from functools import lru_cache
 
 from .modseries import DEFAULT_MODULI, TruncatedPolynomial
-from .pruning import PruneContext, additional_steps_mid, additional_steps_packed
-from .pruning_fast import additional_steps_mid_fast
+from .pruning import additional_steps_mid, additional_steps_packed
 from .signatures import accessible_targets, decode, validate
 
 FORBIDDEN_KINKS = {(1, 1), (2, 2), (2, 1), (1, 3), (2, 3), (3, 1), (3, 2), (3, 3)}
@@ -176,9 +175,8 @@ def transitions(key: int, r: int, width: int, first_col: bool):
 
 #: ``transitions`` depends only on its arguments and the same (key, row)
 #: pairs recur every column, so a bounded memo pays for itself quickly.
-#: (The mid-column prune bound is deliberately *not* memoized: its
-#: (key, row, column) triples almost never recur, so a cache only burns
-#: memory.)
+#: (The prune bound is deliberately *not* memoized: its (key, row, column)
+#: triples almost never recur, so a cache only burns memory.)
 _transitions = lru_cache(maxsize=1 << 20)(transitions)
 
 
@@ -214,8 +212,8 @@ def kink_update(
                 out[tk] = get(tk, 0) + w
     if check_invariants:
         _check_states(out, width)
-    # drop states emptied by truncation
-    return {k: p for k, p in out.items() if p}, completions
+    # only nonzero weights are added, so no state is ever empty
+    return out, completions
 
 
 def _check_states(states: StateMap, width: int) -> None:
@@ -224,284 +222,6 @@ def _check_states(states: StateMap, width: int) -> None:
         err = validate(sig)
         if err is not None:
             raise EngineFault(f"invalid signature {sig}: {err}")
-
-
-def _shard_of(key: int, lo_slot: int, hi_slot: int, nshards: int) -> int:
-    """Shard index from the occupation pattern of slots [lo_slot, hi_slot].
-
-    Those slots are exactly the ones the upcoming half-column cannot touch, so
-    states never migrate between shards until the next redistribution.
-    """
-    pat = 0
-    for i in range(lo_slot, hi_slot + 1):
-        pat = (pat << 1) | (1 if (key >> (2 * i)) & 3 else 0)
-    return pat % nshards
-
-
-# ---------------------------------------------------------------------------
-# Disk spilling.  Past a few million live states the state map no longer fits
-# in memory, so a column is processed in shards that are re-partitioned to
-# disk between the two half-column row blocks and between columns.  Merging
-# re-loaded shards *adds* coinciding polynomials, which makes any partition of
-# the states correct (the sharded run redistributes exactly the sums the
-# unsharded run would have accumulated in one dict); partitioning on the
-# half-column's untouched slots just keeps such collisions rare.
-
-
-_SPILL_TARGET_PER_SHARD = 250_000
-
-
-class _SpilledStates:
-    """A state map partitioned into pickle bucket files on disk."""
-
-    def __init__(self, directory: str, tag: str, nshards: int):
-        self.nshards = nshards
-        self.count = 0
-        self.paths = [
-            os.path.join(directory, f"{tag}.{i}.bucket") for i in range(nshards)
-        ]
-        self._writers = [open(p, "wb") for p in self.paths]
-
-    def append(self, shard: int, chunk: StateMap) -> None:
-        pickle.dump(chunk, self._writers[shard], protocol=pickle.HIGHEST_PROTOCOL)
-        self.count += len(chunk)
-
-    def seal(self) -> None:
-        for fh in self._writers:
-            fh.close()
-        self._writers = []
-
-    def read_shard(self, shard: int) -> StateMap:
-        merged: StateMap = {}
-        with open(self.paths[shard], "rb") as fh:
-            while True:
-                try:
-                    chunk = pickle.load(fh)
-                except EOFError:
-                    break
-                for key, poly in chunk.items():
-                    if key in merged:
-                        merged[key] += poly
-                    else:
-                        merged[key] = poly
-        return merged
-
-    def unlink(self) -> None:
-        for p in self.paths:
-            try:
-                os.remove(p)
-            except FileNotFoundError:
-                pass
-
-
-def _spill_partition(
-    out: _SpilledStates, states: StateMap, lo_slot: int, hi_slot: int
-) -> None:
-    """Move ``states`` into ``out``'s buckets, consuming it entry by entry."""
-    parts: list[StateMap] = [dict() for _ in range(out.nshards)]
-    while states:
-        key, poly = states.popitem()
-        parts[_shard_of(key, lo_slot, hi_slot, out.nshards)][key] = poly
-    for i, d in enumerate(parts):
-        if d:
-            out.append(i, d)
-
-
-def _column_spilled(
-    stream,
-    width: int,
-    column: int,
-    bits: int,
-    mask: int,
-    check_invariants: bool,
-    prune_bits,
-    spill_dir: str,
-    write_next: bool,
-):
-    """One full column (boundary prune, both half-columns, boundary shift)
-    processed shard by shard with intermediate states spilled to disk.
-
-    ``stream`` is the column-entry state map, either an in-memory dict or a
-    ``_SpilledStates`` already partitioned on the first block's untouched
-    slots.  Returns the next column's entry stream (a ``_SpilledStates``, or
-    an empty dict when ``write_next`` is false) and the packed completions.
-    """
-    nslots = width + 2
-    edges_mask = (1 << (2 * nslots)) - 1
-    flags_mask = 3 << (2 * nslots)
-    rows_mask = (1 << (2 * (width + 1))) - 1
-    half = (width + 1) // 2
-    b1_rows, b2_rows = range(0, half), range(half, width + 1)
-    b1_lo, b1_hi = half + 1, width + 1  # slots the first block cannot touch
-    b2_lo, b2_hi = 0, half - 1
-
-    if isinstance(stream, _SpilledStates):
-        count = stream.count
-    else:
-        count = len(stream)
-    nshards = max(8, min(256, count // _SPILL_TARGET_PER_SHARD + 1))
-    if isinstance(stream, dict):
-        spilled = _SpilledStates(spill_dir, f"col{column}.in", nshards)
-        _spill_partition(spilled, stream, b1_lo, b1_hi)
-        spilled.seal()
-        stream = spilled
-
-    n_max = visits = degree_masks = None
-    if prune_bits is not None:
-        n_max, visits, degree_masks = prune_bits
-        ctx = PruneContext(width=width, column=column, n_max=n_max)
-
-    completions = 0
-    stage2 = _SpilledStates(spill_dir, f"col{column}.mid", nshards)
-    for i in range(stream.nshards):
-        states = stream.read_shard(i)
-        if prune_bits is not None:
-            kept: StateMap = {}
-            for key, poly in states.items():
-                ekey = (key >> 2) & rows_mask
-                n_add = additional_steps_packed(
-                    ekey,
-                    bool(key & (1 << (2 * nslots))),
-                    bool(key & (2 << (2 * nslots))),
-                    ctx, visits,
-                )
-                live = poly & degree_masks[n_add] if n_add <= n_max else 0
-                if live:
-                    kept[key] = live
-            states = kept
-        states, comp = _run_rows(
-            (states, b1_rows, width, column == 0, bits, mask,
-             check_invariants,
-             (column, n_max, visits, degree_masks) if prune_bits is not None
-             else None)
-        )
-        completions += comp
-        _spill_partition(stage2, states, b2_lo, b2_hi)
-    stage2.seal()
-    stream.unlink()
-
-    nxt = (
-        _SpilledStates(spill_dir, f"col{column + 1}.in", nshards)
-        if write_next else None
-    )
-    for i in range(nshards):
-        states = stage2.read_shard(i)
-        states, comp = _run_rows(
-            (states, b2_rows, width, column == 0, bits, mask,
-             check_invariants,
-             (column, n_max, visits, degree_masks) if prune_bits is not None
-             else None)
-        )
-        completions += comp
-        if nxt is None:
-            states = None
-            continue
-        if column == 0:
-            states.pop(0, None)  # no more walk starts after column 0
-        shifted: StateMap = {}
-        while states:
-            key, poly = states.popitem()
-            if (key >> (2 * (width + 1))) & 3:
-                raise EngineFault("occupied vertical edge above the lattice")
-            shifted[((key & edges_mask) << 2) & edges_mask
-                    | (key & flags_mask)] = poly
-        _spill_partition(nxt, shifted, b1_lo, b1_hi)
-    stage2.unlink()
-    if nxt is None:
-        return {}, completions
-    nxt.seal()
-    return nxt, completions
-
-
-def _run_rows(args):
-    states, rows, width, first_col, bits, mask, check, prune_ctx = args
-    completions = 0
-    fb = 2 * (width + 2)
-    for r in rows:
-        states, comp = kink_update(states, width, r, first_col, bits, mask, check)
-        completions += comp
-        if prune_ctx is not None and r != width:
-            # prune right after the kink move; states that cannot finish
-            # within n_max would otherwise multiply until the column boundary
-            # (the boundary prune covers the last row's states)
-            column, n_max, visits, degree_masks = prune_ctx
-            cc = min(column, width)
-            # the compiled bound is bit-for-bit equivalent but uncounted, so
-            # instrumented runs keep the pure-Python form
-            if visits is None and additional_steps_mid_fast is not None:
-                mid_bound = additional_steps_mid_fast
-            else:
-                def mid_bound(k, rr, w, b, t, c):
-                    return additional_steps_mid(k, rr, w, b, t, c, visits)
-            kept: StateMap = {}
-            for key, poly in states.items():
-                n_add = mid_bound(
-                    key & ((1 << fb) - 1), r, width,
-                    bool(key & (1 << fb)), bool(key & (2 << fb)), cc,
-                )
-                # a coefficient at degree d only completes at d + n_add or
-                # later, so degrees above n_max - n_add are dead weight
-                live = poly & degree_masks[n_add] if n_add <= n_max else 0
-                if live:
-                    kept[key] = live
-            states = kept
-    return states, completions
-
-
-def _process_column(
-    states: StateMap,
-    width: int,
-    first_col: bool,
-    bits: int,
-    mask: int,
-    workers: int,
-    pool,
-    check_invariants: bool,
-    prune_ctx,
-) -> tuple[StateMap, int]:
-    """One column of vertices, optionally sharded over workers.
-
-    The column is split in two halves of rows; within each half the slots on
-    the far side of the kink's path are invariant, so sharding on their
-    occupation pattern lets shards run independently.  Between the halves the
-    states are redistributed (twice per column in total).
-    """
-    completions = 0
-    half = (width + 1) // 2
-    row_blocks = [range(0, half), range(half, width + 1)]
-    if half == 0:
-        row_blocks = [range(0, width + 1)]
-    for rows in row_blocks:
-        if workers <= 1 or len(states) < 2:
-            states, comp = _run_rows(
-                (states, rows, width, first_col, bits, mask, check_invariants,
-                 prune_ctx)
-            )
-            completions += comp
-            continue
-        lo_slot = rows[-1] + 2  # first slot the block cannot touch, above
-        hi_slot = width + 1
-        if lo_slot > hi_slot:
-            lo_slot, hi_slot = 0, rows[0] - 1  # invariant slots lie below
-        shards: list[StateMap] = [dict() for _ in range(workers)]
-        for key, poly in states.items():
-            shards[_shard_of(key, lo_slot, hi_slot, workers)][key] = poly
-        worker_ctx = (
-            None
-            if prune_ctx is None
-            else (prune_ctx[0], prune_ctx[1], None, prune_ctx[3])
-        )  # visit instrumentation is not shared across processes
-        jobs = [
-            (sh, rows, width, first_col, bits, mask, check_invariants,
-             worker_ctx)
-            for sh in shards
-        ]
-        results = pool.map(_run_rows, jobs) if pool else map(_run_rows, jobs)
-        states = {}
-        for sub, comp in results:
-            states.update(sub)  # shards are disjoint by construction
-            completions += comp
-    return states, completions
 
 
 def check_sweep_args(width: int, l_max: int, n_max: int) -> None:
@@ -520,29 +240,22 @@ def sweep(
     n_max: int,
     moduli=DEFAULT_MODULI,
     prune: bool = True,
-    workers: int = 1,
     check_invariants: bool = False,
     prune_visits: list[int] | None = None,
-    spill_threshold: int = 1_000_000,
-    spill_dir: str | None = None,
 ):
     """Run the full sweep for one rectangle width.
 
     Returns the completion ledger: ``ledger[c]`` is the truncated polynomial of
     walks finishing with rightmost extent at vertex-column ``c``, i.e. the
     spanning-walk counts of the ``width`` x ``c`` box.  Columns ``0..l_max``
-    are processed; states are pruned at every column boundary against
-    ``n_max``.
-
-    When the live state map outgrows ``spill_threshold`` entries, columns are
-    processed shard by shard with intermediate states spilled to disk (under
-    ``spill_dir``, a fresh temporary directory by default); results are
-    identical.  The spilled path is single-process, so it ignores ``workers``.
+    are processed.  With ``prune``, states are pruned against ``n_max`` at
+    every column boundary and after every kink move below the top row;
+    ``prune_visits`` (when given) accumulates the bound's visit counts.
     """
     check_sweep_args(width, l_max, n_max)
-    nslots = width + 2
-    edges_mask = (1 << (2 * nslots)) - 1
-    flags_mask = 3 << (2 * nslots)
+    fb = 2 * (width + 2)  # first flag bit
+    edges_mask = (1 << fb) - 1
+    flags_mask = 3 << fb
     bits = field_bits(n_max)
     mask = (1 << (bits * (n_max + 1))) - 1
     # degree_masks[n_add] keeps only coefficients that can still complete
@@ -550,65 +263,48 @@ def sweep(
         (1 << (bits * (n_max - na + 1))) - 1 for na in range(n_max + 1)
     ]
 
-    pool = None
-    if workers > 1:
-        import multiprocessing
+    def pruned(states: StateMap, r: int, column: int) -> StateMap:
+        # a coefficient at degree d only completes at d + n_add or later, so
+        # degrees above n_max - n_add are dead weight
+        kept: StateMap = {}
+        for key, poly in states.items():
+            bottom = bool(key & (1 << fb))
+            top = bool(key & (2 << fb))
+            if r < 0:
+                n_add = additional_steps_packed(
+                    key, width, bottom, top, column, prune_visits)
+            else:
+                n_add = additional_steps_mid(
+                    key, r, width, bottom, top, column, prune_visits)
+            live = poly & degree_masks[n_add] if n_add <= n_max else 0
+            if live:
+                kept[key] = live
+        return kept
 
-        pool = multiprocessing.get_context("fork").Pool(workers)
-    tmp_spill = None
-    try:
-        states = seed()
-        ledger_packed = [0] * (l_max + 1)
-        for c in range(l_max + 1):
-            if isinstance(states, _SpilledStates) or len(states) > spill_threshold:
-                if spill_dir is None and tmp_spill is None:
-                    tmp_spill = tempfile.mkdtemp(prefix="sawenum-spill-")
-                states, comp = _column_spilled(
-                    states, width, c, bits, mask, check_invariants,
-                    (n_max, prune_visits, degree_masks) if prune else None,
-                    spill_dir or tmp_spill,
-                    write_next=c < l_max,
-                )
-                ledger_packed[c] = comp
-                continue
-            if prune:
-                ctx = PruneContext(width=width, column=c, n_max=n_max)
-                kept: StateMap = {}
-                rows_mask = (1 << (2 * (width + 1))) - 1
-                for key, poly in states.items():
-                    # start-of-column layout: slot 0 is the (empty) kink slot,
-                    # row q sits at slot q+1
-                    ekey = (key >> 2) & rows_mask
-                    bottom = bool(key & (1 << (2 * nslots)))
-                    top = bool(key & (2 << (2 * nslots)))
-                    n_add = additional_steps_packed(
-                        ekey, bottom, top, ctx, prune_visits
-                    )
-                    live = poly & degree_masks[n_add] if n_add <= n_max else 0
-                    if live:
-                        kept[key] = live
-                states = kept
-            states, comp = _process_column(
-                states, width, c == 0, bits, mask, workers, pool,
-                check_invariants,
-                (c, n_max, prune_visits, degree_masks) if prune else None,
-            )
-            ledger_packed[c] = comp
-            if c == 0:
-                states.pop(0, None)  # no more walk starts after column 0
-            # boundary shift: retire the top kink slot, open one below row 0
-            shifted: StateMap = {}
-            for key, poly in states.items():
-                if (key >> (2 * (width + 1))) & 3:
-                    raise EngineFault("occupied vertical edge above the lattice")
-                shifted[((key & edges_mask) << 2) & edges_mask | (key & flags_mask)] = poly
-            states = shifted
-    finally:
-        if pool is not None:
-            pool.close()
-            pool.join()
-        if tmp_spill is not None:
-            shutil.rmtree(tmp_spill, ignore_errors=True)
+    states = seed()
+    ledger_packed = [0] * (l_max + 1)
+    for c in range(l_max + 1):
+        # row -1 is the column boundary: the start-of-column key, whose slot
+        # 0 is the empty kink slot.  States are pruned there and right after
+        # each kink move, where they would otherwise multiply unchecked; the
+        # next column's boundary prune covers the top row's states.
+        for r in range(-1, width + 1):
+            if r >= 0:
+                states, comp = kink_update(
+                    states, width, r, c == 0, bits, mask, check_invariants)
+                ledger_packed[c] += comp
+            if prune and r < width:
+                states = pruned(states, r, c)
+        if c == 0:
+            states.pop(0, None)  # no more walk starts after column 0
+        # boundary shift: retire the top kink slot, open one below row 0
+        shifted: StateMap = {}
+        for key, poly in states.items():
+            if (key >> (2 * (width + 1))) & 3:
+                raise EngineFault("occupied vertical edge above the lattice")
+            shifted[((key & edges_mask) << 2) & edges_mask
+                    | (key & flags_mask)] = poly
+        states = shifted
     return [
         TruncatedPolynomial.from_integers(
             moduli, n_max, unpack_coefficients(p, bits, n_max)

@@ -1,12 +1,15 @@
-"""Lower bounds on the steps still needed to finish a spanning walk.
+"""The lower bound on the steps still needed to finish a spanning walk.
 
 A state can be discarded as soon as ``n_cur + n_add`` exceeds the truncation
 order N, where ``n_cur`` is the minimum degree of the state's generating
 function and ``n_add`` is an admissible (never over-estimating) lower bound on
-the number of additional occupied edges.  ``n_add`` is the sum of three
-independent bounds:
+the number of additional occupied edges.  One function,
+``additional_steps_mid``, gives ``n_add`` at every prune site: right after
+the kink move at row r, and at a column boundary as row r = -1 on the
+start-of-column key, whose slot 0 is the empty kink slot.  ``n_add`` is the
+sum of three independent terms:
 
-* connection cost: each prescribed arc from position i to j needs at least
+* connection cost: each prescribed arc from row i to row j needs at least
   ``j - i`` vertical steps, plus ``2 * reach`` horizontal bypass steps, where
   ``reach`` is the number of columns the arc's path is forced away from the
   cut-line: one more than the largest reach among the arcs it directly
@@ -15,7 +18,7 @@ independent bounds:
   on its depth (a depth-based ``2*l`` charge over-estimates for branching
   nesting patterns and is not admissible);
 * border cost: rows still separating the occupied band from an untouched
-  bottom/top border;
+  bottom/top border, or the whole width while nothing is occupied;
 * extension cost: columns still needed to reach length L >= W, less the
   columns the connection detours already guarantee (an arc of reach R forces
   paths R columns past the cut-line, so charging those columns again would
@@ -28,155 +31,7 @@ extension columns then cost two steps each instead of one.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
-from .signatures import EMPTY, FREE, LOWER, UPPER, Arc, Signature
-
-
-@dataclass(frozen=True)
-class PruneContext:
-    """Geometry for the prune test.
-
-    ``column`` is the index of the next column of vertices to be built, so a
-    completion during that column ends a box of exactly ``column`` cells.
-    ``n_max`` is the truncation order N (2*W_max + 1 for a standard run).
-    """
-
-    width: int
-    column: int
-    n_max: int
-
-
-def connection_cost(arcs: list[Arc]) -> int:
-    """Minimum edges needed to realize every prescribed arc connection.
-
-    An arc from i to j needs j - i vertical steps plus 2 * reach horizontal
-    bypass steps, where reach(a) = 1 + max(reach of arcs directly inside a)
-    and 0 for an innermost arc.  Arcs nested side by side share one detour
-    column, so the bypass charge follows the height of an arc's nesting
-    subtree, not its depth.
-    """
-    cost = 0
-    stack: list[list[int]] = []  # per open arc: [upper, 1 + max child reach]
-    def _close() -> None:
-        nonlocal cost
-        _, s = stack.pop()
-        cost += 2 * s
-        if stack and s + 1 > stack[-1][1]:
-            stack[-1][1] = s + 1
-    for a in sorted(arcs, key=lambda x: x.lower):
-        cost += a.upper - a.lower
-        while stack and stack[-1][0] < a.lower:
-            _close()
-        stack.append([a.upper, 0])
-    while stack:
-        _close()
-    return cost
-
-
-def border_cost(sig: Signature, ctx: PruneContext) -> int:
-    """Rows separating the occupied band from any yet-untouched border.
-
-    Positions are row indices (bottom = 0), so a walk piece whose lowest
-    occupied edge sits at row r needs at least r more vertical steps to reach
-    the bottom border, and symmetrically for the top.  Without a free edge the
-    dip must also climb back to the occupied band, doubling the cost.
-    """
-    lo = hi = -1
-    has_free = False
-    for pos, e in enumerate(sig.edges):
-        if e != EMPTY:
-            if lo < 0:
-                lo = pos
-            hi = pos
-            if e == FREE:
-                has_free = True
-    if lo < 0:
-        # nothing occupied: only the untouched seed; spanning needs all W rows
-        return 0 if (sig.bottom_touched and sig.top_touched) else ctx.width
-    trip = 1 if has_free else 2
-    cost = 0
-    if not sig.bottom_touched:
-        cost += trip * lo
-    if not sig.top_touched:
-        cost += trip * (ctx.width - hi)
-    return cost
-
-
-def extension_cost(ctx: PruneContext, reach: int = 0,
-                   has_free: bool = True) -> int:
-    """Columns still needed before a completion can occur at length >= W.
-
-    ``reach`` is the largest arc reach of the signature; the detour edges
-    already charged by the connection cost carry the walk that many columns
-    past the cut-line, so only the remainder is charged here.  Without a free
-    edge the extension must also return to the cut-line, doubling the cost
-    per column.
-    """
-    trip = 1 if has_free else 2
-    return trip * max(0, ctx.width - ctx.column - reach)
-
-
-def should_prune(n_cur: int, n_add: int, ctx: PruneContext) -> bool:
-    return n_cur + n_add > ctx.n_max
-
-
-def additional_steps(
-    edges: tuple[int, ...],
-    bottom: bool,
-    top: bool,
-    ctx: PruneContext,
-    visits: list[int] | None = None,
-) -> int:
-    """n_add for a boundary signature, in one pass over the entries.
-
-    ``visits`` (when given) accumulates the number of elementary
-    signature-entry reads, for the O(W) cost check.
-    """
-    cost = 0
-    depth = 0
-    lo = hi = -1
-    has_free = False
-    # 6 bits per open arc: 1 + max reach of its already-closed children
-    stack = 0
-    top_reach = 0
-    for pos, e in enumerate(edges):
-        if e == EMPTY:
-            continue
-        if lo < 0:
-            lo = pos
-        hi = pos
-        if e == LOWER:
-            depth += 1
-            stack <<= 6
-            cost -= pos  # contributes -lower to (upper - lower)
-        elif e == UPPER:
-            depth -= 1
-            reach = stack & 63
-            stack >>= 6
-            cost += pos + 2 * reach
-            if depth:
-                if reach + 1 > (stack & 63):
-                    stack = (stack & ~63) | (reach + 1)
-            elif reach > top_reach:
-                top_reach = reach
-        else:
-            has_free = True
-    if visits is not None:
-        visits[0] += len(edges)
-        visits[1] += 1
-    if lo >= 0:
-        trip = 1 if has_free else 2
-        if not bottom:
-            cost += trip * lo
-        if not top:
-            cost += trip * (ctx.width - hi)
-        cost += extension_cost(ctx, top_reach, has_free)
-    else:
-        if not (bottom and top):
-            cost += ctx.width
-        cost += extension_cost(ctx, top_reach, True)
-    return cost
+from .signatures import EMPTY, LOWER, UPPER
 
 
 def additional_steps_mid(
@@ -188,13 +43,17 @@ def additional_steps_mid(
     column: int,
     visits: list[int] | None = None,
 ) -> int:
-    """n_add for a mid-column state, right after the kink move at row ``r``.
+    """n_add for a state right after the kink move at row ``r`` of column
+    ``column``; r = -1 is the column boundary, before the first kink move.
 
-    ``key``'s low 2*(width+2) bits hold the slots: 0..r are the new
-    right-pointing edges (future end-point at row = slot, one column past the
-    cut), slot r+1 the vertical kink edge (future end-point at row r+1), slots
-    r+2..width+1 the remaining left edges (future end-point at row =
-    slot - 1).  The mapped positions are exact.
+    ``key``'s low 2*(width+2) bits hold the slots (higher bits, the border
+    flags, are ignored): 0..r are the new right-pointing edges (future
+    end-point at row = slot, one column past the cut), slot r+1 the vertical
+    kink edge (future end-point at row r+1), slots r+2..width+1 the remaining
+    left edges (future end-point at row = slot - 1).  The mapped positions
+    are exact.  ``bottom`` and ``top`` are the border-touch flags.
+    ``visits`` (when given) accumulates the slot reads in ``visits[0]`` and
+    the calls in ``visits[1]``, for the O(W) cost check.
 
     The connection cost is column-aware.  An arc's reach is the number of
     columns past the cut-line its path is forced: at least 0 when both ends
@@ -269,59 +128,16 @@ def additional_steps_mid(
 
 
 def additional_steps_packed(
-    ekey: int,
+    key: int,
+    width: int,
     bottom: bool,
     top: bool,
-    ctx: PruneContext,
+    column: int,
     visits: list[int] | None = None,
 ) -> int:
-    """``additional_steps`` on a packed row vector (row q at bits 2q..2q+1).
+    """The bound at a column boundary, on the start-of-column ``key``.
 
-    Same bound, same visit count, no tuple materialization; this is the form
-    the sweep's inner loop uses.
+    A name of its own, so that the two prune sites can be timed apart
+    (``bench/tracer.py`` wraps each).
     """
-    cost = 0
-    depth = 0
-    lo = hi = -1
-    has_free = False
-    stack = 0  # 6 bits per open arc: 1 + max reach of closed children
-    top_reach = 0
-    nrows = ctx.width + 1
-    for pos in range(nrows):
-        e = (ekey >> (2 * pos)) & 3
-        if e == EMPTY:
-            continue
-        if lo < 0:
-            lo = pos
-        hi = pos
-        if e == LOWER:
-            depth += 1
-            stack <<= 6
-            cost -= pos
-        elif e == UPPER:
-            depth -= 1
-            reach = stack & 63
-            stack >>= 6
-            cost += pos + 2 * reach
-            if depth:
-                if reach + 1 > (stack & 63):
-                    stack = (stack & ~63) | (reach + 1)
-            elif reach > top_reach:
-                top_reach = reach
-        else:
-            has_free = True
-    if visits is not None:
-        visits[0] += nrows
-        visits[1] += 1
-    if lo >= 0:
-        trip = 1 if has_free else 2
-        if not bottom:
-            cost += trip * lo
-        if not top:
-            cost += trip * (ctx.width - hi)
-        cost += extension_cost(ctx, top_reach, has_free)
-    else:
-        if not (bottom and top):
-            cost += ctx.width
-        cost += extension_cost(ctx, top_reach, True)
-    return cost
+    return additional_steps_mid(key, -1, width, bottom, top, column, visits)

@@ -185,12 +185,3 @@ def test_every_real_walk_is_generated(width, length, n_max):
 def test_every_real_walk_is_generated_wider():
     test_every_real_walk_is_generated(3, 3, 12)
 
-
-@pytest.mark.parametrize("threshold", [0, 5])
-def test_disk_spilled_sweep_is_identical(threshold):
-    """Forcing the disk-spill path at tiny thresholds changes nothing."""
-    ref = sweep(3, 9, 9, DEFAULT_MODULI)
-    spilled = sweep(3, 9, 9, DEFAULT_MODULI, spill_threshold=threshold)
-    for col in range(10):
-        for d in range(10):
-            assert ref[col].residues(d) == spilled[col].residues(d)

@@ -8,111 +8,105 @@ at every intermediate state against the walk's actual remaining step count.
 
 import pytest
 
-from sawenum.pruning import (
-    PruneContext,
-    additional_steps,
-    additional_steps_mid,
-    additional_steps_packed,
-    border_cost,
-    connection_cost,
-    extension_cost,
-    should_prune,
-)
-from sawenum.signatures import Signature, all_valid_signatures, match_arcs
+from sawenum.engine import sweep
+from sawenum.modseries import DEFAULT_MODULI
+from sawenum.pruning import additional_steps_mid
 
 from walk_replay import replay, spanning_walks
 
 
-def sig(s, bottom=False, top=False):
-    return Signature.from_string(s, bottom, top)
+def n_add(rows, bottom, top, column):
+    """The bound on a column boundary (row -1) for a row string; the
+    start-of-column key has the empty kink slot 0, row q at slot q + 1.
+    Touched borders leave out the border cost and a column >= width the
+    extension cost, so the cases below isolate their terms."""
+    key = 0
+    for q, ch in enumerate(rows):
+        key |= int(ch) << (2 * (q + 1))
+    return additional_steps_mid(key, -1, len(rows) - 1, bottom, top, column)
+
+
+def connection_cost(rows):
+    return n_add(rows, True, True, len(rows) - 1)
 
 
 class TestConnectionCost:
     def test_single_arc(self):
         # an innermost arc from i to j needs j - i edges and no detour
-        assert connection_cost(match_arcs(sig("12"))) == 1
-        assert connection_cost(match_arcs(sig("1002"))) == 3
+        assert connection_cost("12") == 1
+        assert connection_cost("1002") == 3
 
     def test_nested_arcs_add_detours(self):
         # inner (1,2) costs 1; outer (0,3) costs 3 + 2 for bypassing it
-        assert connection_cost(match_arcs(sig("1122"))) == 6
+        assert connection_cost("1122") == 6
         # a chain of three pays 1, 3 + 2, 5 + 4
-        assert connection_cost(match_arcs(sig("111222"))) == 15
+        assert connection_cost("111222") == 15
 
     def test_sequential_arcs(self):
-        assert connection_cost(match_arcs(sig("1212"))) == 2
+        assert connection_cost("1212") == 2
 
     def test_siblings_share_a_detour_column(self):
         # (1,2) and (3,4) cost 1 each; the outer (0,5) bypasses both side-by-
         # side inner arcs with a single two-step detour, not one per sibling
-        assert connection_cost(match_arcs(sig("112122"))) == 1 + 1 + 5 + 2
+        assert connection_cost("112122") == 1 + 1 + 5 + 2
 
 
 class TestBorderCost:
     def test_touched_borders_cost_nothing(self):
-        ctx = PruneContext(width=4, column=2, n_max=100)
-        assert border_cost(sig("30003", True, True), ctx) == 0
+        assert n_add("30003", True, True, 4) == 0
 
     def test_untouched_borders_cost_the_gap(self):
-        ctx = PruneContext(width=4, column=2, n_max=100)
         # occupied band is rows 1..2, free edge present: one step per row
-        assert border_cost(sig("03300", False, False), ctx) == 1 + 2
+        assert n_add("03300", False, False, 4) == 1 + 2
 
     def test_no_free_edge_doubles_the_dip(self):
-        ctx = PruneContext(width=4, column=2, n_max=100)
         # both endpoints placed: every excursion must return to the cut-line
-        assert border_cost(sig("01200", False, False), ctx) == 2 * 1 + 2 * 2
-        assert border_cost(sig("01200", True, False), ctx) == 2 * 2
+        # (on top of the arc's connection cost 1)
+        assert n_add("01200", False, False, 4) == 1 + 2 * 1 + 2 * 2
+        assert n_add("01200", True, False, 4) == 1 + 2 * 2
 
     def test_empty_signature_needs_full_span(self):
-        ctx = PruneContext(width=4, column=0, n_max=100)
-        assert border_cost(sig("00000", False, False), ctx) == 4
-        assert border_cost(sig("00000", True, True), ctx) == 0
+        assert n_add("00000", False, False, 4) == 4
+        assert n_add("00000", True, True, 4) == 0
+        # the untouched seed pays border and extension at once
+        assert n_add("00000", False, False, 0) == 4 + 4
 
 
 class TestExtensionCost:
     def test_columns_remaining(self):
-        assert extension_cost(PruneContext(width=5, column=2, n_max=100)) == 3
-        assert extension_cost(PruneContext(width=5, column=7, n_max=100)) == 0
+        assert n_add("300000", True, True, 2) == 3
+        assert n_add("300000", True, True, 7) == 0
 
     def test_nesting_detours_reach_forward(self):
-        ctx = PruneContext(width=5, column=2, n_max=100)
-        # an arc of reach R forces paths R columns past the cut-line
-        assert extension_cost(ctx, reach=2) == 1
-        assert extension_cost(ctx, reach=9) == 0
+        # an arc of reach R forces paths R columns past the cut-line, so
+        # those columns are not charged again (connection cost 15 as above)
+        assert n_add("1112223", True, True, 3) == 15 + 1
+        assert n_add("1112223", True, True, 5) == 15
 
     def test_no_free_edge_doubles(self):
-        ctx = PruneContext(width=5, column=2, n_max=100)
-        assert extension_cost(ctx, has_free=False) == 6
+        assert n_add("120000", True, True, 2) == 1 + 2 * 3
 
 
 class TestShouldPrune:
     def test_threshold(self):
-        ctx = PruneContext(width=3, column=1, n_max=10)
-        assert not should_prune(5, 5, ctx)
-        assert should_prune(5, 6, ctx)
+        # the shortest spanning walks need n_cur + n_add == n_max steps
+        # exactly; the sweep drops only degrees with n_cur + n_add > n_max.
+        # (The bound assumes length >= width, so only those columns count.)
+        for width, length in ((1, 2), (2, 2), (2, 3)):
+            n_max = width + length
+            pruned = sweep(width, length, n_max, DEFAULT_MODULI)
+            full = sweep(width, length, n_max, DEFAULT_MODULI, prune=False)
+            assert any(pruned[length].residues(n_max))
+            for c in range(width, length + 1):
+                for d in range(n_max + 1):
+                    assert pruned[c].residues(d) == full[c].residues(d)
 
 
 class TestBoundaryBound:
-    def test_agrees_with_packed_form(self):
-        for width in range(1, 5):
-            ctx = PruneContext(width=width, column=1, n_max=100)
-            for s in all_valid_signatures(width + 1):
-                edges = s.edges
-                ekey = 0
-                for i, e in enumerate(edges):
-                    ekey |= e << (2 * i)
-                assert additional_steps(
-                    edges, s.bottom_touched, s.top_touched, ctx
-                ) == additional_steps_packed(
-                    ekey, s.bottom_touched, s.top_touched, ctx
-                )
-
     def test_visit_count_is_linear_in_width(self):
         for width in (3, 7, 11):
-            ctx = PruneContext(width=width, column=0, n_max=100)
             visits = [0, 0]
-            additional_steps((0,) * (width + 1), False, False, ctx, visits)
+            additional_steps_mid(0, -1, width, False, False, 0, visits)
             assert visits[1] == 1
             assert visits[0] <= 8 * width + 16
 
@@ -141,8 +135,8 @@ def _true_remaining(width, length, n_max):
 
 @pytest.mark.parametrize("width,length,n_max", [(1, 3, 9), (2, 2, 9), (2, 3, 10)])
 def test_bounds_are_admissible(width, length, n_max):
-    """Neither prune bound ever exceeds a real walk's remaining step count."""
-    rows_mask = (1 << (2 * (width + 1))) - 1
+    """The bound never exceeds a real walk's remaining step count, on a
+    column boundary (row -1) or after a kink move."""
     fb = 2 * (width + 2)
     for key, remaining in _true_remaining(width, length, n_max).items():
         kind = key[0]
@@ -151,34 +145,15 @@ def test_bounds_are_admissible(width, length, n_max):
         top = bool(state & (2 << fb))
         if kind == "boundary":
             _, column, _ = key
-            ctx = PruneContext(width=width, column=column, n_max=n_max)
-            ekey = (state >> 2) & rows_mask
-            bound = additional_steps_packed(ekey, bottom, top, ctx)
+            r = -1
         else:
-            _, r, cc, _ = key
-            bound = additional_steps_mid(
-                state & ((1 << fb) - 1), r, width, bottom, top, cc
-            )
+            _, r, column, _ = key
+        bound = additional_steps_mid(
+            state & ((1 << fb) - 1), r, width, bottom, top, column
+        )
         assert bound <= remaining, (key, bound, remaining)
 
 
 @pytest.mark.slow
 def test_bounds_are_admissible_wider_box():
     test_bounds_are_admissible(3, 3, 12)
-
-
-def test_compiled_mid_bound_matches_pure():
-    """The optional compiled twin agrees bit-for-bit on every valid state."""
-    from sawenum.pruning_fast import additional_steps_mid_fast as fast
-
-    if fast is None:
-        pytest.skip("numba not available")
-    for width in range(1, 5):
-        for s in all_valid_signatures(width + 2):
-            key = 0
-            for i, e in enumerate(s.edges):
-                key |= e << (2 * i)
-            for r in range(width + 1):
-                for col in range(width + 1):
-                    args = (key, r, width, s.bottom_touched, s.top_touched, col)
-                    assert additional_steps_mid(*args) == fast(*args), args
