@@ -10,6 +10,10 @@ Measures, for each checkout, in fresh interpreters:
 - ``enumerate_w13_s`` and ``enumerate_w13_rss_mb``: wall time and peak
   RSS of ``sawenum enumerate --wmax 13`` (the first call of a checkout also
   builds the compiled kernel, so one warm-up call runs before timing);
+- ``box_3x40_s``: wall time of ``sawenum box --width 3 --length 40``,
+  whose states spread over many degrees (n_max 123);
+- ``enumerate_w15_s`` and ``enumerate_w15_rss_mb``: the same for
+  ``sawenum enumerate --wmax 15``;
 - ``tier1_s``: the tier-1 suite, with its summary line.
 
 The host's speed for one process drifts, so checkouts are interleaved,
@@ -17,9 +21,9 @@ alternating which goes first, and each metric is reported as the median
 over ``ROUNDS`` rounds with every run kept.
 
 Usage:
-    python3 scripts/bench.py --out BENCH_6.json
+    python3 scripts/bench.py --out BENCH_8.json
     python3 scripts/bench.py --checkout parent=../parent --checkout change=. \\
-        --out BENCH_6.json
+        --out BENCH_8.json
 """
 
 from __future__ import annotations
@@ -36,7 +40,8 @@ from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
 SERIES = Path("data") / "saw_counts_n43.series"
-WMAX = 13
+#: the enumerate runs timed, the first also warming up the kernel build
+WMAXES = (13, 15)
 #: interleaved rounds per checkout; ten pairs before a median is quoted
 ROUNDS = 10
 
@@ -112,12 +117,18 @@ def measure(checkout: Path) -> dict:
         row["run_analysis_s"] = timed(
             [py, "scripts/run_analysis.py", str(copy)], checkout,
             env)["wall_s"]
-        enum = [py, "-m", "sawenum.cli", "enumerate", "--wmax", str(WMAX),
-                "-o", str(Path(tmp) / "walks.series")]
-        timed(enum, checkout, env)  # warm-up: builds the kernel if needed
-        result = timed(enum, checkout, env)
-    row[f"enumerate_w{WMAX}_s"] = result["wall_s"]
-    row[f"enumerate_w{WMAX}_rss_mb"] = result["peak_rss_mb"]
+        cli = [py, "-m", "sawenum.cli"]
+        dest = ["-o", str(Path(tmp) / "out.series")]
+        timed(cli + ["enumerate", "--wmax", str(WMAXES[0])] + dest, checkout,
+              env)  # warm-up: builds the kernel if needed
+        for wmax in WMAXES:
+            result = timed(cli + ["enumerate", "--wmax", str(wmax)] + dest,
+                           checkout, env)
+            row[f"enumerate_w{wmax}_s"] = result["wall_s"]
+            row[f"enumerate_w{wmax}_rss_mb"] = result["peak_rss_mb"]
+        row["box_3x40_s"] = timed(
+            cli + ["box", "--width", "3", "--length", "40"] + dest, checkout,
+            env)["wall_s"]
     result = timed([py, "-m", "pytest", "-q", "-p", "no:cacheprovider",
                     "--continue-on-collection-errors"], checkout, env)
     row["tier1_s"] = result["wall_s"]

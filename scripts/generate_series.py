@@ -19,8 +19,9 @@ order of the ``moduli`` header).  The headers are ``algorithm-version``,
 ``width``, ``l_max``, ``n_max``, ``moduli`` and ``sha256``, the digest of
 everything after the header lines.  A cached ledger whose headers do not
 match the run, or whose body does not match its digest, is refused.  Each
-child also writes ``<ledger>.stats.json`` (seconds, peak live states, peak
-RSS); the assembly ignores it.
+child also writes ``<ledger>.stats.json`` (seconds and peak RSS, and from
+the kernel peak live states, state rows, the peak bytes of its state maps
+and how many states moved to a wider block); the assembly ignores it.
 
 Usage:
     python3 scripts/generate_series.py --wmax 21 -o data/saw_counts_n43.series

@@ -9,13 +9,14 @@
  * one pass over the states.
  *
  * A state's nonzero degrees span only a few consecutive values, so each
- * state stores a window of ``win`` degrees starting at its own base degree
- * instead of all n_max + 1; a sum that does not fit fails with error 5 and
- * the caller retries with a wider window, up to win = n_max + 1, which always
- * fits.  Moduli may be anything from 2 to 2**64 - 1.
+ * state stores just its live span [lo, hi] instead of all n_max + 1 degrees,
+ * in a block of a per-row bump arena (see the state map below).  A block
+ * that a sum outgrows is replaced by one twice as wide, so every sweep runs
+ * once, whatever the spread of its states' degrees.  Moduli may be anything
+ * from 2 to 2**64 - 1.
  *
  * Error codes: 1 forbidden kink state, 2 occupied vertical edge above the
- * lattice, 3 out of memory, 4 bad arguments, 5 degree window overflow.
+ * lattice, 3 out of memory, 4 bad arguments.
  */
 
 #include <stdint.h>
@@ -28,31 +29,38 @@ typedef uint64_t u64;
 #define MAX_TARGETS 32
 #define MAX_NMAX (1 << 30) /* keeps degree arithmetic inside an int */
 
-/* Residue layout of a state: ``nmod`` rows of ``win`` residues, row i for
- * modulus i, column j for degree base + j. */
+/* Residues of a generating function are stored degree by degree: residue i
+ * (modulo mod[i]) of degree base + j sits at block[j * nmod + i]. */
 typedef struct {
-    int n, nmod, win;
+    int n, nmod;
     const u64 *mod;
 } Ring;
 
 /* ------------------------------------------------------------------------
- * State map: insertion-ordered entries (key, residues, base degree and the
- * degree range [lo, hi] outside which they are zero; empty when lo > hi)
- * behind an open-addressing index. */
+ * State map: insertion-ordered entries behind an open-addressing index.  An
+ * entry's residues live in a block of ``cap`` degrees of the map's arena,
+ * starting at degree ``base``, and are zero outside [lo, hi] (the entry is
+ * empty when lo > hi).  The arena is a bump allocator, reset with the map
+ * once per row: an entry's first sum gets a block just as wide as it needs
+ * (at least MIN_SPAN), and a sum that would span more than the block holds
+ * moves the entry to a fresh block at least twice as wide at the arena's
+ * end, abandoning the old one until the row ends. */
+
+#define MIN_SPAN 3
 
 typedef struct {
     u64 key;
-    uint32_t entry; /* entry number + 1, 0 = empty slot */
-} Slot;
+    uint32_t block; /* offset of the entry's block in the arena */
+    int32_t cap, base, lo, hi;
+    int32_t top; /* highest degree that can still complete; < 0: none */
+} Entry;
 
+/* index slots hold an entry number + 1, 0 = empty slot */
 typedef struct {
-    u64 *keys;
-    u64 *coeffs; /* count * stride residues */
-    int32_t *base, *lo, *hi;
-    int32_t *top; /* highest degree that can still complete; < 0: none */
-    Slot *index;
-    size_t count, cap, index_size;
-    int stride;
+    Entry *e;
+    u64 *arena;
+    uint32_t *index;
+    size_t count, cap, used, arena_cap, index_size;
 } Map;
 
 static u64 hash_key(u64 k)
@@ -65,31 +73,22 @@ static u64 hash_key(u64 k)
     return k;
 }
 
-static int map_init(Map *m, int stride)
+static int map_init(Map *m)
 {
     memset(m, 0, sizeof *m);
-    m->stride = stride;
     m->cap = 1024;
+    m->arena_cap = 4096;
     m->index_size = 4096;
-    m->keys = malloc(m->cap * sizeof(u64));
-    m->coeffs = malloc(m->cap * stride * sizeof(u64));
-    m->base = malloc(m->cap * sizeof(int32_t));
-    m->lo = malloc(m->cap * sizeof(int32_t));
-    m->hi = malloc(m->cap * sizeof(int32_t));
-    m->top = malloc(m->cap * sizeof(int32_t));
-    m->index = calloc(m->index_size, sizeof(Slot));
-    return m->keys && m->coeffs && m->base && m->lo && m->hi && m->top
-           && m->index ? 0 : 3;
+    m->e = malloc(m->cap * sizeof(Entry));
+    m->arena = malloc(m->arena_cap * sizeof(u64));
+    m->index = calloc(m->index_size, sizeof(uint32_t));
+    return m->e && m->arena && m->index ? 0 : 3;
 }
 
 static void map_free(Map *m)
 {
-    free(m->keys);
-    free(m->coeffs);
-    free(m->base);
-    free(m->lo);
-    free(m->hi);
-    free(m->top);
+    free(m->e);
+    free(m->arena);
     free(m->index);
     memset(m, 0, sizeof *m);
 }
@@ -97,21 +96,28 @@ static void map_free(Map *m)
 static void map_clear(Map *m)
 {
     m->count = 0;
-    memset(m->index, 0, m->index_size * sizeof(Slot));
+    m->used = 0;
+    memset(m->index, 0, m->index_size * sizeof(uint32_t));
+}
+
+/* Bytes the map holds; its capacities only grow, so this is also its peak. */
+static size_t map_bytes(const Map *m)
+{
+    return m->cap * sizeof(Entry) + m->arena_cap * sizeof(u64)
+           + m->index_size * sizeof(uint32_t);
 }
 
 static int map_grow_index(Map *m)
 {
     size_t size = m->index_size * 2;
-    Slot *index = calloc(size, sizeof(Slot));
+    uint32_t *index = calloc(size, sizeof(uint32_t));
     if (!index)
         return 3;
     for (size_t i = 0; i < m->count; i++) {
-        size_t h = hash_key(m->keys[i]) & (size - 1);
-        while (index[h].entry)
+        size_t h = hash_key(m->e[i].key) & (size - 1);
+        while (index[h])
             h = (h + 1) & (size - 1);
-        index[h].key = m->keys[i];
-        index[h].entry = (uint32_t)(i + 1);
+        index[h] = (uint32_t)(i + 1);
     }
     free(m->index);
     m->index = index;
@@ -136,8 +142,8 @@ static size_t map_find(const Map *m, u64 key, size_t *slot)
     size_t mask = m->index_size - 1;
     size_t h = hash_key(key) & mask;
     uint32_t e;
-    while ((e = m->index[h].entry) != 0) {
-        if (m->index[h].key == key)
+    while ((e = m->index[h]) != 0) {
+        if (m->e[e - 1].key == key)
             return e - 1;
         h = (h + 1) & mask;
     }
@@ -145,35 +151,93 @@ static size_t map_find(const Map *m, u64 key, size_t *slot)
     return NO_ENTRY;
 }
 
-/* New empty entry for ``key`` at index slot ``h`` from map_find, with
- * degree cap ``top`` (NO_ENTRY: no memory). */
+/* New empty entry (no block yet) for ``key`` at index slot ``h`` from
+ * map_find, with degree cap ``top`` (NO_ENTRY: no memory). */
 static size_t map_insert(Map *m, u64 key, size_t h, int top)
 {
     if (m->count == m->cap) {
-        size_t cap = m->cap + m->cap / 2; /* 1.5x: the pools dominate memory */
-        if (grow((void **)&m->keys, cap * sizeof(u64))
-            || grow((void **)&m->coeffs, cap * m->stride * sizeof(u64))
-            || grow((void **)&m->base, cap * sizeof(int32_t))
-            || grow((void **)&m->lo, cap * sizeof(int32_t))
-            || grow((void **)&m->hi, cap * sizeof(int32_t))
-            || grow((void **)&m->top, cap * sizeof(int32_t)))
+        size_t cap = m->cap + m->cap / 2; /* 1.5x: the maps dominate memory */
+        if (grow((void **)&m->e, cap * sizeof(Entry)))
             return NO_ENTRY;
         m->cap = cap;
     }
     if (m->count >= UINT32_MAX - 1)
         return NO_ENTRY;
     size_t i = m->count++;
-    m->keys[i] = key;
-    m->index[h].key = key;
-    m->index[h].entry = (uint32_t)(i + 1);
-    memset(m->coeffs + i * m->stride, 0, m->stride * sizeof(u64));
-    m->base[i] = 0;
-    m->lo[i] = 1; /* empty: lo > hi */
-    m->hi[i] = 0;
-    m->top[i] = top;
+    m->e[i] = (Entry){.key = key, .lo = 1, .hi = 0, .top = top}; /* empty */
+    m->index[h] = (uint32_t)(i + 1);
     if (2 * m->count > m->index_size && map_grow_index(m))
         return NO_ENTRY;
     return i;
+}
+
+/* Offset of a fresh zeroed block of ``words`` residues at the arena's end;
+ * growing the arena may move it, and with it every entry's residues. */
+static int arena_alloc(Map *m, size_t words, uint32_t *block)
+{
+    if (m->used + words > UINT32_MAX)
+        return 3;
+    if (m->used + words > m->arena_cap) {
+        size_t cap = m->arena_cap + m->arena_cap / 2;
+        if (cap < m->used + words)
+            cap = m->used + words;
+        if (grow((void **)&m->arena, cap * sizeof(u64)))
+            return 3;
+        m->arena_cap = cap;
+    }
+    *block = (uint32_t)m->used;
+    m->used += words;
+    memset(m->arena + *block, 0, words * sizeof(u64));
+    return 0;
+}
+
+/* Widen entry j's degree range to cover lo..hi as well: keep its block when
+ * the new range fits, re-base it in place when the range spans at most
+ * ``cap`` degrees, else move the entry to a fresh block (counted in
+ * *regrows).  The arena may move, so callers re-read block addresses. */
+static int widen(const Ring *R, Map *m, size_t j, int lo, int hi,
+                 u64 *regrows)
+{
+    Entry *e = &m->e[j];
+    int nmod = R->nmod;
+    int len = e->lo <= e->hi ? e->hi - e->lo + 1 : 0;
+    if (len) {
+        lo = lo < e->lo ? lo : e->lo;
+        hi = hi > e->hi ? hi : e->hi;
+    }
+    if (lo < e->base || hi >= e->base + e->cap) {
+        if (hi - lo + 1 <= e->cap) {
+            /* move the live degrees in place and zero the rest */
+            u64 *v = m->arena + e->block;
+            int from = e->lo - e->base, to = len ? e->lo - lo : 0;
+            memmove(v + (size_t)to * nmod, v + (size_t)from * nmod,
+                    (size_t)len * nmod * sizeof(u64));
+            memset(v, 0, (size_t)to * nmod * sizeof(u64));
+            memset(v + (size_t)(to + len) * nmod, 0,
+                   (size_t)(e->cap - to - len) * nmod * sizeof(u64));
+        } else {
+            int64_t cap = e->cap ? 2 * (int64_t)e->cap : MIN_SPAN;
+            if (cap > R->n) /* no entry spans more than n_max + 1 degrees */
+                cap = R->n;
+            if (cap < hi - lo + 1)
+                cap = hi - lo + 1;
+            uint32_t block;
+            if (arena_alloc(m, (size_t)cap * nmod, &block))
+                return 3;
+            if (len)
+                memcpy(m->arena + block + (size_t)(e->lo - lo) * nmod,
+                       m->arena + e->block + (size_t)(e->lo - e->base) * nmod,
+                       (size_t)len * nmod * sizeof(u64));
+            if (e->cap)
+                ++*regrows;
+            e->block = block;
+            e->cap = (int32_t)cap;
+        }
+        e->base = lo;
+    }
+    e->lo = lo;
+    e->hi = hi;
+    return 0;
 }
 
 /* (a + b) mod ``mod`` for a, b < mod, without overflow for any mod < 2**64:
@@ -184,10 +248,10 @@ static inline u64 add_mod(u64 a, u64 b, u64 mod)
     return x < a || x >= mod ? x - mod : x;
 }
 
-static int zero_at(const Ring *R, const u64 *v, int j)
+static int zero_at(const Ring *R, const u64 *v)
 {
     for (int i = 0; i < R->nmod; i++)
-        if (v[i * R->win + j])
+        if (v[i])
             return 0;
     return 1;
 }
@@ -196,73 +260,46 @@ static int zero_at(const Ring *R, const u64 *v, int j)
  * modulus; returns 0 when the entry is empty. */
 static int trim(const Ring *R, Map *m, size_t i)
 {
-    const u64 *v = m->coeffs + i * m->stride;
-    int b = m->base[i];
-    while (m->lo[i] <= m->hi[i] && zero_at(R, v, m->lo[i] - b))
-        m->lo[i]++;
-    while (m->hi[i] >= m->lo[i] && zero_at(R, v, m->hi[i] - b))
-        m->hi[i]--;
-    return m->lo[i] <= m->hi[i];
+    Entry *e = &m->e[i];
+    const u64 *v = m->arena + e->block;
+    while (e->lo <= e->hi && zero_at(R, v + (size_t)(e->lo - e->base) * R->nmod))
+        e->lo++;
+    while (e->hi >= e->lo && zero_at(R, v + (size_t)(e->hi - e->base) * R->nmod))
+        e->hi--;
+    return e->lo <= e->hi;
 }
 
 /* Entry j of ``dst`` += x**k * entry i of ``src``, truncated at dst's
- * degree cap; returns 5 when the sum spans more than ``win`` degrees. */
+ * degree cap. */
 static int add_shifted(const Ring *R, Map *dst, size_t j, const Map *src,
-                       size_t i, int k)
+                       size_t i, int k, u64 *regrows)
 {
-    int lo = src->lo[i] + k, hi = src->hi[i] + k;
-    if (hi > dst->top[j])
-        hi = dst->top[j];
+    const Entry *s = &src->e[i];
+    int lo = s->lo + k, hi = s->hi + k;
+    if (hi > dst->e[j].top)
+        hi = dst->e[j].top;
     if (lo > hi)
         return 0;
-    u64 *dv = dst->coeffs + j * dst->stride;
-    const u64 *sv = src->coeffs + i * src->stride + (src->lo[i] - src->base[i]);
-    if (dst->lo[j] > dst->hi[j]) {
-        dst->base[j] = dst->lo[j] = lo;
-        dst->hi[j] = hi;
-    } else {
-        int nlo = lo < dst->lo[j] ? lo : dst->lo[j];
-        int nhi = hi > dst->hi[j] ? hi : dst->hi[j];
-        if (nhi - nlo + 1 > R->win)
-            return 5;
-        if (nlo < dst->base[j] || nhi >= dst->base[j] + R->win) {
-            /* re-base the window at nlo: move the live degrees in place
-             * and zero the rest of the row */
-            int from = dst->lo[j] - dst->base[j], to = dst->lo[j] - nlo;
-            int len = dst->hi[j] - dst->lo[j] + 1;
-            for (int r = 0; r < R->nmod; r++) {
-                u64 *row = dv + r * R->win;
-                memmove(row + to, row + from, len * sizeof(u64));
-                memset(row, 0, to * sizeof(u64));
-                memset(row + to + len, 0, (R->win - to - len) * sizeof(u64));
-            }
-            dst->base[j] = nlo;
-        }
-        dst->lo[j] = nlo;
-        dst->hi[j] = nhi;
-    }
-    int off = lo - dst->base[j];
-    for (int r = 0; r < R->nmod; r++) {
-        u64 mod = R->mod[r];
-        u64 *d = dv + r * R->win + off;
-        const u64 *s = sv + r * R->win;
-        for (int t = 0; t <= hi - lo; t++)
-            d[t] = add_mod(d[t], s[t], mod);
-    }
+    if (widen(R, dst, j, lo, hi, regrows))
+        return 3;
+    const Entry *d = &dst->e[j];
+    int nmod = R->nmod;
+    u64 *dv = dst->arena + d->block + (size_t)(lo - d->base) * nmod;
+    const u64 *sv = src->arena + s->block + (size_t)(s->lo - s->base) * nmod;
+    for (int t = 0; t <= hi - lo; t++)
+        for (int r = 0; r < nmod; r++, dv++, sv++)
+            *dv = add_mod(*dv, *sv, R->mod[r]);
     return 0;
 }
 
 /* Full-length vector (nmod rows of n residues) += entry i of ``src``. */
 static void add_full(const Ring *R, u64 *dst, const Map *src, size_t i)
 {
-    const u64 *v = src->coeffs + i * src->stride;
-    int b = src->base[i];
-    for (int r = 0; r < R->nmod; r++) {
-        u64 mod = R->mod[r];
-        for (int d = src->lo[i]; d <= src->hi[i]; d++)
-            dst[r * R->n + d] = add_mod(dst[r * R->n + d],
-                                        v[r * R->win + d - b], mod);
-    }
+    const Entry *e = &src->e[i];
+    const u64 *v = src->arena + e->block + (size_t)(e->lo - e->base) * R->nmod;
+    for (int d = e->lo; d <= e->hi; d++)
+        for (int r = 0; r < R->nmod; r++, v++)
+            dst[r * R->n + d] = add_mod(dst[r * R->n + d], *v, R->mod[r]);
 }
 
 /* ------------------------------------------------------------------------
@@ -519,25 +556,6 @@ static int steps_mid(u64 key, int r, int width, int bottom, int top, int column)
     return cost;
 }
 
-/* Zero every degree of entry i above n_max - n_add (all of them when
- * n_add > n_max). */
-static void truncate_live(const Ring *R, Map *m, size_t i, int n_add)
-{
-    int n_max = R->n - 1;
-    int keep = n_add <= n_max ? n_max - n_add + 1 : 0;
-    if (m->hi[i] < keep || m->lo[i] > m->hi[i])
-        return;
-    u64 *v = m->coeffs + i * m->stride;
-    int from = keep > m->lo[i] ? keep : m->lo[i];
-    for (int r = 0; r < R->nmod; r++)
-        for (int d = from; d <= m->hi[i]; d++)
-            v[r * R->win + d - m->base[i]] = 0;
-    if (keep <= m->lo[i])
-        m->hi[i] = m->lo[i] - 1; /* emptied */
-    else
-        m->hi[i] = keep - 1;
-}
-
 /* ------------------------------------------------------------------------
  * The sweep. */
 
@@ -572,43 +590,47 @@ static int degree_cap(const Geometry *g, u64 key, int r, int c)
 
 /* ledger: (l_max + 1) * nmod * (n_max + 1) residues, column by column and
  * within a column modulus by modulus.  stats[0] = peak live states entering
- * one row, stats[1] = live states summed over all rows. */
+ * one row, stats[1] = live states summed over all rows, stats[2] = peak
+ * bytes held by both state maps, stats[3] = entries moved to a wider
+ * block. */
 int sawenum_sweep(int width, int l_max, int n_max, const u64 *moduli,
-                  int nmod, int win, int prune, u64 *ledger, u64 *stats)
+                  int nmod, int prune, u64 *ledger, u64 *stats)
 {
     int nslots = width + 2;
     if (width < 0 || l_max < 0 || n_max < 0 || n_max > MAX_NMAX || nmod < 1
-        || win < 1 || win > n_max + 1 || nslots > MAX_SLOTS
-        || 2 * nslots + 2 > 62)
+        || nslots > MAX_SLOTS || 2 * nslots + 2 > 62)
         return 4;
     for (int i = 0; i < nmod; i++)
         if (moduli[i] < 2)
             return 4;
-    Ring ring = {n_max + 1, nmod, win, moduli}, *R = &ring;
+    Ring ring = {n_max + 1, nmod, moduli}, *R = &ring;
     int fb = 2 * nslots;
     Geometry geo = {width, fb, prune, n_max, (1ULL << fb) - 1, 3ULL << fb};
     Map cur, nxt;
     Emitter em;
     int err = 0;
     size_t j, h = 0;
+    u64 regrows = 0;
 
     memset(ledger, 0, (size_t)(l_max + 1) * nmod * R->n * sizeof(u64));
     stats[0] = stats[1] = 0;
-    if (map_init(&cur, win * nmod) || map_init(&nxt, win * nmod)) {
+    err = map_init(&cur);
+    if (map_init(&nxt) || err) { /* both, so that both can be freed */
         err = 3;
         goto done;
     }
-    map_find(&cur, 0, &h);
-    if (map_insert(&cur, 0, h, n_max) == NO_ENTRY) {
-        err = 3;
-        goto done;
+    /* the seed, the empty state of weight 1, unless the boundary prune
+     * already rules out every walk */
+    if (!prune || steps_mid(0, -1, width, 0, 0, 0) <= n_max) {
+        map_find(&cur, 0, &h);
+        if ((j = map_insert(&cur, 0, h, n_max)) == NO_ENTRY
+            || widen(R, &cur, j, 0, 0, &regrows)) {
+            err = 3;
+            goto done;
+        }
+        for (int i = 0; i < nmod; i++)
+            cur.arena[cur.e[j].block + i] = 1;
     }
-    for (int i = 0; i < nmod; i++)
-        cur.coeffs[i * win] = 1;
-    cur.lo[0] = cur.hi[0] = 0;
-    if (prune) /* the seed's boundary prune */
-        truncate_live(R, &cur, 0,
-                      steps_mid(0, -1, width, 0, 0, 0));
 
     for (int c = 0; c <= l_max; c++) {
         u64 *comp = ledger + (size_t)c * nmod * R->n;
@@ -619,7 +641,8 @@ int sawenum_sweep(int width, int l_max, int n_max, const u64 *moduli,
                 if (!trim(R, &cur, i))
                     continue;
                 live++;
-                int completes = transitions(cur.keys[i], r, width, c == 0, &em);
+                u64 key = cur.e[i].key;
+                int completes = transitions(key, r, width, c == 0, &em);
                 if (completes < 0) {
                     err = 1;
                     goto done;
@@ -630,14 +653,15 @@ int sawenum_sweep(int width, int l_max, int n_max, const u64 *moduli,
                     u64 tk = em.t[t].key;
                     if ((j = map_find(&nxt, tk, &h)) == NO_ENTRY) {
                         int top = degree_cap(&geo, tk, r, c);
-                        if (cur.lo[i] + em.t[t].k > top)
+                        if (cur.e[i].lo + em.t[t].k > top)
                             continue; /* nothing that could still complete */
                         if ((j = map_insert(&nxt, tk, h, top)) == NO_ENTRY) {
                             err = 3;
                             goto done;
                         }
                     }
-                    if ((err = add_shifted(R, &nxt, j, &cur, i, em.t[t].k)))
+                    if ((err = add_shifted(R, &nxt, j, &cur, i, em.t[t].k,
+                                           &regrows)))
                         goto done;
                 }
             }
@@ -651,7 +675,7 @@ int sawenum_sweep(int width, int l_max, int n_max, const u64 *moduli,
         /* boundary shift: retire the top kink slot, open one below row 0 */
         map_clear(&nxt);
         for (size_t i = 0; i < cur.count; i++) {
-            u64 key = cur.keys[i];
+            u64 key = cur.e[i].key;
             if ((c == 0 && key == 0) || !trim(R, &cur, i))
                 continue; /* no more walk starts after column 0 */
             if ((key >> (2 * (width + 1))) & 3) {
@@ -664,7 +688,7 @@ int sawenum_sweep(int width, int l_max, int n_max, const u64 *moduli,
                 err = 3;
                 goto done;
             }
-            if ((err = add_shifted(R, &nxt, j, &cur, i, 0)))
+            if ((err = add_shifted(R, &nxt, j, &cur, i, 0, &regrows)))
                 goto done;
         }
         Map tmp = cur;
@@ -672,6 +696,8 @@ int sawenum_sweep(int width, int l_max, int n_max, const u64 *moduli,
         nxt = tmp;
     }
 done:
+    stats[2] = map_bytes(&cur) + map_bytes(&nxt);
+    stats[3] = regrows;
     map_free(&cur);
     map_free(&nxt);
     return err;

@@ -3,6 +3,9 @@
 ``ckernel.c`` ports the engine's kink move, prune bounds and boundary shift
 one for one, but keeps each generating function as arrays of residues modulo
 machine-word moduli, so it returns the same ledger as ``engine.sweep``.
+Each state stores only the span of degrees its residues occupy, in a block
+of a per-row arena that is replaced by a wider one when a sum outgrows it,
+so every width is swept exactly once whatever its degrees' spread.
 ``flm`` runs every sweep on it (``enumerate``, ``box`` and
 ``scripts/generate_series.py`` alike) when a C compiler is found and every
 modulus fits a machine word.  The Python engine stays the reference the
@@ -29,15 +32,7 @@ _ERRORS = {
     2: "occupied vertical edge above the lattice",
     3: "out of memory",
     4: "bad arguments (width too large or modulus out of range)",
-    5: "degree window overflow",
 }
-_WINDOW_OVERFLOW = 5
-
-#: Consecutive degrees each state stores at first; a sweep that needs more
-#: starts over with twice as many, up to all n_max + 1.  In the 43-term run
-#: 24 sufficed for every costly width (12 did not), while the cheap narrow
-#: widths 2-9 reran at 44.
-START_WINDOW = 24
 
 _lib = None
 
@@ -60,39 +55,43 @@ def _load():
     # imported here, not at module level, so that importing the CLI stays cheap
     import ctypes
     import hashlib
-    import subprocess
-    import tempfile
 
     src = SOURCE.read_bytes()
     tag = hashlib.sha256(src).hexdigest()[:16]
     build_dir = Path(__file__).with_name("__pycache__")
     lib_path = build_dir / f"ckernel-{tag}.so"
     if not lib_path.exists():
-        cc = _compiler()
-        if cc is None:
-            raise OSError("no C compiler found (set CC)")
-        build_dir.mkdir(exist_ok=True)
-        fd, tmp = tempfile.mkstemp(suffix=".so", dir=build_dir)
-        os.close(fd)
-        try:
-            subprocess.run(
-                [cc, "-O3", "-shared", "-fPIC", "-o", tmp, str(SOURCE)],
-                check=True, capture_output=True,
-            )
-            os.replace(tmp, lib_path)
-        finally:
-            if os.path.exists(tmp):
-                os.remove(tmp)
+        _build(lib_path)
     lib = ctypes.CDLL(str(lib_path))
     lib.sawenum_sweep.restype = ctypes.c_int
     lib.sawenum_sweep.argtypes = [
         ctypes.c_int, ctypes.c_int, ctypes.c_int,
         ctypes.POINTER(ctypes.c_uint64), ctypes.c_int, ctypes.c_int,
-        ctypes.c_int,
         ctypes.POINTER(ctypes.c_uint64), ctypes.POINTER(ctypes.c_uint64),
     ]
     _lib = lib
     return lib
+
+
+def _build(lib_path: Path) -> None:
+    import subprocess
+    import tempfile
+
+    cc = _compiler()
+    if cc is None:
+        raise OSError("no C compiler found (set CC)")
+    lib_path.parent.mkdir(exist_ok=True)
+    fd, tmp = tempfile.mkstemp(suffix=".so", dir=lib_path.parent)
+    os.close(fd)
+    try:
+        subprocess.run(
+            [cc, "-O3", "-shared", "-fPIC", "-o", tmp, str(SOURCE)],
+            check=True, capture_output=True,
+        )
+        os.replace(tmp, lib_path)
+    finally:
+        if os.path.exists(tmp):
+            os.remove(tmp)
 
 
 def sweep_residues(
@@ -106,13 +105,11 @@ def sweep_residues(
     coefficient of column ``c``'s completions modulo ``moduli[i]``, the
     ``coeffs`` of ``engine.sweep``'s ``ledger[c]``.  ``stats`` holds
     ``peak_states`` (most live states entering one row), ``state_rows``
-    (live states summed over all rows) and ``window`` (the degree window the
-    sweep finished with, see ``START_WINDOW``).
+    (live states summed over all rows), ``peak_bytes`` (most bytes the
+    kernel's two state maps held: entries, residue arenas and hash indexes)
+    and ``regrows`` (how often a state's residues outgrew their block and
+    moved to a wider one).
     """
-    return _sweep_residues(width, l_max, n_max, moduli, prune, START_WINDOW)
-
-
-def _sweep_residues(width, l_max, n_max, moduli, prune, window):
     import ctypes
 
     if any(m >= 2**64 for m in moduli):
@@ -121,15 +118,10 @@ def _sweep_residues(width, l_max, n_max, moduli, prune, window):
     n = n_max + 1
     k = len(moduli)
     ledger = (ctypes.c_uint64 * ((l_max + 1) * k * n))()
-    stats = (ctypes.c_uint64 * 2)()
-    window = max(1, min(window, n))
-    while True:
-        err = lib.sawenum_sweep(width, l_max, n_max,
-                                (ctypes.c_uint64 * k)(*moduli), k, window,
-                                int(prune), ledger, stats)
-        if err != _WINDOW_OVERFLOW or window >= n:
-            break
-        window = min(2 * window, n)
+    stats = (ctypes.c_uint64 * 4)()
+    err = lib.sawenum_sweep(width, l_max, n_max,
+                            (ctypes.c_uint64 * k)(*moduli), k, int(prune),
+                            ledger, stats)
     if err:
         raise EngineFault(f"compiled sweep failed: {_ERRORS.get(err, err)}")
     rows = [
@@ -137,4 +129,4 @@ def _sweep_residues(width, l_max, n_max, moduli, prune, window):
         for c in range(l_max + 1)
     ]
     return rows, {"peak_states": stats[0], "state_rows": stats[1],
-                  "window": window}
+                  "peak_bytes": stats[2], "regrows": stats[3]}

@@ -61,11 +61,6 @@ def unpack_coefficients(packed: int, bits: int, n_max: int) -> list[int]:
     return [(packed >> (bits * d)) & fmask for d in range(n_max + 1)]
 
 
-def packed_min_degree(packed: int, bits: int) -> int:
-    """Lowest degree with a nonzero coefficient (``packed`` must be != 0)."""
-    return ((packed & -packed).bit_length() - 1) // bits
-
-
 def transitions(key: int, r: int, width: int, first_col: bool):
     """All legal targets of one kink move at row ``r``.
 

@@ -13,7 +13,6 @@ from sawenum.engine import (
     EngineFault,
     field_bits,
     kink_update,
-    packed_min_degree,
     seed,
     sweep,
     transitions,
@@ -41,8 +40,6 @@ class TestPackedPolynomials:
         coeffs = [3, 0, 7, 1, 0, 12]
         packed = sum(c << (bits * d) for d, c in enumerate(coeffs))
         assert unpack_coefficients(packed, bits, 5) == coeffs
-        assert packed_min_degree(packed, bits) == 0
-        assert packed_min_degree(packed >> bits, bits) == 1
 
 
 class TestTransitions:

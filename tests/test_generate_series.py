@@ -12,7 +12,7 @@ import pytest
 
 from sawenum import ckernel, engine
 from sawenum.flm import RunPlan, enumerate_series
-from sawenum.modseries import DEFAULT_MODULI, read_series
+from sawenum.modseries import read_series
 
 SCRIPT = Path(__file__).resolve().parent.parent / "scripts" / "generate_series.py"
 
@@ -106,16 +106,28 @@ class TestCompiledKernel:
         got, _ = ckernel.sweep_residues(width, length, n_max, prune=False)
         assert got == [p.coeffs for p in want]
 
-    def test_narrow_windows_give_the_same_ledger(self):
-        # window 1 overflows at once and is widened until the sweep fits;
-        # window 3 fits but has to re-base states as their degrees spread
-        want, stats = ckernel.sweep_residues(5, 10, 15)
-        for window in (1, 3):
-            rows, st = ckernel._sweep_residues(5, 10, 15, DEFAULT_MODULI,
-                                               True, window)
-            assert rows == want
-            assert st["state_rows"] == stats["state_rows"]
-            assert st["window"] > 1
+    @pytest.mark.parametrize("width,l_max,n_max,state_rows", [
+        (5, 10, 15, 15259), (3, 40, 123, 16442)])
+    def test_states_that_outgrow_their_block_are_moved(self, width, l_max,
+                                                       n_max, state_rows):
+        # both sweeps move states to wider blocks; 3x40 once needed three
+        # sweeps at doubling fixed windows
+        rows, stats = ckernel.sweep_residues(width, l_max, n_max)
+        assert stats["regrows"] > 0
+        assert stats["state_rows"] == state_rows
+        want = engine.sweep(width, l_max, n_max)
+        assert rows == [p.coeffs for p in want]
+
+    @pytest.mark.parametrize("moduli", [(7,), (2**64 - 59,)])
+    @pytest.mark.parametrize("width,l_max,n_max,prune", [
+        (0, 4, 9, True), (1, 3, 14, False), (2, 5, 11, True),
+        (2, 4, 20, False), (3, 3, 9, True), (3, 6, 25, True),
+        (4, 5, 13, False), (5, 6, 17, True)])
+    def test_matches_engine_on_small_sweeps(self, width, l_max, n_max, prune,
+                                            moduli):
+        want = engine.sweep(width, l_max, n_max, moduli, prune=prune)
+        got, _ = ckernel.sweep_residues(width, l_max, n_max, moduli, prune)
+        assert got == [p.coeffs for p in want]
 
     def test_small_modulus(self):
         want = engine.sweep(4, 8, 17)
