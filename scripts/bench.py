@@ -14,6 +14,9 @@ Measures, for each checkout, in fresh interpreters:
   whose states spread over many degrees (n_max 123);
 - ``enumerate_w15_s`` and ``enumerate_w15_rss_mb``: the same for
   ``sawenum enumerate --wmax 15``;
+- ``kernel_w12_wmax16_s``: ``ckernel.sweep_residues(12, 21, 33)`` alone
+  (width 12 of ``enumerate --wmax 16``, after the warm-up build), a
+  production-scale width that the small runs above do not reach;
 - ``tier1_s``: the tier-1 suite, with its summary line.
 
 The host's speed for one process drifts, so checkouts are interleaved,
@@ -21,9 +24,9 @@ alternating which goes first, and each metric is reported as the median
 over ``ROUNDS`` rounds with every run kept.
 
 Usage:
-    python3 scripts/bench.py --out BENCH_8.json
+    python3 scripts/bench.py --out BENCH_9.json
     python3 scripts/bench.py --checkout parent=../parent --checkout change=. \\
-        --out BENCH_8.json
+        --out BENCH_9.json
 """
 
 from __future__ import annotations
@@ -54,6 +57,15 @@ coeffs = read_series(sys.argv[1]).values
 orders = tuple(int(x) for x in sys.argv[2].split(","))
 t0 = time.perf_counter()
 analysis.da_scan(coeffs, orders=orders)
+print(time.perf_counter() - t0)
+"""
+
+#: run in the measured checkout: time one kernel sweep, print the seconds
+KERNEL = """
+import time
+from sawenum import ckernel
+t0 = time.perf_counter()
+ckernel.sweep_residues(12, 21, 33)
 print(time.perf_counter() - t0)
 """
 
@@ -126,6 +138,9 @@ def measure(checkout: Path) -> dict:
                            checkout, env)
             row[f"enumerate_w{wmax}_s"] = result["wall_s"]
             row[f"enumerate_w{wmax}_rss_mb"] = result["peak_rss_mb"]
+        out = subprocess.run([py, "-c", KERNEL], cwd=checkout, env=env,
+                             check=True, capture_output=True, text=True)
+        row["kernel_w12_wmax16_s"] = float(out.stdout)
         row["box_3x40_s"] = timed(
             cli + ["box", "--width", "3", "--length", "40"] + dest, checkout,
             env)["wall_s"]

@@ -5,8 +5,9 @@ Each width's sweep runs in a fresh child process whose memory is returned to
 the OS when it exits.  The child writes the width's completion ledger as a
 text file into a cache directory, so an interrupted run resumes where it
 stopped.  One child runs per CPU this process may use, so peak memory is up
-to that many times one width's peak (1.45 GB at wmax 21); to hold it lower,
-compute widths one at a time with ``--width``.  When every width is cached
+to that many times one width's peak (about 370 MB of RSS for width 15 at
+wmax 21 on the compiled kernel, far more on the Python engine); to hold it
+lower, compute widths one at a time with ``--width``.  When every width is cached
 the ledgers are assembled into the final series file.
 
 Each width is swept by ``flm``'s sweep, which runs the compiled kernel
@@ -20,8 +21,8 @@ order of the ``moduli`` header).  The headers are ``algorithm-version``,
 everything after the header lines.  A cached ledger whose headers do not
 match the run, or whose body does not match its digest, is refused.  Each
 child also writes ``<ledger>.stats.json`` (seconds and peak RSS, and from
-the kernel peak live states, state rows, the peak bytes of its state maps
-and how many states moved to a wider block); the assembly ignores it.
+the kernel peak live states, state rows, the most bytes its state maps had
+in use and how many states moved to a wider block); the assembly ignores it.
 
 Usage:
     python3 scripts/generate_series.py --wmax 21 -o data/saw_counts_n43.series
@@ -121,7 +122,9 @@ def read_ledger(path: Path, header: dict) -> list[TruncatedPolynomial]:
 
 
 def run_width(wmax: int, width: int, cache: Path) -> None:
-    gc.disable()  # the sweep holds one huge dict; cycle collection only stalls it
+    # the Python engine's sweep holds one huge dict, which cycle collection
+    # only stalls; the compiled kernel allocates nothing the collector tracks
+    gc.disable()
     n_max = 2 * wmax + 1
     l_max = 2 * wmax - width + 1
     t0 = time.time()

@@ -2,18 +2,24 @@
  *
  * The state layout, the kink move (engine.transitions), the prune bound
  * (pruning.additional_steps_mid, after each row and, at row -1, at column
- * boundaries) and the boundary shift are line-for-line ports of the Python
- * engine.  A generating function is kept as residues modulo each of
+ * boundaries) and the boundary shift port the Python engine and give the
+ * same results.  A generating function is kept as residues modulo each of
  * ``nmod`` moduli; every operation on it is an addition or a degree shift,
  * so working modulo m gives the exact ledger modulo m, and all moduli share
  * one pass over the states.
  *
+ * The work per state follows its occupied slots, not the width: the prune
+ * bound and the kink move's arc matching step from one nonzero 2-bit slot of
+ * the key to the next with __builtin_ctzll, so the kernel needs a GCC- or
+ * Clang-compatible compiler.
+ *
  * A state's nonzero degrees span only a few consecutive values, so each
  * state stores just its live span [lo, hi] instead of all n_max + 1 degrees,
- * in a block of a per-row bump arena (see the state map below).  A block
- * that a sum outgrows is replaced by one twice as wide, so every sweep runs
- * once, whatever the spread of its states' degrees.  Moduli may be anything
- * from 2 to 2**64 - 1.
+ * in a block of a per-row bump arena (see the state map below).  A state's
+ * first sum is copied into its fresh block; a block that a later sum
+ * outgrows is replaced by one twice as wide, so every sweep runs once,
+ * whatever the spread of its states' degrees.  Moduli may be anything from
+ * 2 to 2**64 - 1.
  *
  * Error codes: 1 forbidden kink state, 2 occupied vertical edge above the
  * lattice, 3 out of memory, 4 bad arguments.
@@ -28,6 +34,7 @@ typedef uint64_t u64;
 #define MAX_SLOTS 30
 #define MAX_TARGETS 32
 #define MAX_NMAX (1 << 30) /* keeps degree arithmetic inside an int */
+#define SLOT_LOW_BITS 0x5555555555555555ULL /* low bit of every 2-bit slot */
 
 /* Residues of a generating function are stored degree by degree: residue i
  * (modulo mod[i]) of degree base + j sits at block[j * nmod + i]. */
@@ -100,11 +107,20 @@ static void map_clear(Map *m)
     memset(m->index, 0, m->index_size * sizeof(uint32_t));
 }
 
-/* Bytes the map holds; its capacities only grow, so this is also its peak. */
+/* Bytes the map has in use: its entries, the arena words handed out and
+ * its hash index. */
 static size_t map_bytes(const Map *m)
 {
-    return m->cap * sizeof(Entry) + m->arena_cap * sizeof(u64)
+    return m->count * sizeof(Entry) + m->used * sizeof(u64)
            + m->index_size * sizeof(uint32_t);
+}
+
+/* *peak = max(*peak, bytes both maps have in use) */
+static void note_bytes(const Map *a, const Map *b, u64 *peak)
+{
+    u64 bytes = map_bytes(a) + map_bytes(b);
+    if (bytes > *peak)
+        *peak = bytes;
 }
 
 static int map_grow_index(Map *m)
@@ -270,7 +286,7 @@ static int trim(const Ring *R, Map *m, size_t i)
 }
 
 /* Entry j of ``dst`` += x**k * entry i of ``src``, truncated at dst's
- * degree cap. */
+ * degree cap.  An entry's first sum is a copy: its fresh block is zero. */
 static int add_shifted(const Ring *R, Map *dst, size_t j, const Map *src,
                        size_t i, int k, u64 *regrows)
 {
@@ -280,12 +296,17 @@ static int add_shifted(const Ring *R, Map *dst, size_t j, const Map *src,
         hi = dst->e[j].top;
     if (lo > hi)
         return 0;
+    int first = dst->e[j].lo > dst->e[j].hi;
     if (widen(R, dst, j, lo, hi, regrows))
         return 3;
     const Entry *d = &dst->e[j];
     int nmod = R->nmod;
     u64 *dv = dst->arena + d->block + (size_t)(lo - d->base) * nmod;
     const u64 *sv = src->arena + s->block + (size_t)(s->lo - s->base) * nmod;
+    if (first) {
+        memcpy(dv, sv, (size_t)(hi - lo + 1) * nmod * sizeof(u64));
+        return 0;
+    }
     for (int t = 0; t <= hi - lo; t++)
         for (int r = 0; r < nmod; r++, dv++, sv++)
             *dv = add_mod(*dv, *sv, R->mod[r]);
@@ -309,21 +330,6 @@ static void add_full(const Ring *R, u64 *dst, const Map *src, size_t i)
 typedef struct {
     int lo, hi;
 } Arc;
-
-static int match_arcs(const int *edges, int nslots, Arc *arcs)
-{
-    int stack[MAX_SLOTS], sp = 0, n = 0;
-    for (int pos = 0; pos < nslots; pos++) {
-        if (edges[pos] == 1) {
-            stack[sp++] = pos;
-        } else if (edges[pos] == 2) {
-            arcs[n].lo = stack[--sp];
-            arcs[n].hi = pos;
-            n++;
-        }
-    }
-    return n;
-}
 
 /* True if some arc other than ``skip`` has exactly one endpoint strictly
  * between the doubled coordinates lo2 and hi2. */
@@ -384,7 +390,10 @@ static void emit(Emitter *em, u64 newkey, int k)
 }
 
 /* Fills ``em`` with the targets of ``key`` at row r; returns -1 on a
- * forbidden kink, else 1 if the source completes a spanning walk, else 0. */
+ * forbidden kink, else 1 if the source completes a spanning walk, else 0.
+ * Below the kink, targets come from free ends bottom up, then from arcs in
+ * the order they close.  That order decides which sum reaches a target
+ * first and so sizes its block: it is part of what ``regrows`` counts. */
 static int transitions(u64 key, int r, int width, int first_col, Emitter *em)
 {
     int nslots = width + 2;
@@ -438,15 +447,28 @@ static int transitions(u64 key, int r, int width, int first_col, Emitter *em)
                 }
             }
         } else if (rest) {
-            int edges[MAX_SLOTS];
+            /* one bottom-up pass over the occupied slots of ``rest`` (both
+             * kink slots are empty) matches the arcs, in the order they
+             * close, and collects the free ends */
             Arc arcs[MAX_SLOTS];
-            for (int i = 0; i < nslots; i++)
-                edges[i] = (base >> (2 * i)) & 3;
-            int narcs = match_arcs(edges, nslots, arcs);
+            int stack[MAX_SLOTS], ends[MAX_SLOTS], sp = 0, narcs = 0, nends = 0;
+            for (u64 occ = (rest | rest >> 1) & SLOT_LOW_BITS; occ;
+                 occ &= occ - 1) {
+                int pos = __builtin_ctzll(occ) >> 1;
+                int e = (rest >> (2 * pos)) & 3;
+                if (e == 1) {
+                    stack[sp++] = pos;
+                } else if (e == 2) {
+                    arcs[narcs].lo = stack[--sp];
+                    arcs[narcs].hi = pos;
+                    narcs++;
+                } else {
+                    ends[nends++] = pos;
+                }
+            }
             int gap2 = 2 * r + 1;
-            for (int f = 0; f < nslots; f++) {
-                if (edges[f] != 3)
-                    continue;
+            for (int n = 0; n < nends; n++) {
+                int f = ends[n];
                 int lo2 = 2 * f < gap2 ? 2 * f : gap2;
                 int hi2 = 2 * f < gap2 ? gap2 : 2 * f;
                 if (blocked(arcs, narcs, lo2, hi2, -1))
@@ -495,17 +517,17 @@ static int transitions(u64 key, int r, int width, int first_col, Emitter *em)
 static int imax(int a, int b) { return a > b ? a : b; }
 
 /* pruning.additional_steps_mid, right after the kink move at row r; at
- * r = -1 the bound at a column boundary, on the start-of-column key. */
+ * r = -1 the bound at a column boundary, on the start-of-column key.  The
+ * slots are walked bottom up, visiting only the occupied ones: ``occ`` holds
+ * the low bit of every nonzero 2-bit slot of the (flag-free) key. */
 static int steps_mid(u64 key, int r, int width, int bottom, int top, int column)
 {
     int cost = 0, depth = 0, lo = -1, hi = -1, has_free = 0, top_reach = 0;
     int lnew[MAX_SLOTS + 1], rstack[MAX_SLOTS + 1];
-    int nslots = width + 2;
     rstack[0] = 0;
-    for (int slot = 0; slot < nslots; slot++) {
+    for (u64 occ = (key | key >> 1) & SLOT_LOW_BITS; occ; occ &= occ - 1) {
+        int slot = __builtin_ctzll(occ) >> 1;
         int e = (key >> (2 * slot)) & 3;
-        if (!e)
-            continue;
         int pos = slot <= r + 1 ? slot : slot - 1;
         if (lo < 0)
             lo = pos;
@@ -590,9 +612,9 @@ static int degree_cap(const Geometry *g, u64 key, int r, int c)
 
 /* ledger: (l_max + 1) * nmod * (n_max + 1) residues, column by column and
  * within a column modulus by modulus.  stats[0] = peak live states entering
- * one row, stats[1] = live states summed over all rows, stats[2] = peak
- * bytes held by both state maps, stats[3] = entries moved to a wider
- * block. */
+ * one row, stats[1] = live states summed over all rows, stats[2] = most
+ * bytes both state maps had in use at the end of a row (map_bytes),
+ * stats[3] = entries moved to a wider block. */
 int sawenum_sweep(int width, int l_max, int n_max, const u64 *moduli,
                   int nmod, int prune, u64 *ledger, u64 *stats)
 {
@@ -613,7 +635,7 @@ int sawenum_sweep(int width, int l_max, int n_max, const u64 *moduli,
     u64 regrows = 0;
 
     memset(ledger, 0, (size_t)(l_max + 1) * nmod * R->n * sizeof(u64));
-    stats[0] = stats[1] = 0;
+    stats[0] = stats[1] = stats[2] = 0;
     err = map_init(&cur);
     if (map_init(&nxt) || err) { /* both, so that both can be freed */
         err = 3;
@@ -668,6 +690,7 @@ int sawenum_sweep(int width, int l_max, int n_max, const u64 *moduli,
             stats[1] += live;
             if (live > stats[0])
                 stats[0] = live;
+            note_bytes(&cur, &nxt, &stats[2]);
             Map tmp = cur;
             cur = nxt;
             nxt = tmp;
@@ -691,12 +714,12 @@ int sawenum_sweep(int width, int l_max, int n_max, const u64 *moduli,
             if ((err = add_shifted(R, &nxt, j, &cur, i, 0, &regrows)))
                 goto done;
         }
+        note_bytes(&cur, &nxt, &stats[2]);
         Map tmp = cur;
         cur = nxt;
         nxt = tmp;
     }
 done:
-    stats[2] = map_bytes(&cur) + map_bytes(&nxt);
     stats[3] = regrows;
     map_free(&cur);
     map_free(&nxt);

@@ -1,20 +1,22 @@
 """Compiled sweep kernel: ``engine.sweep`` for one width, written in C.
 
-``ckernel.c`` ports the engine's kink move, prune bounds and boundary shift
-one for one, but keeps each generating function as arrays of residues modulo
+``ckernel.c`` ports the engine's kink move, prune bound and boundary shift,
+but keeps each generating function as arrays of residues modulo
 machine-word moduli, so it returns the same ledger as ``engine.sweep``.
-Each state stores only the span of degrees its residues occupy, in a block
-of a per-row arena that is replaced by a wider one when a sum outgrows it,
-so every width is swept exactly once whatever its degrees' spread.
+Its work per state follows the state's occupied slots rather than the
+width.  Each state stores only the span of degrees its residues occupy, in a
+block of a per-row arena that is replaced by a wider one when a sum outgrows
+it, so every width is swept exactly once whatever its degrees' spread.
 ``flm`` runs every sweep on it (``enumerate``, ``box`` and
 ``scripts/generate_series.py`` alike) when a C compiler is found and every
 modulus fits a machine word.  The Python engine stays the reference the
 kernel is tested against, and the fallback where no compiler is found.
 
 The shared library is built on first use with the C compiler named by ``CC``
-(default ``cc``) and cached next to this module's bytecode, keyed by a hash of
-the source.  :func:`available` reports whether a compiler is there to build
-it; a build that fails raises.
+(default ``cc``; it must accept GCC builtins such as ``__builtin_ctzll``, as
+GCC and Clang do) and cached next to this module's bytecode, keyed by a hash
+of the source.  :func:`available` reports whether a compiler is there to
+build it; a build that fails raises.
 """
 
 from __future__ import annotations
@@ -106,7 +108,9 @@ def sweep_residues(
     ``coeffs`` of ``engine.sweep``'s ``ledger[c]``.  ``stats`` holds
     ``peak_states`` (most live states entering one row), ``state_rows``
     (live states summed over all rows), ``peak_bytes`` (most bytes the
-    kernel's two state maps held: entries, residue arenas and hash indexes)
+    kernel's two state maps had in use at the end of a row: 32 per entry,
+    8 per residue word handed out by the arenas, plus both hash indexes;
+    allocated but unused capacity is not counted)
     and ``regrows`` (how often a state's residues outgrew their block and
     moved to a wider one).
     """

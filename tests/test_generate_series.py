@@ -122,12 +122,21 @@ class TestCompiledKernel:
     @pytest.mark.parametrize("width,l_max,n_max,prune", [
         (0, 4, 9, True), (1, 3, 14, False), (2, 5, 11, True),
         (2, 4, 20, False), (3, 3, 9, True), (3, 6, 25, True),
-        (4, 5, 13, False), (5, 6, 17, True)])
+        (4, 5, 13, False), (5, 6, 17, True),
+        # widths 8 and 9 of enumerate --wmax 9: sparse keys in many slots
+        (8, 11, 19, True), (9, 10, 19, True)])
     def test_matches_engine_on_small_sweeps(self, width, l_max, n_max, prune,
                                             moduli):
         want = engine.sweep(width, l_max, n_max, moduli, prune=prune)
         got, _ = ckernel.sweep_residues(width, l_max, n_max, moduli, prune)
         assert got == [p.coeffs for p in want]
+
+    def test_work_done_on_a_box_is_pinned(self):
+        # box --width 6 --length 10: a kernel that visits, keeps or moves a
+        # different number of states fails here
+        _, stats = ckernel.sweep_residues(6, 10, 36)
+        assert (stats["peak_states"], stats["state_rows"],
+                stats["regrows"]) == (3360, 192001, 20319)
 
     def test_small_modulus(self):
         want = engine.sweep(4, 8, 17)
