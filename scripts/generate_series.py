@@ -7,8 +7,8 @@ text file into a cache directory, so an interrupted run resumes where it
 stopped.  One child runs per CPU this process may use, so peak memory is up
 to that many times one width's peak (about 370 MB of RSS for width 15 at
 wmax 21 on the compiled kernel, far more on the Python engine); to hold it
-lower, compute widths one at a time with ``--width``.  When every width is cached
-the ledgers are assembled into the final series file.
+lower, compute widths one at a time with ``--width``.  When every width is
+cached the ledgers are assembled into the final series file.
 
 Each width is swept by ``flm``'s sweep, which runs the compiled kernel
 (``sawenum.ckernel``) when a C compiler is found, else the Python engine;
