@@ -16,17 +16,23 @@ Measures, for each checkout, in fresh interpreters:
   ``sawenum enumerate --wmax 15``;
 - ``kernel_w12_wmax16_s``: ``ckernel.sweep_residues(12, 21, 33)`` alone
   (width 12 of ``enumerate --wmax 16``, after the warm-up build), a
-  production-scale width that the small runs above do not reach;
-- ``tier1_s``: the tier-1 suite, with its summary line.
+  production-scale width that the small runs above do not reach, with the
+  sweep's exact work counts ``kernel_w12_wmax16_peak_states``,
+  ``_state_rows``, ``_regrows`` and ``_peak_bytes`` (see
+  ``ckernel.sweep_residues``);
+- ``tier1_s``: the tier-1 suite, with its summary line, timed once per
+  checkout after the rounds: no perf change targets it, and it would take
+  most of every round.
 
 The host's speed for one process drifts, so checkouts are interleaved,
-alternating which goes first, and each metric is reported as the median
-over ``ROUNDS`` rounds with every run kept.
+alternating which goes first, and each timed metric is reported as the
+median over ``ROUNDS`` rounds with every run kept; counts are listed round
+by round.
 
 Usage:
-    python3 scripts/bench.py --out BENCH_9.json
+    python3 scripts/bench.py --out BENCH_10.json
     python3 scripts/bench.py --checkout parent=../parent --checkout change=. \\
-        --out BENCH_9.json
+        --out BENCH_10.json
 """
 
 from __future__ import annotations
@@ -61,12 +67,13 @@ print(time.perf_counter() - t0)
 """
 
 #: run in the measured checkout: time one kernel sweep, print the seconds
+#: and the sweep's stats as JSON
 KERNEL = """
-import time
+import json, time
 from sawenum import ckernel
 t0 = time.perf_counter()
-ckernel.sweep_residues(12, 21, 33)
-print(time.perf_counter() - t0)
+_, stats = ckernel.sweep_residues(12, 21, 33)
+print(json.dumps({"s": time.perf_counter() - t0, **stats}))
 """
 
 #: run a command as a child; print its wall time, peak RSS (MB) and status
@@ -140,15 +147,20 @@ def measure(checkout: Path) -> dict:
             row[f"enumerate_w{wmax}_rss_mb"] = result["peak_rss_mb"]
         out = subprocess.run([py, "-c", KERNEL], cwd=checkout, env=env,
                              check=True, capture_output=True, text=True)
-        row["kernel_w12_wmax16_s"] = float(out.stdout)
+        for key, value in json.loads(out.stdout).items():
+            row[f"kernel_w12_wmax16_{key}"] = value
         row["box_3x40_s"] = timed(
             cli + ["box", "--width", "3", "--length", "40"] + dest, checkout,
             env)["wall_s"]
-    result = timed([py, "-m", "pytest", "-q", "-p", "no:cacheprovider",
-                    "--continue-on-collection-errors"], checkout, env)
-    row["tier1_s"] = result["wall_s"]
-    row["tier1_summary"] = result["last_line"]
     return row
+
+
+def tier1(checkout: Path) -> dict:
+    env = dict(os.environ, PYTHONPATH=str(checkout / "src"))
+    result = timed([sys.executable, "-m", "pytest", "-q", "-p",
+                    "no:cacheprovider", "--continue-on-collection-errors"],
+                   checkout, env)
+    return {"tier1_s": result["wall_s"], "tier1_summary": result["last_line"]}
 
 
 def main() -> int:
@@ -179,6 +191,7 @@ def main() -> int:
                                        "runs": values}
             else:
                 results[label][key] = values
+        results[label].update(tier1(checkouts[label]))
     report = {"machine": machine(), "rounds": ROUNDS,
               "results": results}
     with open(args.out, "w", encoding="utf-8") as fh:

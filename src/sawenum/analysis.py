@@ -398,7 +398,16 @@ def da_scan(
     dps: int = 30,
 ) -> list[SingularityEstimate]:
     """All non-defective balanced approximants ending at each usable series
-    coefficient >= min_last_n (default: use at least 3/4 of the series)."""
+    coefficient >= min_last_n (default: use at least 3/4 of the series).
+
+    An inhomogeneous window is tried only when its equations start at x^0.
+    When ``balanced_spec`` rounds the Q degrees down, the equations start at
+    some m > 0, the columns of p_0 .. p_{m-1} are zero and the fit has more
+    equations than effective unknowns: a generic series makes it singular,
+    and only an exactly D-finite one makes it consistent, but ill-posed.
+    Homogeneous windows (``pdegree`` -1) have no P part and are always
+    tried.
+    """
     n_max = len(coeffs) - 1
     if min_last_n is None:
         min_last_n = (3 * n_max) // 4
@@ -408,6 +417,8 @@ def da_scan(
             for pdeg in pdegrees:
                 try:
                     spec = balanced_spec(order, pdeg, last_n + 1)
+                    if pdeg >= 0 and spec.unknowns < last_n + 1:
+                        continue  # P's low coefficients have no equation
                     out.append(
                         singularity_estimate(coeffs, spec, last_n, dps)
                     )

@@ -13,6 +13,17 @@
  * the key to the next with __builtin_ctzll, so the kernel needs a GCC- or
  * Clang-compatible compiler.
  *
+ * At production widths the state maps outgrow the caches, and a hash probe
+ * into the next row's map would wait on a cache miss for every target.  The
+ * row loop therefore runs one live source ahead: while the targets of one
+ * source are applied, the next source is expanded, its targets hashed once
+ * and their index slots prefetched (__builtin_prefetch); just before its own
+ * targets are applied, the entries those slots name are prefetched too.
+ * Targets are applied in the same order as without this pipeline, so the
+ * ledgers, the live-state counts and the block moves do not change.  The
+ * boundary shift rewrites the keys of the current map in place: it is
+ * injective, and the next row only walks that map, never probing it.
+ *
  * A state's nonzero degrees span only a few consecutive values, so each
  * state stores just its live span [lo, hi] instead of all n_max + 1 degrees,
  * in a block of a per-row bump arena (see the state map below).  A state's
@@ -48,12 +59,17 @@ typedef struct {
  * entry's residues live in a block of ``cap`` degrees of the map's arena,
  * starting at degree ``base``, and are zero outside [lo, hi] (the entry is
  * empty when lo > hi).  The arena is a bump allocator, reset with the map
- * once per row: an entry's first sum gets a block just as wide as it needs
- * (at least MIN_SPAN), and a sum that would span more than the block holds
- * moves the entry to a fresh block at least twice as wide at the arena's
- * end, abandoning the old one until the row ends. */
+ * once per row: an entry's first sum is copied into a block just as wide as
+ * it needs (at least MIN_SPAN), later sums that fit are added in place, and
+ * a sum that would span more than the block holds moves the entry to a
+ * fresh block at least twice as wide at the arena's end, abandoning the old
+ * one until the row ends.  A map starts small (MAP_START entries), so that
+ * narrow widths do not clear a large index on every row, and grows by
+ * itself.  Callers hash a key once (hash_key) and pass the hash along, so
+ * the index slot can be prefetched long before the probe. */
 
 #define MIN_SPAN 3
+#define MAP_START 256 /* entries; the index starts twice as large */
 
 typedef struct {
     u64 key;
@@ -83,9 +99,9 @@ static u64 hash_key(u64 k)
 static int map_init(Map *m)
 {
     memset(m, 0, sizeof *m);
-    m->cap = 1024;
-    m->arena_cap = 4096;
-    m->index_size = 4096;
+    m->cap = MAP_START;
+    m->arena_cap = 4 * MAP_START;
+    m->index_size = 2 * MAP_START;
     m->e = malloc(m->cap * sizeof(Entry));
     m->arena = malloc(m->arena_cap * sizeof(u64));
     m->index = calloc(m->index_size, sizeof(uint32_t));
@@ -152,11 +168,28 @@ static int grow(void **p, size_t bytes)
 
 #define NO_ENTRY ((size_t)-1)
 
-/* Entry number of ``key``, or NO_ENTRY with *slot set to where it would go. */
-static size_t map_find(const Map *m, u64 key, size_t *slot)
+/* Asks for the index slot where the probe for ``hash`` starts to be
+ * brought into the cache, ahead of map_find. */
+static inline void prefetch_slot(const Map *m, u64 hash)
+{
+    __builtin_prefetch(&m->index[hash & (m->index_size - 1)]);
+}
+
+/* Asks for the entry named by that slot, once the slot itself is cached,
+ * to be brought in as well. */
+static inline void prefetch_entry(const Map *m, u64 hash)
+{
+    uint32_t e = m->index[hash & (m->index_size - 1)];
+    if (e)
+        __builtin_prefetch(&m->e[e - 1]);
+}
+
+/* Entry number of ``key`` (whose hash_key is ``hash``), or NO_ENTRY with
+ * *slot set to where it would go. */
+static size_t map_find(const Map *m, u64 key, u64 hash, size_t *slot)
 {
     size_t mask = m->index_size - 1;
-    size_t h = hash_key(key) & mask;
+    size_t h = hash & mask;
     uint32_t e;
     while ((e = m->index[h]) != 0) {
         if (m->e[e - 1].key == key)
@@ -187,8 +220,9 @@ static size_t map_insert(Map *m, u64 key, size_t h, int top)
     return i;
 }
 
-/* Offset of a fresh zeroed block of ``words`` residues at the arena's end;
- * growing the arena may move it, and with it every entry's residues. */
+/* Offset of a fresh block of ``words`` residues at the arena's end, not
+ * zeroed; growing the arena may move it, and with it every entry's
+ * residues. */
 static int arena_alloc(Map *m, size_t words, uint32_t *block)
 {
     if (m->used + words > UINT32_MAX)
@@ -203,54 +237,72 @@ static int arena_alloc(Map *m, size_t words, uint32_t *block)
     }
     *block = (uint32_t)m->used;
     m->used += words;
-    memset(m->arena + *block, 0, words * sizeof(u64));
     return 0;
 }
 
-/* Widen entry j's degree range to cover lo..hi as well: keep its block when
- * the new range fits, re-base it in place when the range spans at most
- * ``cap`` degrees, else move the entry to a fresh block (counted in
- * *regrows).  The arena may move, so callers re-read block addresses. */
+/* A fresh block for the new, still empty entry j, holding degrees lo..hi
+ * (lo <= hi) from now on: as wide as that span and at least MIN_SPAN, with
+ * every degree past the span zeroed.  Returns where the caller writes the
+ * span's residues, or NULL when out of memory. */
+static u64 *new_block(const Ring *R, Map *m, size_t j, int lo, int hi)
+{
+    int len = hi - lo + 1;
+    int cap = MIN_SPAN < R->n ? MIN_SPAN : R->n; /* no entry spans more */
+    if (cap < len)
+        cap = len;
+    uint32_t block;
+    if (arena_alloc(m, (size_t)cap * R->nmod, &block))
+        return NULL;
+    u64 *v = m->arena + block;
+    memset(v + (size_t)len * R->nmod, 0,
+           (size_t)(cap - len) * R->nmod * sizeof(u64));
+    Entry *e = &m->e[j];
+    e->block = block;
+    e->cap = cap;
+    e->base = e->lo = lo;
+    e->hi = hi;
+    return v;
+}
+
+/* Widen nonempty entry j's degree range to cover lo..hi as well, when that
+ * does not fit its block: re-base the block in place when the range spans
+ * at most ``cap`` degrees, else move the entry to a fresh block (counted in
+ * *regrows) at least twice as wide.  The arena may move, so callers re-read
+ * block addresses. */
 static int widen(const Ring *R, Map *m, size_t j, int lo, int hi,
                  u64 *regrows)
 {
     Entry *e = &m->e[j];
     int nmod = R->nmod;
-    int len = e->lo <= e->hi ? e->hi - e->lo + 1 : 0;
-    if (len) {
-        lo = lo < e->lo ? lo : e->lo;
-        hi = hi > e->hi ? hi : e->hi;
+    int len = e->hi - e->lo + 1;
+    lo = lo < e->lo ? lo : e->lo;
+    hi = hi > e->hi ? hi : e->hi;
+    size_t from = e->block + (size_t)(e->lo - e->base) * nmod;
+    if (hi - lo + 1 > e->cap) {
+        int64_t cap = 2 * (int64_t)e->cap;
+        if (cap > R->n) /* no entry spans more than n_max + 1 degrees */
+            cap = R->n;
+        if (cap < hi - lo + 1)
+            cap = hi - lo + 1;
+        uint32_t block;
+        if (arena_alloc(m, (size_t)cap * nmod, &block))
+            return 3;
+        memcpy(m->arena + block + (size_t)(e->lo - lo) * nmod,
+               m->arena + from, (size_t)len * nmod * sizeof(u64));
+        ++*regrows;
+        e->block = block;
+        e->cap = (int32_t)cap;
+    } else {
+        memmove(m->arena + e->block + (size_t)(e->lo - lo) * nmod,
+                m->arena + from, (size_t)len * nmod * sizeof(u64));
     }
-    if (lo < e->base || hi >= e->base + e->cap) {
-        if (hi - lo + 1 <= e->cap) {
-            /* move the live degrees in place and zero the rest */
-            u64 *v = m->arena + e->block;
-            int from = e->lo - e->base, to = len ? e->lo - lo : 0;
-            memmove(v + (size_t)to * nmod, v + (size_t)from * nmod,
-                    (size_t)len * nmod * sizeof(u64));
-            memset(v, 0, (size_t)to * nmod * sizeof(u64));
-            memset(v + (size_t)(to + len) * nmod, 0,
-                   (size_t)(e->cap - to - len) * nmod * sizeof(u64));
-        } else {
-            int64_t cap = e->cap ? 2 * (int64_t)e->cap : MIN_SPAN;
-            if (cap > R->n) /* no entry spans more than n_max + 1 degrees */
-                cap = R->n;
-            if (cap < hi - lo + 1)
-                cap = hi - lo + 1;
-            uint32_t block;
-            if (arena_alloc(m, (size_t)cap * nmod, &block))
-                return 3;
-            if (len)
-                memcpy(m->arena + block + (size_t)(e->lo - lo) * nmod,
-                       m->arena + e->block + (size_t)(e->lo - e->base) * nmod,
-                       (size_t)len * nmod * sizeof(u64));
-            if (e->cap)
-                ++*regrows;
-            e->block = block;
-            e->cap = (int32_t)cap;
-        }
-        e->base = lo;
-    }
+    /* zero the block around the live degrees' new place */
+    u64 *v = m->arena + e->block;
+    int to = e->lo - lo;
+    memset(v, 0, (size_t)to * nmod * sizeof(u64));
+    memset(v + (size_t)(to + len) * nmod, 0,
+           (size_t)(e->cap - to - len) * nmod * sizeof(u64));
+    e->base = lo;
     e->lo = lo;
     e->hi = hi;
     return 0;
@@ -285,28 +337,48 @@ static int trim(const Ring *R, Map *m, size_t i)
     return e->lo <= e->hi;
 }
 
-/* Entry j of ``dst`` += x**k * entry i of ``src``, truncated at dst's
- * degree cap.  An entry's first sum is a copy: its fresh block is zero. */
-static int add_shifted(const Ring *R, Map *dst, size_t j, const Map *src,
-                       size_t i, int k, u64 *regrows)
+/* The new, still empty entry j of ``dst`` = x**k * entry i of ``src``,
+ * truncated at dst's degree cap (callers check that something is left):
+ * one copy into a fresh block. */
+static int first_sum(const Ring *R, Map *dst, size_t j, const Map *src,
+                     size_t i, int k)
 {
     const Entry *s = &src->e[i];
     int lo = s->lo + k, hi = s->hi + k;
     if (hi > dst->e[j].top)
         hi = dst->e[j].top;
+    u64 *dv = new_block(R, dst, j, lo, hi);
+    if (!dv)
+        return 3;
+    memcpy(dv, src->arena + s->block + (size_t)(s->lo - s->base) * R->nmod,
+           (size_t)(hi - lo + 1) * R->nmod * sizeof(u64));
+    return 0;
+}
+
+/* Entry j of ``dst`` (nonempty) += x**k * entry i of ``src``, truncated at
+ * dst's degree cap; in place when the sum fits the entry's block. */
+static int add_shifted(const Ring *R, Map *dst, size_t j, const Map *src,
+                       size_t i, int k, u64 *regrows)
+{
+    const Entry *s = &src->e[i];
+    Entry *d = &dst->e[j];
+    int lo = s->lo + k, hi = s->hi + k;
+    if (hi > d->top)
+        hi = d->top;
     if (lo > hi)
         return 0;
-    int first = dst->e[j].lo > dst->e[j].hi;
-    if (widen(R, dst, j, lo, hi, regrows))
-        return 3;
-    const Entry *d = &dst->e[j];
+    if (lo < d->base || hi >= d->base + d->cap) {
+        if (widen(R, dst, j, lo, hi, regrows))
+            return 3;
+    } else {
+        if (lo < d->lo)
+            d->lo = lo;
+        if (hi > d->hi)
+            d->hi = hi;
+    }
     int nmod = R->nmod;
     u64 *dv = dst->arena + d->block + (size_t)(lo - d->base) * nmod;
     const u64 *sv = src->arena + s->block + (size_t)(s->lo - s->base) * nmod;
-    if (first) {
-        memcpy(dv, sv, (size_t)(hi - lo + 1) * nmod * sizeof(u64));
-        return 0;
-    }
     for (int t = 0; t <= hi - lo; t++)
         for (int r = 0; r < nmod; r++, dv++, sv++)
             *dv = add_mod(*dv, *sv, R->mod[r]);
@@ -350,13 +422,13 @@ static int blocked(const Arc *arcs, int narcs, int lo2, int hi2, int skip)
  * The kink move (engine.transitions). */
 
 typedef struct {
-    u64 key;
+    u64 key, hash; /* hash: hash_key(key), set by the sweep */
     int k;
 } Target;
 
 typedef struct {
     Target t[MAX_TARGETS];
-    int n;
+    int n, completes; /* completes: what transitions returned */
     int shift, top_row, r, width, fb;
 } Emitter;
 
@@ -610,6 +682,19 @@ static int degree_cap(const Geometry *g, u64 key, int r, int c)
     return g->n_max - n_add;
 }
 
+/* Fills ``em`` with the targets of ``key`` (see transitions), hashes each
+ * target key once and prefetches the index slot its probe in ``nxt`` will
+ * start at. */
+static void expand(u64 key, int r, int width, int first_col, Emitter *em,
+                   const Map *nxt)
+{
+    em->completes = transitions(key, r, width, first_col, em);
+    for (int t = 0; t < em->n; t++) {
+        em->t[t].hash = hash_key(em->t[t].key);
+        prefetch_slot(nxt, em->t[t].hash);
+    }
+}
+
 /* ledger: (l_max + 1) * nmod * (n_max + 1) residues, column by column and
  * within a column modulus by modulus.  stats[0] = peak live states entering
  * one row, stats[1] = live states summed over all rows, stats[2] = most
@@ -629,7 +714,7 @@ int sawenum_sweep(int width, int l_max, int n_max, const u64 *moduli,
     int fb = 2 * nslots;
     Geometry geo = {width, fb, prune, n_max, (1ULL << fb) - 1, 3ULL << fb};
     Map cur, nxt;
-    Emitter em;
+    Emitter ems[2];
     int err = 0;
     size_t j, h = 0;
     u64 regrows = 0;
@@ -644,14 +729,15 @@ int sawenum_sweep(int width, int l_max, int n_max, const u64 *moduli,
     /* the seed, the empty state of weight 1, unless the boundary prune
      * already rules out every walk */
     if (!prune || steps_mid(0, -1, width, 0, 0, 0) <= n_max) {
-        map_find(&cur, 0, &h);
+        u64 *v;
+        map_find(&cur, 0, hash_key(0), &h);
         if ((j = map_insert(&cur, 0, h, n_max)) == NO_ENTRY
-            || widen(R, &cur, j, 0, 0, &regrows)) {
+            || !(v = new_block(R, &cur, j, 0, 0))) {
             err = 3;
             goto done;
         }
         for (int i = 0; i < nmod; i++)
-            cur.arena[cur.e[j].block + i] = 1;
+            v[i] = 1;
     }
 
     for (int c = 0; c <= l_max; c++) {
@@ -659,32 +745,52 @@ int sawenum_sweep(int width, int l_max, int n_max, const u64 *moduli,
         for (int r = 0; r <= width; r++) {
             map_clear(&nxt);
             size_t live = 0;
-            for (size_t i = 0; i < cur.count; i++) {
-                if (!trim(R, &cur, i))
+            /* Software pipeline, one live source deep: entry i is expanded
+             * into ``ahead`` (its targets' index slots prefetched) before
+             * the targets of ``src``, the live entry before it, are applied.
+             * Targets are applied in the same order as without it. */
+            Emitter *ahead = &ems[0], *due = &ems[1];
+            size_t src = NO_ENTRY; /* the entry whose targets are due */
+            for (size_t i = 0; i <= cur.count; i++) {
+                if (i < cur.count) {
+                    if (!trim(R, &cur, i))
+                        continue;
+                    expand(cur.e[i].key, r, width, c == 0, ahead, &nxt);
+                }
+                Emitter *em = due;
+                size_t s = src;
+                due = ahead;
+                ahead = em;
+                src = i;
+                if (s == NO_ENTRY)
                     continue;
                 live++;
-                u64 key = cur.e[i].key;
-                int completes = transitions(key, r, width, c == 0, &em);
-                if (completes < 0) {
+                if (em->completes < 0) {
                     err = 1;
                     goto done;
                 }
-                if (completes)
-                    add_full(R, comp, &cur, i);
-                for (int t = 0; t < em.n; t++) {
-                    u64 tk = em.t[t].key;
-                    if ((j = map_find(&nxt, tk, &h)) == NO_ENTRY) {
-                        int top = degree_cap(&geo, tk, r, c);
-                        if (cur.e[i].lo + em.t[t].k > top)
-                            continue; /* nothing that could still complete */
-                        if ((j = map_insert(&nxt, tk, h, top)) == NO_ENTRY) {
-                            err = 3;
+                if (em->completes)
+                    add_full(R, comp, &cur, s);
+                /* s's index slots were prefetched one source ago */
+                for (int t = 0; t < em->n; t++)
+                    prefetch_entry(&nxt, em->t[t].hash);
+                for (int t = 0; t < em->n; t++) {
+                    const Target *tg = &em->t[t];
+                    if ((j = map_find(&nxt, tg->key, tg->hash, &h))
+                        != NO_ENTRY) {
+                        if ((err = add_shifted(R, &nxt, j, &cur, s, tg->k,
+                                               &regrows)))
                             goto done;
-                        }
+                        continue;
                     }
-                    if ((err = add_shifted(R, &nxt, j, &cur, i, em.t[t].k,
-                                           &regrows)))
+                    int top = degree_cap(&geo, tg->key, r, c);
+                    if (cur.e[s].lo + tg->k > top)
+                        continue; /* nothing that could still complete */
+                    if ((j = map_insert(&nxt, tg->key, h, top)) == NO_ENTRY
+                        || first_sum(R, &nxt, j, &cur, s, tg->k)) {
+                        err = 3;
                         goto done;
+                    }
                 }
             }
             stats[1] += live;
@@ -695,29 +801,25 @@ int sawenum_sweep(int width, int l_max, int n_max, const u64 *moduli,
             cur = nxt;
             nxt = tmp;
         }
-        /* boundary shift: retire the top kink slot, open one below row 0 */
-        map_clear(&nxt);
+        /* boundary shift, in place: retire the top kink slot and open one
+         * below row 0 in every live key.  The shift is injective and the
+         * next row only walks ``cur`` in order, never looking a key up in
+         * it, so cur's index is left stale until its next map_clear. */
         for (size_t i = 0; i < cur.count; i++) {
-            u64 key = cur.e[i].key;
-            if ((c == 0 && key == 0) || !trim(R, &cur, i))
-                continue; /* no more walk starts after column 0 */
-            if ((key >> (2 * (width + 1))) & 3) {
+            Entry *e = &cur.e[i];
+            if (c == 0 && e->key == 0) {
+                e->lo = 1; /* no more walk starts after column 0 */
+                e->hi = 0;
+                continue;
+            }
+            if (!trim(R, &cur, i))
+                continue;
+            if ((e->key >> (2 * (width + 1))) & 3) {
                 err = 2;
                 goto done;
             }
-            map_find(&nxt, shifted_key(&geo, key), &h);
-            j = map_insert(&nxt, shifted_key(&geo, key), h, n_max);
-            if (j == NO_ENTRY) {
-                err = 3;
-                goto done;
-            }
-            if ((err = add_shifted(R, &nxt, j, &cur, i, 0, &regrows)))
-                goto done;
+            e->key = shifted_key(&geo, e->key);
         }
-        note_bytes(&cur, &nxt, &stats[2]);
-        Map tmp = cur;
-        cur = nxt;
-        nxt = tmp;
     }
 done:
     stats[3] = regrows;

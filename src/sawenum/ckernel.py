@@ -6,17 +6,20 @@ machine-word moduli, so it returns the same ledger as ``engine.sweep``.
 Its work per state follows the state's occupied slots rather than the
 width.  Each state stores only the span of degrees its residues occupy, in a
 block of a per-row arena that is replaced by a wider one when a sum outgrows
-it, so every width is swept exactly once whatever its degrees' spread.
+it, so every width is swept exactly once whatever its degrees' spread.  The
+row loop expands each state one step ahead of applying it and prefetches
+where its targets' hash probes will land, which hides most cache misses of
+the large maps.
 ``flm`` runs every sweep on it (``enumerate``, ``box`` and
 ``scripts/generate_series.py`` alike) when a C compiler is found and every
 modulus fits a machine word.  The Python engine stays the reference the
 kernel is tested against, and the fallback where no compiler is found.
 
 The shared library is built on first use with the C compiler named by ``CC``
-(default ``cc``; it must accept GCC builtins such as ``__builtin_ctzll``, as
-GCC and Clang do) and cached next to this module's bytecode, keyed by a hash
-of the source.  :func:`available` reports whether a compiler is there to
-build it; a build that fails raises.
+(default ``cc``; it must accept GCC builtins such as ``__builtin_ctzll`` and
+``__builtin_prefetch``, as GCC and Clang do) and cached next to this module's bytecode, keyed by the
+CRC-32 and length of the source (see :func:`_lib_path`).  :func:`available`
+reports whether a compiler is there to build it; a build that fails raises.
 """
 
 from __future__ import annotations
@@ -50,18 +53,27 @@ def available() -> bool:
     return _lib is not None or _compiler() is not None
 
 
+def _lib_path(src: bytes) -> Path:
+    """Where the library built from the kernel source ``src`` is cached.
+
+    The key is the source's CRC-32 and length.  CRC-32 catches every change
+    of up to 32 consecutive bits, so an edit never loads a stale library,
+    and unlike ``hashlib`` it does not load OpenSSL into every process.
+    """
+    import zlib
+
+    tag = f"{zlib.crc32(src):08x}-{len(src)}"
+    return Path(__file__).with_name("__pycache__") / f"ckernel-{tag}.so"
+
+
 def _load():
     global _lib
     if _lib is not None:
         return _lib
     # imported here, not at module level, so that importing the CLI stays cheap
     import ctypes
-    import hashlib
 
-    src = SOURCE.read_bytes()
-    tag = hashlib.sha256(src).hexdigest()[:16]
-    build_dir = Path(__file__).with_name("__pycache__")
-    lib_path = build_dir / f"ckernel-{tag}.so"
+    lib_path = _lib_path(SOURCE.read_bytes())
     if not lib_path.exists():
         _build(lib_path)
     lib = ctypes.CDLL(str(lib_path))

@@ -88,9 +88,13 @@ class TruncatedPolynomial:
         ``moduli[i]`` (each row n_max + 1 long)."""
         p = cls(moduli, n_max)
         p.coeffs = [list(row) for row in coeffs]
-        nonzero = [d for d in range(n_max + 1) if any(row[d] for row in p.coeffs)]
-        if nonzero:
-            p.min_degree, p.max_degree = nonzero[0], nonzero[-1]
+        for row in p.coeffs:
+            lo = next((d for d, c in enumerate(row) if c), None)
+            if lo is None:
+                continue
+            hi = next(d for d in range(n_max, lo - 1, -1) if row[d])
+            p.min_degree = min(p.min_degree, lo)
+            p.max_degree = max(p.max_degree, hi)
         return p
 
     @classmethod

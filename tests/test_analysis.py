@@ -9,6 +9,7 @@ import mpmath
 from hypothesis import assume, given
 from hypothesis import strategies as st
 
+from sawenum import analysis
 from sawenum.analysis import (
     MODEL_EXPONENTS,
     AnalysisError,
@@ -119,6 +120,24 @@ class TestDaScan:
         mx, sx, ml, sl = summarize_estimates(estimates)
         assert abs(mx - 0.379052) < 1e-7 and sx < 5e-7
         assert abs(ml - 1.3438) < 1e-4 and sl < 2e-4
+
+    def test_windows_with_a_p_part_start_at_x0(self, monkeypatch):
+        # a window whose equations start above x^0 leaves p_0 without one
+        tried = []
+
+        def spy(coeffs, spec, last_n, dps):
+            tried.append((spec, last_n))
+            raise AnalysisError("not solved here")
+
+        monkeypatch.setattr(analysis, "singularity_estimate", spy)
+        coeffs = read_series(DATA / "saw_counts_n43.series").values
+        pdegrees = (-1, 0, 2, 4)
+        assert da_scan(coeffs, orders=(2, 3), pdegrees=pdegrees) == []
+        with_p = [(s, n) for s, n in tried if s.pdegree >= 0]
+        assert with_p and all(s.unknowns == n + 1 for s, n in with_p)
+        windows = len(range((3 * 43) // 4, 44)) * 2  # per P degree
+        assert len(with_p) < windows * 3  # some windows were not tried
+        assert sum(s.pdegree == -1 for s, _ in tried) == windows
 
     def test_identical_estimates_keep_zero_spread(self):
         e = SingularityEstimate(0.25, 1.5, DASpec((3, 3)), 12)

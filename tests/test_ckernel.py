@@ -1,0 +1,40 @@
+"""The compiled kernel's library cache."""
+
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+import pytest
+
+from sawenum import ckernel
+
+pytestmark = pytest.mark.skipif(
+    not ckernel.available(), reason="no C compiler to build the kernel")
+
+
+def test_cached_library_follows_the_source():
+    src = ckernel.SOURCE.read_bytes()
+    path = ckernel._lib_path(src)
+    assert ckernel._lib_path(bytes(bytearray(src))) == path
+    # an edit of any one byte builds a new library, never loads the old one
+    for pos in (0, len(src) // 2, len(src) - 1):
+        edited = bytearray(src)
+        edited[pos] = (edited[pos] + 1) % 256
+        assert ckernel._lib_path(bytes(edited)) != path
+
+
+def test_a_sweep_does_not_load_openssl():
+    ckernel._load()  # built here, so that the child only loads it
+    code = (
+        "import sys\n"
+        "from sawenum import flm\n"
+        "from sawenum.modseries import DEFAULT_MODULI\n"
+        "_, stats = flm._sweep(3, 5, 9, DEFAULT_MODULI)\n"
+        "print(stats['kernel'], '_hashlib' in sys.modules)\n"
+    )
+    src_dir = Path(ckernel.__file__).resolve().parent.parent
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                         text=True, check=True,
+                         env={**os.environ, "PYTHONPATH": str(src_dir)})
+    assert out.stdout.split() == ["c", "False"]

@@ -65,6 +65,14 @@ class TestTruncatedPolynomial:
         assert p.residues(2) == (30 % 7, 30 % 11)
         assert p.residues(4) == (1, 1)
 
+    def test_from_residues_tracks_degrees_over_all_rows(self):
+        # a coefficient can vanish modulo one modulus and not the other
+        p = TruncatedPolynomial.from_residues(
+            [7, 11], 5, [[0, 0, 3, 0, 0, 0], [0, 4, 0, 0, 5, 0]])
+        assert p.min_degree == 1 and p.max_degree == 4
+        empty = TruncatedPolynomial.from_residues([7], 2, [[0, 0, 0]])
+        assert empty.is_zero() and empty.max_degree == -1
+
     def test_add_shifted_truncates(self):
         p = TruncatedPolynomial.one([101], 3)
         q = TruncatedPolynomial.from_integers([101], 3, [1, 1, 1, 1])
