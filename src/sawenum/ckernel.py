@@ -17,9 +17,10 @@ kernel is tested against, and the fallback where no compiler is found.
 
 The shared library is built on first use with the C compiler named by ``CC``
 (default ``cc``; it must accept GCC builtins such as ``__builtin_ctzll`` and
-``__builtin_prefetch``, as GCC and Clang do) and cached next to this module's bytecode, keyed by the
-CRC-32 and length of the source (see :func:`_lib_path`).  :func:`available`
-reports whether a compiler is there to build it; a build that fails raises.
+``__builtin_prefetch``, as GCC and Clang do) and cached next to this
+module's bytecode, keyed by the CRC-32 and length of the source (see
+:func:`_lib_path`).  :func:`available` reports whether a compiler is there
+to build it; a build that fails raises.
 """
 
 from __future__ import annotations
