@@ -18,21 +18,29 @@ Measures, for each checkout, in fresh interpreters:
   (width 12 of ``enumerate --wmax 16``, after the warm-up build), a
   production-scale width that the small runs above do not reach, with the
   sweep's exact work counts ``kernel_w12_wmax16_peak_states``,
-  ``_state_rows``, ``_regrows`` and ``_peak_bytes`` (see
+  ``_state_rows``, ``_regrows``, ``_merged`` and ``_peak_bytes`` (see
   ``ckernel.sweep_residues``);
 - ``tier1_s``: the tier-1 suite, with its summary line, timed once per
   checkout after the rounds: no perf change targets it, and it would take
   most of every round.
 
-The host's speed for one process drifts, so checkouts are interleaved,
-alternating which goes first, and each timed metric is reported as the
-median over ``ROUNDS`` rounds with every run kept; counts are listed round
-by round.
+The host's speed for one process drifts by tens of percent over minutes,
+so every timed call is scaled as ``bench/run.py`` scales its calls: the
+child that times it pins itself to its CPU and times the fixed reference
+workload of ``bench/calibrate.py`` there just before and just after the
+call (a CLI run inherits the pinned CPU), and the call's time is multiplied
+by ``REFERENCE_S`` (from ``bench/run.py``) over the geometric mean of the
+two.  Each timed metric ``X_s`` is therefore written three times: the
+scaled ``X_norm_s``, the raw ``X_s`` and the reference time ``X_ref_s``.
+Checkouts are interleaved, alternating which goes first, and each timed
+metric is reported as the median over ``ROUNDS`` rounds with every run
+kept; counts are listed round by round.  ``tier1_s`` is raw and unpinned:
+the suite runs some sweeps on every CPU.
 
 Usage:
-    python3 scripts/bench.py --out BENCH_10.json
+    python3 scripts/bench.py --out BENCH_11.json
     python3 scripts/bench.py --checkout parent=../parent --checkout change=. \\
-        --out BENCH_10.json
+        --out BENCH_11.json
 """
 
 from __future__ import annotations
@@ -45,50 +53,70 @@ import statistics
 import subprocess
 import sys
 import tempfile
+import time
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
+#: ``calibrate.py`` and ``run.py``; both checkouts are scaled by this one
+BENCH = ROOT / "bench"
+sys.path.insert(0, str(BENCH))
+from run import scaled  # noqa: E402
+
 SERIES = Path("data") / "saw_counts_n43.series"
 #: the enumerate runs timed, the first also warming up the kernel build
 WMAXES = (13, 15)
 #: interleaved rounds per checkout; ten pairs before a median is quoted
 ROUNDS = 10
 
-#: run in the measured checkout: time one da_scan call, print the seconds
-DA_SCAN = """
-import sys, time
+#: every timed child starts with IMPORTS; just before the call, BEGIN pins
+#: it to its CPU and times the reference there, and END prints the call's
+#: seconds ``s``, the geometric mean ``ref_s`` of the reference's times
+#: before and after it, and ``result``
+IMPORTS = """
+import json, math, sys, time
+import calibrate
+"""
+BEGIN = """
+calibrate.pin_to_current_cpu()
+ref = calibrate.reference_s()
+t0 = time.perf_counter()
+"""
+END = """
+s = time.perf_counter() - t0
+print(json.dumps({"s": s, "ref_s": math.sqrt(ref * calibrate.reference_s()),
+                  **result}))
+"""
+
+#: run in the measured checkout: time one da_scan call
+DA_SCAN = IMPORTS + """
 from sawenum import analysis
 from sawenum.modseries import read_series
 coeffs = read_series(sys.argv[1]).values
 orders = tuple(int(x) for x in sys.argv[2].split(","))
-t0 = time.perf_counter()
+""" + BEGIN + """
 analysis.da_scan(coeffs, orders=orders)
-print(time.perf_counter() - t0)
-"""
+result = {}
+""" + END
 
-#: run in the measured checkout: time one kernel sweep, print the seconds
-#: and the sweep's stats as JSON
-KERNEL = """
-import json, time
+#: run in the measured checkout: time one kernel sweep, with its stats
+KERNEL = IMPORTS + """
 from sawenum import ckernel
-t0 = time.perf_counter()
-_, stats = ckernel.sweep_residues(12, 21, 33)
-print(json.dumps({"s": time.perf_counter() - t0, **stats}))
-"""
+""" + BEGIN + """
+_, result = ckernel.sweep_residues(12, 21, 33)
+""" + END
 
-#: run a command as a child; print its wall time, peak RSS (MB) and status
-TIMED = """
-import json, resource, subprocess, sys, time
-t0 = time.perf_counter()
+#: run a command as a child; with its time, its peak RSS (MB) and status
+TIMED = IMPORTS + """
+import resource, subprocess
+""" + BEGIN + """
 proc = subprocess.run(sys.argv[1:], stdout=subprocess.PIPE,
                       stderr=subprocess.STDOUT, text=True)
-wall = time.perf_counter() - t0
-rss = resource.getrusage(resource.RUSAGE_CHILDREN).ru_maxrss / 1024
 lines = proc.stdout.strip().splitlines()
-print(json.dumps({"wall_s": wall, "peak_rss_mb": rss,
-                  "returncode": proc.returncode,
-                  "last_line": lines[-1] if lines else ""}))
-"""
+result = {"returncode": proc.returncode,
+          "last_line": lines[-1] if lines else "",
+          "peak_rss_mb":
+              resource.getrusage(resource.RUSAGE_CHILDREN).ru_maxrss / 1024}
+""" + END
 
 
 def machine() -> dict:
@@ -111,31 +139,40 @@ def describe(checkout: Path) -> str:
     return out.stdout.strip() or "unknown"
 
 
-def timed(cmd, cwd: Path, env) -> dict:
-    out = subprocess.run([sys.executable, "-c", TIMED, *cmd], cwd=cwd,
+def child(code: str, args, cwd: Path, env) -> dict:
+    """Run ``code`` (built from BEGIN and END) in a fresh interpreter."""
+    out = subprocess.run([sys.executable, "-c", code, *args], cwd=cwd,
                          env=env, check=True, capture_output=True, text=True)
-    result = json.loads(out.stdout)
+    return json.loads(out.stdout)
+
+
+def timed(cmd, cwd: Path, env) -> dict:
+    result = child(TIMED, cmd, cwd, env)
     if result["returncode"] != 0:
         raise RuntimeError(f"{cmd} failed in {cwd}: {result['last_line']}")
     return result
 
 
+def put(row: dict, key: str, result: dict) -> None:
+    """Record a timed call as ``key``_s, ``key``_norm_s and ``key``_ref_s."""
+    row[f"{key}_s"] = result["s"]
+    row[f"{key}_norm_s"] = scaled(result["s"], result["ref_s"])
+    row[f"{key}_ref_s"] = result["ref_s"]
+
+
 def measure(checkout: Path) -> dict:
-    env = dict(os.environ, PYTHONPATH=str(checkout / "src"))
+    env = dict(os.environ,
+               PYTHONPATH=os.pathsep.join((str(checkout / "src"), str(BENCH))))
     py = sys.executable
     series = str(checkout / SERIES)
     row = {}
-    for key, orders in (("da_scan_2_s", "2"), ("da_scan_2_3_s", "2,3")):
-        out = subprocess.run([py, "-c", DA_SCAN, series, orders],
-                             cwd=checkout, env=env, check=True,
-                             capture_output=True, text=True)
-        row[key] = float(out.stdout)
+    for key, orders in (("da_scan_2", "2"), ("da_scan_2_3", "2,3")):
+        put(row, key, child(DA_SCAN, [series, orders], checkout, env))
     with tempfile.TemporaryDirectory() as tmp:
         copy = Path(tmp) / SERIES.name
         copy.write_bytes((checkout / SERIES).read_bytes())
-        row["run_analysis_s"] = timed(
-            [py, "scripts/run_analysis.py", str(copy)], checkout,
-            env)["wall_s"]
+        put(row, "run_analysis",
+            timed([py, "scripts/run_analysis.py", str(copy)], checkout, env))
         cli = [py, "-m", "sawenum.cli"]
         dest = ["-o", str(Path(tmp) / "out.series")]
         timed(cli + ["enumerate", "--wmax", str(WMAXES[0])] + dest, checkout,
@@ -143,24 +180,33 @@ def measure(checkout: Path) -> dict:
         for wmax in WMAXES:
             result = timed(cli + ["enumerate", "--wmax", str(wmax)] + dest,
                            checkout, env)
-            row[f"enumerate_w{wmax}_s"] = result["wall_s"]
+            put(row, f"enumerate_w{wmax}", result)
             row[f"enumerate_w{wmax}_rss_mb"] = result["peak_rss_mb"]
-        out = subprocess.run([py, "-c", KERNEL], cwd=checkout, env=env,
-                             check=True, capture_output=True, text=True)
-        for key, value in json.loads(out.stdout).items():
-            row[f"kernel_w12_wmax16_{key}"] = value
-        row["box_3x40_s"] = timed(
-            cli + ["box", "--width", "3", "--length", "40"] + dest, checkout,
-            env)["wall_s"]
+        result = child(KERNEL, [], checkout, env)
+        put(row, "kernel_w12_wmax16", result)
+        for key, value in result.items():
+            if key not in ("s", "ref_s"):
+                row[f"kernel_w12_wmax16_{key}"] = value
+        put(row, "box_3x40",
+            timed(cli + ["box", "--width", "3", "--length", "40"] + dest,
+                  checkout, env))
     return row
 
 
 def tier1(checkout: Path) -> dict:
     env = dict(os.environ, PYTHONPATH=str(checkout / "src"))
-    result = timed([sys.executable, "-m", "pytest", "-q", "-p",
-                    "no:cacheprovider", "--continue-on-collection-errors"],
-                   checkout, env)
-    return {"tier1_s": result["wall_s"], "tier1_summary": result["last_line"]}
+    t0 = time.perf_counter()
+    proc = subprocess.run([sys.executable, "-m", "pytest", "-q", "-p",
+                           "no:cacheprovider",
+                           "--continue-on-collection-errors"],
+                          cwd=checkout, env=env, capture_output=True,
+                          text=True)
+    wall = time.perf_counter() - t0
+    lines = proc.stdout.strip().splitlines()
+    last = lines[-1] if lines else ""
+    if proc.returncode != 0:
+        raise RuntimeError(f"tier-1 failed in {checkout}: {last}")
+    return {"tier1_s": wall, "tier1_summary": last}
 
 
 def main() -> int:

@@ -5,8 +5,8 @@ Each width's sweep runs in a fresh child process whose memory is returned to
 the OS when it exits.  The child writes the width's completion ledger as a
 text file into a cache directory, so an interrupted run resumes where it
 stopped.  One child runs per CPU this process may use, so peak memory is up
-to that many times one width's peak (about 370 MB of RSS for width 15 at
-wmax 21 on the compiled kernel, far more on the Python engine); to hold it
+to that many times one width's peak (about 210 MB of RSS for width 14 or 15
+at wmax 21 on the compiled kernel, far more on the Python engine); to hold it
 lower, compute widths one at a time with ``--width``.  When every width is
 cached the ledgers are assembled into the final series file.
 
@@ -16,13 +16,15 @@ both write the same ledger bytes.
 
 A ledger file holds '#'-prefixed headers, then one ``column<TAB>degree<TAB>
 residues`` line per nonzero coefficient (residues comma-separated, in the
-order of the ``moduli`` header).  The headers are ``algorithm-version``,
+order of the ``moduli`` header; columns < width have no lines, since the
+pruned sweeps leave them empty).  The headers are ``algorithm-version``,
 ``width``, ``l_max``, ``n_max``, ``moduli`` and ``sha256``, the digest of
 everything after the header lines.  A cached ledger whose headers do not
 match the run, or whose body does not match its digest, is refused.  Each
 child also writes ``<ledger>.stats.json`` (seconds and peak RSS, and from
 the kernel peak live states, state rows, the most bytes its state maps had
-in use and how many states moved to a wider block); the assembly ignores it.
+in use, how many states moved to a wider block and how many states a state
+and its mirror image were summed into); the assembly ignores it.
 
 Usage:
     python3 scripts/generate_series.py --wmax 21 -o data/saw_counts_n43.series

@@ -2,11 +2,21 @@
  *
  * The state layout, the kink move (engine.transitions), the prune bound
  * (pruning.additional_steps_mid, after each row and, at row -1, at column
- * boundaries) and the boundary shift port the Python engine and give the
- * same results.  A generating function is kept as residues modulo each of
- * ``nmod`` moduli; every operation on it is an addition or a degree shift,
- * so working modulo m gives the exact ledger modulo m, and all moduli share
- * one pass over the states.
+ * boundaries), the boundary shift and the mirror merge port the Python engine
+ * and give the same results.  A generating function is kept as residues
+ * modulo each of ``nmod`` moduli; every operation on it is an addition or a
+ * degree shift, so working modulo m gives the exact ledger modulo m, and all
+ * moduli share one pass over the states.
+ *
+ * At a column boundary a state and its mirror image (the reflection y ->
+ * W - y, see mirror_key) have the same future completions, so the top row
+ * sums both under one key: each of its targets is replaced by the smaller of
+ * its shifted image and that image's mirror, taken back through the shift
+ * (canonical_key).  This about halves the states the sweep carries.  With
+ * pruning on, completions in columns < W are not credited: the prune drops
+ * walks that cannot reach column W, so those columns are incomplete anyway,
+ * and leaving them empty keeps the ledger independent of which states were
+ * carried.
  *
  * The work per state follows its occupied slots, not the width: the prune
  * bound and the kink move's arc matching step from one nonzero 2-bit slot of
@@ -44,7 +54,7 @@ typedef uint64_t u64;
 
 #define MAX_SLOTS 30
 #define MAX_TARGETS 32
-#define MAX_NMAX (1 << 30) /* keeps degree arithmetic inside an int */
+#define MAX_NMAX (1 << 29) /* keeps degrees inside an int, spans in Entry.cap */
 #define SLOT_LOW_BITS 0x5555555555555555ULL /* low bit of every 2-bit slot */
 
 /* Residues of a generating function are stored degree by degree: residue i
@@ -74,8 +84,10 @@ typedef struct {
 typedef struct {
     u64 key;
     uint32_t block; /* offset of the entry's block in the arena */
-    int32_t cap, base, lo, hi;
+    int32_t base, lo, hi;
     int32_t top; /* highest degree that can still complete; < 0: none */
+    uint32_t cap : 30;
+    uint32_t seen : 2; /* top row: bit 0 its key added to it, bit 1 its mirror */
 } Entry;
 
 /* index slots hold an entry number + 1, 0 = empty slot */
@@ -291,7 +303,7 @@ static int widen(const Ring *R, Map *m, size_t j, int lo, int hi,
                m->arena + from, (size_t)len * nmod * sizeof(u64));
         ++*regrows;
         e->block = block;
-        e->cap = (int32_t)cap;
+        e->cap = (uint32_t)cap;
     } else {
         memmove(m->arena + e->block + (size_t)(e->lo - lo) * nmod,
                 m->arena + from, (size_t)len * nmod * sizeof(u64));
@@ -424,6 +436,7 @@ static int blocked(const Arc *arcs, int narcs, int lo2, int hi2, int skip)
 typedef struct {
     u64 key, hash; /* hash: hash_key(key), set by the sweep */
     int k;
+    int mirrored; /* top row: key was turned into its mirror (canonical_key) */
 } Target;
 
 typedef struct {
@@ -663,6 +676,38 @@ static u64 shifted_key(const Geometry *g, u64 key)
     return (((key & g->edges_mask) << 2) & g->edges_mask) | (key & g->flags_mask);
 }
 
+/* The mirror image y -> W - y of a start-of-column key (slot 0 empty):
+ * slot j <-> slot W + 2 - j for j >= 1, arc labels 1 <-> 2 with free ends
+ * kept, and the bottom and top flags swapped (signatures.mirror). */
+static u64 mirror_key(const Geometry *g, u64 key)
+{
+    u64 x = (key & g->edges_mask) >> 2; /* slots 1..W+1 as 0..W */
+    /* reverse all 32 2-bit slots of the word, then bring 0..W back down */
+    x = (x >> 2 & 0x3333333333333333ULL) | (x & 0x3333333333333333ULL) << 2;
+    x = (x >> 4 & 0x0F0F0F0F0F0F0F0FULL) | (x & 0x0F0F0F0F0F0F0F0FULL) << 4;
+    x = __builtin_bswap64(x) >> 2 * (31 - g->width);
+    x = (x >> 1 & SLOT_LOW_BITS) | (x & SLOT_LOW_BITS) << 1; /* 1 <-> 2 */
+    u64 bottom = 1ULL << g->fb;
+    return x << 2 | (key >> 1 & bottom) | (key & bottom) << 1;
+}
+
+/* The key a top-row target ``key`` is summed under: of its shifted image
+ * and that image's mirror, the smaller, taken back through the injective
+ * shift, so that mirror partners meet in one entry.  *mirrored tells
+ * whether the mirror was taken.  A key with its top slot occupied is kept
+ * as it is, for the boundary shift to refuse. */
+static u64 canonical_key(const Geometry *g, u64 key, int *mirrored)
+{
+    *mirrored = 0;
+    if ((key >> (2 * (g->width + 1))) & 3)
+        return key;
+    u64 s = shifted_key(g, key), m = mirror_key(g, s);
+    if (m >= s)
+        return key;
+    *mirrored = 1;
+    return ((m & g->edges_mask) >> 2) | (m & g->flags_mask);
+}
+
 /* Highest degree of ``key`` that can still complete, right after the kink
  * move at row r of column c.  Truncating each addend there equals the
  * engine's prune of the summed state: after the top row that is the prune
@@ -682,24 +727,31 @@ static int degree_cap(const Geometry *g, u64 key, int r, int c)
     return g->n_max - n_add;
 }
 
-/* Fills ``em`` with the targets of ``key`` (see transitions), hashes each
- * target key once and prefetches the index slot its probe in ``nxt`` will
- * start at. */
-static void expand(u64 key, int r, int width, int first_col, Emitter *em,
-                   const Map *nxt)
+/* Fills ``em`` with the targets of ``key`` (see transitions), in the top
+ * row under their canonical keys, hashes each target key once and
+ * prefetches the index slot its probe in ``nxt`` will start at. */
+static void expand(const Geometry *g, u64 key, int r, int first_col,
+                   Emitter *em, const Map *nxt)
 {
-    em->completes = transitions(key, r, width, first_col, em);
+    em->completes = transitions(key, r, g->width, first_col, em);
     for (int t = 0; t < em->n; t++) {
-        em->t[t].hash = hash_key(em->t[t].key);
-        prefetch_slot(nxt, em->t[t].hash);
+        Target *tg = &em->t[t];
+        if (r == g->width)
+            tg->key = canonical_key(g, tg->key, &tg->mirrored);
+        else
+            tg->mirrored = 0;
+        tg->hash = hash_key(tg->key);
+        prefetch_slot(nxt, tg->hash);
     }
 }
 
 /* ledger: (l_max + 1) * nmod * (n_max + 1) residues, column by column and
- * within a column modulus by modulus.  stats[0] = peak live states entering
- * one row, stats[1] = live states summed over all rows, stats[2] = most
- * bytes both state maps had in use at the end of a row (map_bytes),
- * stats[3] = entries moved to a wider block. */
+ * within a column modulus by modulus (columns < width stay zero when
+ * pruning).  stats[0] = peak live states entering one row, stats[1] = live
+ * states summed over all rows, stats[2] = most bytes both state maps had in
+ * use at the end of a row (map_bytes), stats[3] = entries moved to a wider
+ * block, stats[4] = live states at column boundaries that both a key and its
+ * distinct mirror image added something to below the degree cap. */
 int sawenum_sweep(int width, int l_max, int n_max, const u64 *moduli,
                   int nmod, int prune, u64 *ledger, u64 *stats)
 {
@@ -717,7 +769,7 @@ int sawenum_sweep(int width, int l_max, int n_max, const u64 *moduli,
     Emitter ems[2];
     int err = 0;
     size_t j, h = 0;
-    u64 regrows = 0;
+    u64 regrows = 0, merged = 0;
 
     memset(ledger, 0, (size_t)(l_max + 1) * nmod * R->n * sizeof(u64));
     stats[0] = stats[1] = stats[2] = 0;
@@ -755,7 +807,7 @@ int sawenum_sweep(int width, int l_max, int n_max, const u64 *moduli,
                 if (i < cur.count) {
                     if (!trim(R, &cur, i))
                         continue;
-                    expand(cur.e[i].key, r, width, c == 0, ahead, &nxt);
+                    expand(&geo, cur.e[i].key, r, c == 0, ahead, &nxt);
                 }
                 Emitter *em = due;
                 size_t s = src;
@@ -769,7 +821,7 @@ int sawenum_sweep(int width, int l_max, int n_max, const u64 *moduli,
                     err = 1;
                     goto done;
                 }
-                if (em->completes)
+                if (em->completes && (!prune || c >= width))
                     add_full(R, comp, &cur, s);
                 /* s's index slots were prefetched one source ago */
                 for (int t = 0; t < em->n; t++)
@@ -781,6 +833,8 @@ int sawenum_sweep(int width, int l_max, int n_max, const u64 *moduli,
                         if ((err = add_shifted(R, &nxt, j, &cur, s, tg->k,
                                                &regrows)))
                             goto done;
+                        if (cur.e[s].lo + tg->k <= nxt.e[j].top)
+                            nxt.e[j].seen |= 1u << tg->mirrored;
                         continue;
                     }
                     int top = degree_cap(&geo, tg->key, r, c);
@@ -791,6 +845,7 @@ int sawenum_sweep(int width, int l_max, int n_max, const u64 *moduli,
                         err = 3;
                         goto done;
                     }
+                    nxt.e[j].seen = 1u << tg->mirrored;
                 }
             }
             stats[1] += live;
@@ -804,7 +859,8 @@ int sawenum_sweep(int width, int l_max, int n_max, const u64 *moduli,
         /* boundary shift, in place: retire the top kink slot and open one
          * below row 0 in every live key.  The shift is injective and the
          * next row only walks ``cur`` in order, never looking a key up in
-         * it, so cur's index is left stale until its next map_clear. */
+         * it, so cur's index is left stale until its next map_clear.  The
+         * top row already summed mirror partners under one key. */
         for (size_t i = 0; i < cur.count; i++) {
             Entry *e = &cur.e[i];
             if (c == 0 && e->key == 0) {
@@ -818,11 +874,13 @@ int sawenum_sweep(int width, int l_max, int n_max, const u64 *moduli,
                 err = 2;
                 goto done;
             }
+            merged += e->seen == 3;
             e->key = shifted_key(&geo, e->key);
         }
     }
 done:
     stats[3] = regrows;
+    stats[4] = merged;
     map_free(&cur);
     map_free(&nxt);
     return err;

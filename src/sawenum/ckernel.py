@@ -1,8 +1,11 @@
 """Compiled sweep kernel: ``engine.sweep`` for one width, written in C.
 
-``ckernel.c`` ports the engine's kink move, prune bound and boundary shift,
-but keeps each generating function as arrays of residues modulo
-machine-word moduli, so it returns the same ledger as ``engine.sweep``.
+``ckernel.c`` ports the engine's kink move, prune bound, boundary shift and
+mirror merge, but keeps each generating function as arrays of residues
+modulo machine-word moduli, so it returns the same ledger as
+``engine.sweep``.  Like the engine it sums each state and its mirror image
+under one key at column boundaries, which about halves the states it
+carries, and with pruning on it leaves columns < W of the ledger empty.
 Its work per state follows the state's occupied slots rather than the
 width.  Each state stores only the span of degrees its residues occupy, in a
 block of a per-row arena that is replaced by a wider one when a sum outgrows
@@ -123,9 +126,11 @@ def sweep_residues(
     (live states summed over all rows), ``peak_bytes`` (most bytes the
     kernel's two state maps had in use at the end of a row: 32 per entry,
     8 per residue word handed out by the arenas, plus both hash indexes;
-    allocated but unused capacity is not counted)
-    and ``regrows`` (how often a state's residues outgrew their block and
-    moved to a wider one).
+    allocated but unused capacity is not counted),
+    ``regrows`` (how often a state's residues outgrew their block and
+    moved to a wider one) and ``merged`` (states at column boundaries that a
+    state and its distinct mirror image were summed into, see
+    ``signatures.mirror``).
     """
     import ctypes
 
@@ -135,7 +140,7 @@ def sweep_residues(
     n = n_max + 1
     k = len(moduli)
     ledger = (ctypes.c_uint64 * ((l_max + 1) * k * n))()
-    stats = (ctypes.c_uint64 * 4)()
+    stats = (ctypes.c_uint64 * 5)()
     err = lib.sawenum_sweep(width, l_max, n_max,
                             (ctypes.c_uint64 * k)(*moduli), k, int(prune),
                             ledger, stats)
@@ -146,4 +151,5 @@ def sweep_residues(
         for c in range(l_max + 1)
     ]
     return rows, {"peak_states": stats[0], "state_rows": stats[1],
-                  "peak_bytes": stats[2], "regrows": stats[3]}
+                  "peak_bytes": stats[2], "regrows": stats[3],
+                  "merged": stats[4]}

@@ -20,6 +20,14 @@ leaving the vertex empty or inserting new occupied edges that splice into an
 accessible arc or free edge.  Walks may start (creating free edges) only while
 the first column is built, which forces every walk to touch the left border.
 
+At a column boundary the cut-line is straight, and the reflection y -> W - y
+maps the strip to itself: a state and its mirror image (``signatures.mirror``)
+have the same future completions.  The boundary shift therefore sums the two
+under the smaller key, which about halves the states carried.  With pruning
+on, completions in columns < W are not credited: the prune drops walks that
+cannot reach column W, so those columns would be incomplete anyway, and
+leaving them empty keeps the ledger independent of the states carried.
+
 States are packed integers (2 bits per slot, border flags on top) mapped to
 truncated generating functions.  The generating functions are themselves
 packed integers: one fixed-width field per degree holding the exact count, so
@@ -33,7 +41,7 @@ from functools import lru_cache
 
 from .modseries import DEFAULT_MODULI, TruncatedPolynomial
 from .pruning import additional_steps_mid, additional_steps_packed
-from .signatures import accessible_targets, decode, validate
+from .signatures import accessible_targets, decode, mirror, validate
 
 FORBIDDEN_KINKS = {(1, 1), (2, 2), (2, 1), (1, 3), (2, 3), (3, 1), (3, 2), (3, 3)}
 
@@ -244,8 +252,9 @@ def sweep(
     walks finishing with rightmost extent at vertex-column ``c``, i.e. the
     spanning-walk counts of the ``width`` x ``c`` box.  Columns ``0..l_max``
     are processed.  With ``prune``, states are pruned against ``n_max`` at
-    every column boundary and after every kink move below the top row;
-    ``prune_visits`` (when given) accumulates the bound's visit counts.
+    every column boundary and after every kink move below the top row, and
+    columns < ``width`` are left empty; ``prune_visits`` (when given)
+    accumulates the bound's visit counts.
     """
     check_sweep_args(width, l_max, n_max)
     fb = 2 * (width + 2)  # first flag bit
@@ -287,18 +296,21 @@ def sweep(
             if r >= 0:
                 states, comp = kink_update(
                     states, width, r, c == 0, bits, mask, check_invariants)
-                ledger_packed[c] += comp
+                if not prune or c >= width:
+                    ledger_packed[c] += comp
             if prune and r < width:
                 states = pruned(states, r, c)
         if c == 0:
             states.pop(0, None)  # no more walk starts after column 0
-        # boundary shift: retire the top kink slot, open one below row 0
+        # boundary shift: retire the top kink slot, open one below row 0,
+        # and sum each state and its mirror image under the smaller key
         shifted: StateMap = {}
         for key, poly in states.items():
             if (key >> (2 * (width + 1))) & 3:
                 raise EngineFault("occupied vertical edge above the lattice")
-            shifted[((key & edges_mask) << 2) & edges_mask
-                    | (key & flags_mask)] = poly
+            key = ((key & edges_mask) << 2) & edges_mask | (key & flags_mask)
+            key = min(key, mirror(key, width))
+            shifted[key] = shifted.get(key, 0) + poly
         states = shifted
     return [
         TruncatedPolynomial.from_integers(

@@ -151,6 +151,26 @@ def accessible_targets(
     return ok_arcs, ok_free
 
 
+def mirror(key: int, width: int) -> int:
+    """The mirror image y -> W - y of the start-of-column ``key`` of a strip
+    of width W = ``width``, whose slot 0 is the empty kink slot.
+
+    Slot j and slot W + 2 - j trade places (j >= 1), arc ends trade labels
+    (LOWER <-> UPPER; free ends keep theirs) and so do the bottom and top
+    border flags.  A state and its mirror image have the same future
+    completions, so the sweeps sum both under ``min(key, mirror(key, W))``.
+    """
+    nslots = width + 2
+    out = 0
+    for j in range(1, nslots):
+        e = (key >> (2 * j)) & 3
+        if e == LOWER or e == UPPER:
+            e ^= LOWER | UPPER
+        out |= e << (2 * (nslots - j))
+    fb = 2 * nslots
+    return out | ((key >> fb) & 1) << (fb + 1) | ((key >> (fb + 1)) & 1) << fb
+
+
 def validate(sig: Signature) -> str | None:
     """Return None if ``sig`` satisfies all signature invariants, else the
     first violated invariant as a description."""

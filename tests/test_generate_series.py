@@ -14,7 +14,8 @@ from sawenum import ckernel, engine
 from sawenum.flm import RunPlan, enumerate_series
 from sawenum.modseries import read_series
 
-SCRIPT = Path(__file__).resolve().parent.parent / "scripts" / "generate_series.py"
+ROOT = Path(__file__).resolve().parent.parent
+SCRIPT = ROOT / "scripts" / "generate_series.py"
 
 _spec = importlib.util.spec_from_file_location("generate_series", SCRIPT)
 generate_series = importlib.util.module_from_spec(_spec)
@@ -23,10 +24,10 @@ _spec.loader.exec_module(generate_series)
 NO_COMPILER = {"CC": "sawenum-no-such-compiler"}
 
 
-def generate(wmax, out, cache, env=None):
+def generate(wmax, out, cache, env=None, *extra):
     return subprocess.run(
         [sys.executable, str(SCRIPT), "--wmax", str(wmax), "-o", str(out),
-         "--cache", str(cache)],
+         "--cache", str(cache), *extra],
         capture_output=True, text=True, env={**os.environ, **(env or {})},
     )
 
@@ -64,14 +65,32 @@ def test_series_matches_enumerate_and_ledgers_are_checked(tmp_path, env, kernel)
     assert "do not match" in run.stderr
     assert not (tmp_path / "w4.series").exists()
 
-    # so is an edited count
-    head, body = text.split("\n0\t", 1)
-    tampered = head + "\n0\t" + body.replace("\t1,1\n", "\t2,2\n", 1)
+    # so is an edited count: the first body line's residues, each plus one
+    lines = text.splitlines(keepends=True)
+    first = next(i for i, line in enumerate(lines) if not line.startswith("#"))
+    column, degree, residues = lines[first].rstrip("\n").split("\t")
+    edited = ",".join(str(int(r) + 1) for r in residues.split(","))
+    lines[first] = f"{column}\t{degree}\t{edited}\n"
+    tampered = "".join(lines)
     assert tampered != text
     ledger.write_text(tampered)
     run = generate(3, out, cache, env)
     assert run.returncode == 1
     assert "sha256" in run.stderr
+
+
+@pytest.mark.skipif(not ckernel.available(),
+                    reason="no C compiler to build the kernel")
+@pytest.mark.parametrize("width", range(8))
+def test_committed_ledgers_are_reproduced(tmp_path, width):
+    # the committed wmax-21 ledgers are what this code writes: the widths
+    # that take under a second are swept again and compared byte for byte
+    run = generate(21, tmp_path / "n43.series", tmp_path, None,
+                   "--width", str(width))
+    assert run.returncode == 0, run.stderr
+    name = f"wmax21_w{width}.ledger"
+    assert ((tmp_path / name).read_bytes()
+            == (ROOT / "data" / "ledgers" / name).read_bytes())
 
 
 @pytest.mark.skipif(not ckernel.available(),
@@ -107,7 +126,7 @@ class TestCompiledKernel:
         assert got == [p.coeffs for p in want]
 
     @pytest.mark.parametrize("width,l_max,n_max,state_rows", [
-        (5, 10, 15, 15259), (3, 40, 123, 16442)])
+        (5, 10, 15, 8077), (3, 40, 123, 11778)])
     def test_states_that_outgrow_their_block_are_moved(self, width, l_max,
                                                        n_max, state_rows):
         # both sweeps move states to wider blocks; 3x40 once needed three
@@ -132,11 +151,11 @@ class TestCompiledKernel:
         assert got == [p.coeffs for p in want]
 
     def test_work_done_on_a_box_is_pinned(self):
-        # box --width 6 --length 10: a kernel that visits, keeps or moves a
-        # different number of states fails here
+        # box --width 6 --length 10: a kernel that visits, keeps, moves or
+        # merges a different number of states fails here
         _, stats = ckernel.sweep_residues(6, 10, 36)
-        assert (stats["peak_states"], stats["state_rows"],
-                stats["regrows"]) == (3360, 192001, 20319)
+        assert (stats["peak_states"], stats["state_rows"], stats["regrows"],
+                stats["merged"]) == (2753, 129599, 12148, 7534)
 
     def test_small_modulus(self):
         want = engine.sweep(4, 8, 17)

@@ -11,6 +11,7 @@ import pytest
 from sawenum.engine import sweep
 from sawenum.modseries import DEFAULT_MODULI
 from sawenum.pruning import additional_steps_mid
+from sawenum.signatures import EMPTY, all_valid_signatures, encode, mirror
 
 from walk_replay import replay, spanning_walks
 
@@ -109,6 +110,22 @@ class TestBoundaryBound:
             additional_steps_mid(0, -1, width, False, False, 0, visits)
             assert visits[1] == 1
             assert visits[0] <= 8 * width + 16
+
+    @pytest.mark.parametrize("width", range(7))
+    def test_is_mirror_symmetric(self, width):
+        # the sweeps sum a state and its mirror image at column boundaries
+        # and bound the sum by one of the two keys: both must give the same
+        for s in all_valid_signatures(width + 2):
+            if s.edges[0] != EMPTY:
+                continue
+            key = encode(s)
+            image = mirror(key, width)
+            for column in range(width + 2):
+                assert (additional_steps_mid(key, -1, width, s.bottom_touched,
+                                             s.top_touched, column)
+                        == additional_steps_mid(image, -1, width,
+                                                s.top_touched,
+                                                s.bottom_touched, column))
 
 
 def _true_remaining(width, length, n_max):

@@ -17,6 +17,7 @@ from sawenum.signatures import (
     encode,
     is_valid,
     match_arcs,
+    mirror,
     validate,
 )
 
@@ -152,3 +153,26 @@ class TestAccessibleTargets:
         arcs, _ = accessible_targets(sig("110022"), 2.5)
         assert (1, 4, 1) in arcs
         assert (0, 5, 0) not in arcs
+
+
+class TestMirror:
+    """The reflection y -> W - y of start-of-column keys, under which the
+    sweeps merge states at column boundaries."""
+
+    def test_example(self):
+        # width 3: slot j <-> slot 5 - j, arc labels swapped, free end kept
+        key = encode(sig("01203", bottom=True))
+        assert decode(mirror(key, 3), 5) == sig("03012", top=True)
+
+    @pytest.mark.parametrize("width", range(7))
+    def test_is_an_involution_on_boundary_signatures(self, width):
+        for s in all_valid_signatures(width + 2):
+            if s.edges[0] != EMPTY:
+                continue  # slot 0 is the empty kink slot at a boundary
+            key = encode(s)
+            image = decode(mirror(key, width), width + 2)
+            assert is_valid(image)
+            assert image.edges[0] == EMPTY
+            assert image.bottom_touched == s.top_touched
+            assert image.top_touched == s.bottom_touched
+            assert mirror(encode(image), width) == key
