@@ -710,8 +710,9 @@ static u64 canonical_key(const Geometry *g, u64 key, int *mirrored)
 
 /* Highest degree of ``key`` that can still complete, right after the kink
  * move at row r of column c.  Truncating each addend there equals the
- * engine's prune of the summed state: after the top row that is the prune
- * at row -1 of the next column, on the shifted key. */
+ * engine's prune of the summed state: after the top row, where ``key`` is
+ * already canonical, that is the prune at row -1 of the next column, on the
+ * shifted key. */
 static int degree_cap(const Geometry *g, u64 key, int r, int c)
 {
     if (!g->prune)
