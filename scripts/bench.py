@@ -22,7 +22,13 @@ Measures, for each checkout, in fresh interpreters:
   ``ckernel.sweep_residues``);
 - ``tier1_s``: the tier-1 suite, with its summary line, timed once per
   checkout after the rounds: no perf change targets it, and it would take
-  most of every round.
+  most of every round;
+- ``enumerate_w13_state_rows`` and ``enumerate_w13_peak_states``, recorded
+  once per checkout beside ``tier1_s`` and not timed: the sum of
+  ``state_rows`` and the maximum of ``peak_states`` of
+  ``ckernel.sweep_residues`` over the widths that ``enumerate --wmax 13``
+  sweeps.  They are exact, so they still compare checkouts where the
+  multi-second timings spread too widely.
 
 The host's speed for one process drifts by tens of percent over minutes,
 so every timed call is scaled as ``bench/run.py`` scales its calls: the
@@ -38,9 +44,9 @@ kept; counts are listed round by round.  ``tier1_s`` is raw and unpinned:
 the suite runs some sweeps on every CPU.
 
 Usage:
-    python3 scripts/bench.py --out BENCH_11.json
+    python3 scripts/bench.py --out BENCH_12.json
     python3 scripts/bench.py --checkout parent=../parent --checkout change=. \\
-        --out BENCH_11.json
+        --out BENCH_12.json
 """
 
 from __future__ import annotations
@@ -104,6 +110,18 @@ from sawenum import ckernel
 """ + BEGIN + """
 _, result = ckernel.sweep_residues(12, 21, 33)
 """ + END
+
+#: run in the measured checkout: the work counts of the enumerate --wmax
+#: ``sys.argv[1]`` sweeps, untimed
+COUNTS = """
+import json, sys
+from sawenum import ckernel
+wmax = int(sys.argv[1])
+stats = [ckernel.sweep_residues(w, 2 * wmax - w + 1, 2 * wmax + 1)[1]
+         for w in range(wmax + 1)]
+print(json.dumps({"state_rows": sum(s["state_rows"] for s in stats),
+                  "peak_states": max(s["peak_states"] for s in stats)}))
+"""
 
 #: run a command as a child; with its time, its peak RSS (MB) and status
 TIMED = IMPORTS + """
@@ -193,6 +211,14 @@ def measure(checkout: Path) -> dict:
     return row
 
 
+def counts(checkout: Path) -> dict:
+    env = dict(os.environ, PYTHONPATH=str(checkout / "src"))
+    wmax = WMAXES[0]
+    result = child(COUNTS, [str(wmax)], checkout, env)
+    return {f"enumerate_w{wmax}_{key}": value
+            for key, value in result.items()}
+
+
 def tier1(checkout: Path) -> dict:
     env = dict(os.environ, PYTHONPATH=str(checkout / "src"))
     t0 = time.perf_counter()
@@ -237,6 +263,7 @@ def main() -> int:
                                        "runs": values}
             else:
                 results[label][key] = values
+        results[label].update(counts(checkouts[label]))
         results[label].update(tier1(checkouts[label]))
     report = {"machine": machine(), "rounds": ROUNDS,
               "results": results}

@@ -600,24 +600,31 @@ static int transitions(u64 key, int r, int width, int first_col, Emitter *em)
  * Prune bounds. */
 
 static int imax(int a, int b) { return a > b ? a : b; }
+static int imin(int a, int b) { return a < b ? a : b; }
+
+#define UNREACHABLE (1 << 30) /* pruning.UNREACHABLE: no completion possible */
 
 /* pruning.additional_steps_mid, right after the kink move at row r; at
  * r = -1 the bound at a column boundary, on the start-of-column key.  The
  * slots are walked bottom up, visiting only the occupied ones: ``occ`` holds
- * the low bit of every nonzero 2-bit slot of the (flag-free) key. */
+ * the low bit of every nonzero 2-bit slot of the (flag-free) key.  An arc's
+ * reach is one more than the largest reach among the segments it directly
+ * encloses (a free end counts 1 in the new column, 0 otherwise); each
+ * untouched border is charged to the cheapest top-level segment that can
+ * reach it. */
 static int steps_mid(u64 key, int r, int width, int bottom, int top, int column)
 {
-    int cost = 0, depth = 0, lo = -1, hi = -1, has_free = 0, top_reach = 0;
+    int cost = 0, depth = 0, has_free = 0, top_reach = 0, low = 0;
+    int to_bottom = UNREACHABLE, to_top = UNREACHABLE;
     int lnew[MAX_SLOTS + 1], rstack[MAX_SLOTS + 1];
     rstack[0] = 0;
     for (u64 occ = (key | key >> 1) & SLOT_LOW_BITS; occ; occ &= occ - 1) {
         int slot = __builtin_ctzll(occ) >> 1;
         int e = (key >> (2 * slot)) & 3;
         int pos = slot <= r + 1 ? slot : slot - 1;
-        if (lo < 0)
-            lo = pos;
-        hi = pos;
         if (e == 1) {
+            if (!depth)
+                low = pos;
             depth++;
             lnew[depth] = slot <= r;
             rstack[depth] = 0;
@@ -638,22 +645,39 @@ static int steps_mid(u64 key, int r, int width, int bottom, int top, int column)
             if (depth) {
                 if (reach + 1 > rstack[depth])
                     rstack[depth] = reach + 1;
-            } else if (reach > top_reach) {
-                top_reach = reach;
+            } else {
+                if (reach > top_reach)
+                    top_reach = reach;
+                /* a kink 1 under a left-edge 2 is joined at the next vertex */
+                if (slot != r + 2 || ((key >> (2 * (r + 1))) & 3) != 1) {
+                    to_bottom = imin(to_bottom, 2 * low);
+                    to_top = imin(to_top, 2 * (width - pos));
+                }
             }
         } else {
             has_free = 1;
+            if (depth) {
+                /* the enclosing arc passes beyond the end-point's column */
+                int child = slot <= r ? 2 : 1;
+                if (child > rstack[depth])
+                    rstack[depth] = child;
+            } else {
+                to_bottom = imin(to_bottom, pos);
+                to_top = imin(to_top, width - pos);
+            }
         }
     }
     int new_any = (key & ((1ULL << (2 * (r + 1))) - 1)) ? 1 : 0;
     int reached = column + new_any;
     int credit = imax(0, top_reach - new_any);
-    if (lo >= 0) {
+    if (key) {
+        if (to_bottom == UNREACHABLE && !(bottom && top))
+            return UNREACHABLE; /* no segment can reach an untouched border */
         int trip = has_free ? 1 : 2;
         if (!bottom)
-            cost += trip * lo;
+            cost += to_bottom;
         if (!top)
-            cost += trip * (width - hi);
+            cost += to_top;
         cost += trip * imax(0, width - reached - credit);
     } else {
         if (!(bottom && top))

@@ -6,32 +6,51 @@ function and ``n_add`` is an admissible (never over-estimating) lower bound on
 the number of additional occupied edges.  One function,
 ``additional_steps_mid``, gives ``n_add`` at every prune site: right after
 the kink move at row r, and at a column boundary as row r = -1 on the
-start-of-column key, whose slot 0 is the empty kink slot.  ``n_add`` is the
-sum of three independent terms:
+start-of-column key, whose slot 0 is the empty kink slot.
+
+Every future edge belongs to exactly one *segment*: the path joining the two
+ends of a prescribed arc, or the path from a free end to its walk end-point.
+Segments share no edges, so costs charged to different segments add, and
+vertical and horizontal steps of one segment add too.  By planarity a
+segment that an arc encloses stays inside that arc's path and cannot reach a
+border.  ``n_add`` is the sum of three terms:
 
 * connection cost: each prescribed arc from row i to row j needs at least
   ``j - i`` vertical steps, plus ``2 * reach`` horizontal bypass steps, where
   ``reach`` is the number of columns the arc's path is forced away from the
-  cut-line: one more than the largest reach among the arcs it directly
-  encloses.  Siblings nested inside the same arc share one detour column, so
-  the bypass charge depends on the nesting *height* of an arc's subtree, not
-  on its depth (a depth-based ``2*l`` charge over-estimates for branching
-  nesting patterns and is not admissible);
-* border cost: rows still separating the occupied band from an untouched
-  bottom/top border, or the whole width while nothing is occupied;
+  cut-line: one more than the largest reach among the segments it directly
+  encloses.  An enclosed arc counts with its own reach; an enclosed free end
+  counts as reach 0 (1 when it points into the new column), since its
+  end-point is on the walk and the arc must pass it.  Siblings nested inside
+  the same arc share one detour column, so the bypass charge depends on the
+  nesting *height* of an arc's subtree, not on its depth (a depth-based
+  ``2*l`` charge over-estimates for branching nesting patterns and is not
+  admissible);
+* border cost: each untouched border is charged to the cheapest top-level
+  segment that can reach it.  A free end at row p pays p to the bottom and
+  W - p to the top; an arc from row i to row j pays 2i and 2(W - j), since
+  its path must come back; the kink edge labelled 1 under a left edge
+  labelled 2 joins it at the very next vertex and reaches nothing.  With
+  nothing occupied the whole width is charged, and a state whose untouched
+  border no segment can reach is ``UNREACHABLE``;
 * extension cost: columns still needed to reach length L >= W, less the
   columns the connection detours already guarantee (an arc of reach R forces
   paths R columns past the cut-line, so charging those columns again would
-  over-estimate).
+  over-estimate).  Without a free end every extension column costs two
+  steps, out and back.
 
-A signature with no free edge has both walk end-points already placed, so
-every future excursion starts and ends on the cut-line: border dips and
-extension columns then cost two steps each instead of one.
+The bound is mirror-symmetric on start-of-column keys (row p <-> W - p, arc
+ends swapped), which the sweeps rely on: they cap the sum of a state and its
+mirror image with the bound of one of the two keys.
 """
 
 from __future__ import annotations
 
 from .signatures import EMPTY, LOWER, UPPER
+
+#: ``n_add`` of a state that leaves an untouched border no segment can
+#: reach: it can never complete.
+UNREACHABLE = 1 << 30
 
 
 def additional_steps_mid(
@@ -59,29 +78,38 @@ def additional_steps_mid(
     columns past the cut-line its path is forced: at least 0 when both ends
     sit in the old column, at least 1 otherwise (a new-column or mixed end
     already starts one column over), and always one more than the largest
-    reach among the arcs it directly encloses.  The horizontal charge is
-    2 * reach minus one already-paid column hop per new-column end (2 for a
-    both-new arc, 1 for a mixed arc, 0 for a both-old arc).  Only a lower end
-    can be new, and side-by-side arcs share a detour column, so the charge
-    follows subtree reach, not nesting depth.
+    reach among the segments it directly encloses: an enclosed arc counts
+    with its own reach, an enclosed free end with 1 in the new column and 0
+    otherwise.  The horizontal charge is 2 * reach minus one already-paid
+    column hop per new-column end (2 for a both-new arc, 1 for a mixed arc,
+    0 for a both-old arc).  Only a lower end can be new, and side-by-side
+    segments share a detour column, so the charge follows subtree reach, not
+    nesting depth.
+
+    The border cost charges each untouched border to the cheapest top-level
+    segment that can reach it: a free end at row p pays p to the bottom and
+    W - p to the top, an arc from row i to row j pays 2i and 2(W - j) on top
+    of its connection cost.  The kink edge labelled 1 under a left edge
+    labelled 2 joins it at the next vertex and reaches nothing.
     """
     cost = 0
     depth = 0
-    lo = hi = -1
     has_free = False
     lstack = 0  # bit per open arc: 1 if its lower end is a right-pointing edge
-    rstack = 0  # 6 bits per open arc: 1 + max reach of closed children
+    rstack = 0  # 6 bits per open arc: 1 + max reach of enclosed segments
     top_reach = 0
+    low = 0  # row of the open top-level arc's lower end
+    # the cheapest top-level segment's steps to the bottom and top border
+    to_bottom = to_top = UNREACHABLE
     nslots = width + 2
     for slot in range(nslots):
         e = (key >> (2 * slot)) & 3
         if e == EMPTY:
             continue
         pos = slot if slot <= r + 1 else slot - 1
-        if lo < 0:
-            lo = pos
-        hi = pos
         if e == LOWER:
+            if not depth:
+                low = pos
             depth += 1
             lstack = (lstack << 1) | (slot <= r)
             rstack <<= 6
@@ -103,22 +131,37 @@ def additional_steps_mid(
             if depth:
                 if reach + 1 > (rstack & 63):
                     rstack = (rstack & ~63) | (reach + 1)
-            elif reach > top_reach:
-                top_reach = reach
+            else:
+                if reach > top_reach:
+                    top_reach = reach
+                # a kink 1 under a left-edge 2 is joined at the next vertex
+                if slot != r + 2 or (key >> (2 * (r + 1))) & 3 != LOWER:
+                    to_bottom = min(to_bottom, 2 * low)
+                    to_top = min(to_top, 2 * (width - pos))
         else:
             has_free = True
+            if depth:
+                # the enclosing arc passes beyond the end-point's column
+                child = 2 if slot <= r else 1
+                if child > (rstack & 63):
+                    rstack = (rstack & ~63) | child
+            else:
+                to_bottom = min(to_bottom, pos)
+                to_top = min(to_top, width - pos)
     if visits is not None:
         visits[0] += nslots
         visits[1] += 1
     new_any = 1 if key & ((1 << (2 * (r + 1))) - 1) else 0
     reached = column + new_any
     credit = max(0, top_reach - new_any)
-    if lo >= 0:
+    if key & ((1 << (2 * nslots)) - 1):
+        if to_bottom == UNREACHABLE and not (bottom and top):
+            return UNREACHABLE  # no segment can reach an untouched border
         trip = 1 if has_free else 2
         if not bottom:
-            cost += trip * lo
+            cost += to_bottom
         if not top:
-            cost += trip * (width - hi)
+            cost += to_top
         cost += trip * max(0, width - reached - credit)
     else:
         if not (bottom and top):

@@ -126,7 +126,7 @@ class TestCompiledKernel:
         assert got == [p.coeffs for p in want]
 
     @pytest.mark.parametrize("width,l_max,n_max,state_rows", [
-        (5, 10, 15, 8077), (3, 40, 123, 11778)])
+        (5, 10, 15, 6710), (3, 40, 123, 11658)])
     def test_states_that_outgrow_their_block_are_moved(self, width, l_max,
                                                        n_max, state_rows):
         # both sweeps move states to wider blocks; 3x40 once needed three
@@ -155,7 +155,7 @@ class TestCompiledKernel:
         # merges a different number of states fails here
         _, stats = ckernel.sweep_residues(6, 10, 36)
         assert (stats["peak_states"], stats["state_rows"], stats["regrows"],
-                stats["merged"]) == (2753, 129599, 12148, 7534)
+                stats["merged"]) == (2748, 127187, 11657, 7400)
 
     def test_small_modulus(self):
         want = engine.sweep(4, 8, 17)

@@ -6,12 +6,15 @@ every spanning walk of small boxes through the scan and comparing the bound
 at every intermediate state against the walk's actual remaining step count.
 """
 
+from functools import lru_cache
+
 import pytest
 
 from sawenum.engine import sweep
 from sawenum.modseries import DEFAULT_MODULI
-from sawenum.pruning import additional_steps_mid
-from sawenum.signatures import EMPTY, all_valid_signatures, encode, mirror
+from sawenum.pruning import UNREACHABLE, additional_steps_mid
+from sawenum.signatures import (EMPTY, FREE, LOWER, UPPER,
+                                all_valid_signatures, encode, mirror)
 
 from walk_replay import replay, spanning_walks
 
@@ -29,6 +32,16 @@ def n_add(rows, bottom, top, column):
 
 def connection_cost(rows):
     return n_add(rows, True, True, len(rows) - 1)
+
+
+def mid_add(slots, r, bottom, top, column):
+    """The bound right after the kink move at row ``r``, for a string of
+    slots 0..W+1: 0..r new right-pointing edges, r+1 the kink edge, the rest
+    left edges."""
+    key = 0
+    for q, ch in enumerate(slots):
+        key |= int(ch) << (2 * q)
+    return additional_steps_mid(key, r, len(slots) - 2, bottom, top, column)
 
 
 class TestConnectionCost:
@@ -51,6 +64,23 @@ class TestConnectionCost:
         # side inner arcs with a single two-step detour, not one per sibling
         assert connection_cost("112122") == 1 + 1 + 5 + 2
 
+    def test_enclosed_free_end_forces_a_detour(self):
+        # the end-point at row 1 is on the walk, so the arc (0,3) must pass
+        # it one column over: 3 + 2
+        assert connection_cost("1302") == 3 + 2
+        # it counts as a child of reach 0: inner (1,3) 2 + 2, outer (0,5)
+        # 5 + 4
+        assert connection_cost("113202") == 4 + 9
+
+    def test_new_column_free_end_forces_a_wider_detour(self):
+        # W = 4 after row 2: the both-new arc (0,2) must pass the new end at
+        # row 1, which sits a column over already: reach 2, so 2 up and one
+        # hop out and back
+        assert mid_add("132000", 2, True, True, 4) == 2 + 2
+        # W = 3 after row 1: the mixed arc from row 0 (new) to row 2 (left
+        # edge) around the new end at row 1: 2 up, 2 out, 1 back
+        assert mid_add("13020", 1, True, True, 3) == 2 + 3
+
 
 class TestBorderCost:
     def test_touched_borders_cost_nothing(self):
@@ -65,6 +95,26 @@ class TestBorderCost:
         # (on top of the arc's connection cost 1)
         assert n_add("01200", False, False, 4) == 1 + 2 * 1 + 2 * 2
         assert n_add("01200", True, False, 4) == 1 + 2 * 2
+
+    def test_each_border_goes_to_the_cheapest_segment(self):
+        # top border: the free end at row 0 pays 4 rows, the arc (2,3) pays
+        # one row there and back (on top of its connection cost 1)
+        assert n_add("30120", True, False, 4) == 1 + 2
+        # bottom border: the free end at row 4 pays 4, the arc (0,1) nothing
+        assert n_add("12003", False, True, 4) == 1
+
+    def test_enclosed_segments_reach_no_border(self):
+        # the free end at row 1 is inside the arc (0,3), so only the arc can
+        # reach the top: (3 + 2) + 2 * 1
+        assert n_add("13020", True, False, 4) == 5 + 2
+
+    def test_joined_kink_pair_reaches_nothing(self):
+        # W = 3 after row 0: the kink 1 and the left-edge 2 above it meet at
+        # the next vertex, so the new free end at row 0 must reach the top
+        assert mid_add("31200", 0, True, False, 3) == 3
+        # with nothing else left, an untouched border can never be reached
+        assert mid_add("0120", 0, True, False, 2) == UNREACHABLE
+        assert mid_add("0120", 0, True, True, 2) == 0
 
     def test_empty_signature_needs_full_span(self):
         assert n_add("00000", False, False, 4) == 4
@@ -128,6 +178,7 @@ class TestBoundaryBound:
                                                 s.bottom_touched, column))
 
 
+@lru_cache(maxsize=None)
 def _true_remaining(width, length, n_max):
     """Map each (state, kind, position) visited by any real walk to the
     smallest number of steps that walk still needed there.
@@ -174,3 +225,112 @@ def test_bounds_are_admissible(width, length, n_max):
 @pytest.mark.slow
 def test_bounds_are_admissible_wider_box():
     test_bounds_are_admissible(3, 3, 12)
+
+
+def _reference_bound(key, r, width, bottom, top, column, enclosed_ends=True,
+                     per_segment=True, joined_kink=True):
+    """``additional_steps_mid`` built segment by segment from the matched
+    arcs.  Each flag turns one tightening off: ``enclosed_ends`` (a free end
+    inside an arc widens the arc's detour), ``per_segment`` (each untouched
+    border goes to the cheapest top-level segment rather than the occupied
+    band's edge, times 2 without a free end) and ``joined_kink`` (the kink 1
+    under a left-edge 2 reaches no border).  All three off is the bound
+    before these rules."""
+    slots = [(key >> (2 * s)) & 3 for s in range(width + 2)]
+
+    def pos(s):
+        return s if s <= r + 1 else s - 1
+
+    def new(s):
+        return s <= r
+
+    segs = []  # [lower slot, upper slot, enclosing arc's index]; free: lo == hi
+    open_arcs = []
+    for s, e in enumerate(slots):
+        parent = open_arcs[-1] if open_arcs else None
+        if e == LOWER:
+            open_arcs.append(len(segs))
+            segs.append([s, None, parent])
+        elif e == UPPER:
+            segs[open_arcs.pop()][1] = s
+        elif e == FREE:
+            segs.append([s, s, parent])
+    if not segs:
+        return ((0 if bottom and top else width)
+                + max(0, width - column - (1 if key else 0)))
+    reach = {}
+    for i in reversed(range(len(segs))):  # an arc's children follow it
+        lo, hi, _ = segs[i]
+        if lo == hi:
+            continue
+        kids = [reach[j] if segs[j][0] != segs[j][1] else int(new(segs[j][0]))
+                for j in range(i + 1, len(segs)) if segs[j][2] == i
+                and (enclosed_ends or segs[j][0] != segs[j][1])]
+        reach[i] = max([int(new(lo))] + [k + 1 for k in kids])
+    cost = sum(pos(hi) - pos(lo) + 2 * reach[i] - new(lo) - new(hi)
+               for i, (lo, hi, _) in enumerate(segs) if lo != hi)
+    outer = [i for i, sg in enumerate(segs) if sg[2] is None]
+    top_reach = max([reach.get(i, 0) for i in outer])
+    new_any = any(slots[:r + 1])
+    trip = 2 if all(lo != hi for lo, hi, _ in segs) else 1
+    extension = max(0, width - column - max(top_reach, int(new_any)))
+    if per_segment:
+        to_bottom, to_top = [], []
+        for i in outer:
+            lo, hi, _ = segs[i]
+            if lo == hi:
+                to_bottom.append(pos(lo))
+                to_top.append(width - pos(lo))
+            elif not joined_kink or (lo, hi) != (r + 1, r + 2):
+                to_bottom.append(2 * pos(lo))
+                to_top.append(2 * (width - pos(hi)))
+        if not (bottom and top) and not to_bottom:
+            return UNREACHABLE
+        border = ((0 if bottom else min(to_bottom))
+                  + (0 if top else min(to_top)))
+    else:
+        rows = [pos(s) for s, e in enumerate(slots) if e]
+        border = trip * ((0 if bottom else min(rows))
+                         + (0 if top else width - max(rows)))
+    return cost + border + trip * extension
+
+
+@pytest.mark.parametrize("width", range(6))
+def test_bound_matches_segment_reference(width):
+    for s in all_valid_signatures(width + 2):
+        key = encode(s) & ((1 << (2 * (width + 2))) - 1)
+        for r in range(-1, width):
+            if r == -1 and s.edges[0] != EMPTY:
+                continue
+            for column in (0, width // 2, width):
+                args = (key, r, width, s.bottom_touched, s.top_touched, column)
+                assert additional_steps_mid(*args) == _reference_bound(*args)
+
+
+RULES = ("enclosed_ends", "per_segment", "joined_kink")
+
+
+@pytest.mark.slow
+def test_each_rule_raises_the_bound():
+    """On the states of every real walk of the 3 x 3 box, the bound equals
+    the segment reference, never falls below the bound without the rules,
+    and each rule alone raises it on some state, so the admissibility replay
+    of that box checks all of them (on the smaller boxes the joined kink
+    pair never raises it)."""
+    width, length, n_max = 3, 3, 12
+    fb = 2 * (width + 2)
+    raised = dict.fromkeys(RULES, 0)
+    for (kind, *where, state), _ in _true_remaining(width, length,
+                                                    n_max).items():
+        r = -1 if kind == "boundary" else where[0]
+        args = (state & ((1 << fb) - 1), r, width, bool(state & (1 << fb)),
+                bool(state & (2 << fb)), where[-1])
+        bound = additional_steps_mid(*args)
+        assert bound == _reference_bound(*args)
+        old = _reference_bound(*args, **dict.fromkeys(RULES, False))
+        assert old <= bound
+        for rule in RULES:
+            if bound > _reference_bound(*args, **{rule: False}):
+                assert bound > old
+                raised[rule] += 1
+    assert all(raised.values()), raised
