@@ -256,8 +256,7 @@ def _reference_bound(key, r, width, bottom, top, column, enclosed_ends=True,
         elif e == FREE:
             segs.append([s, s, parent])
     if not segs:
-        return ((0 if bottom and top else width)
-                + max(0, width - column - (1 if key else 0)))
+        return (0 if bottom and top else width) + max(0, width - column)
     reach = {}
     for i in reversed(range(len(segs))):  # an arc's children follow it
         lo, hi, _ = segs[i]
@@ -320,8 +319,7 @@ def test_each_rule_raises_the_bound():
     width, length, n_max = 3, 3, 12
     fb = 2 * (width + 2)
     raised = dict.fromkeys(RULES, 0)
-    for (kind, *where, state), _ in _true_remaining(width, length,
-                                                    n_max).items():
+    for kind, *where, state in _true_remaining(width, length, n_max):
         r = -1 if kind == "boundary" else where[0]
         args = (state & ((1 << fb) - 1), r, width, bool(state & (1 << fb)),
                 bool(state & (2 << fb)), where[-1])
