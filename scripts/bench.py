@@ -28,7 +28,15 @@ Measures, for each checkout, in fresh interpreters:
   ``state_rows`` and the maximum of ``peak_states`` of
   ``ckernel.sweep_residues`` over the widths that ``enumerate --wmax 13``
   sweeps.  They are exact, so they still compare checkouts where the
-  multi-second timings spread too widely.
+  multi-second timings spread too widely;
+- ``da_scan_2_estimates``, ``_digest`` and ``_elimination`` (and the same
+  for ``da_scan_2_3``), also recorded once per checkout and untimed: the
+  number of estimates of each ``da_scan`` row, the SHA-256 of their reprs
+  (one per line), and the elimination size, the sum of n^3 over every
+  ``analysis._solve_exact`` call of the scan on an n x n system (the child
+  wraps the solver), with ``_solves``, the number of those calls.  Equal
+  digests mean the same estimates, and the elimination size follows the
+  work of the exact solves, the larger part of a scan.
 
 The host's speed for one process drifts by tens of percent over minutes,
 so every timed call is scaled as ``bench/run.py`` scales its calls: the
@@ -44,9 +52,9 @@ kept; counts are listed round by round.  ``tier1_s`` is raw and unpinned:
 the suite runs some sweeps on every CPU.
 
 Usage:
-    python3 scripts/bench.py --out BENCH_12.json
+    python3 scripts/bench.py --out BENCH_13.json
     python3 scripts/bench.py --checkout parent=../parent --checkout change=. \\
-        --out BENCH_12.json
+        --out BENCH_13.json
 """
 
 from __future__ import annotations
@@ -69,6 +77,8 @@ sys.path.insert(0, str(BENCH))
 from run import scaled  # noqa: E402
 
 SERIES = Path("data") / "saw_counts_n43.series"
+#: the da_scan rows: metric prefix and the ``orders`` argument
+DA_SCANS = (("da_scan_2", "2"), ("da_scan_2_3", "2,3"))
 #: the enumerate runs timed, the first also warming up the kernel build
 WMAXES = (13, 15)
 #: interleaved rounds per checkout; ten pairs before a median is quoted
@@ -121,6 +131,33 @@ stats = [ckernel.sweep_residues(w, 2 * wmax - w + 1, 2 * wmax + 1)[1]
          for w in range(wmax + 1)]
 print(json.dumps({"state_rows": sum(s["state_rows"] for s in stats),
                   "peak_states": max(s["peak_states"] for s in stats)}))
+"""
+
+#: run in the measured checkout: the estimates and the elimination size of
+#: ``da_scan`` on the series ``sys.argv[1]`` with each ``orders`` argument
+#: ``sys.argv[2:]``, untimed
+DA_COUNTS = """
+import hashlib, json, sys
+from sawenum import analysis
+from sawenum.modseries import read_series
+coeffs = read_series(sys.argv[1]).values
+solve = analysis._solve_exact
+calls = []
+def counted(matrix, rhs):
+    calls.append(len(matrix))
+    return solve(matrix, rhs)
+analysis._solve_exact = counted
+out = []
+for arg in sys.argv[2:]:
+    calls.clear()
+    orders = tuple(int(x) for x in arg.split(","))
+    estimates = analysis.da_scan(coeffs, orders=orders)
+    text = "\\n".join(map(repr, estimates))
+    out.append({"estimates": len(estimates),
+                "digest": hashlib.sha256(text.encode()).hexdigest(),
+                "elimination": sum(n**3 for n in calls),
+                "solves": len(calls)})
+print(json.dumps(out))
 """
 
 #: run a command as a child; with its time, its peak RSS (MB) and status
@@ -184,7 +221,7 @@ def measure(checkout: Path) -> dict:
     py = sys.executable
     series = str(checkout / SERIES)
     row = {}
-    for key, orders in (("da_scan_2", "2"), ("da_scan_2_3", "2,3")):
+    for key, orders in DA_SCANS:
         put(row, key, child(DA_SCAN, [series, orders], checkout, env))
     with tempfile.TemporaryDirectory() as tmp:
         copy = Path(tmp) / SERIES.name
@@ -215,8 +252,13 @@ def counts(checkout: Path) -> dict:
     env = dict(os.environ, PYTHONPATH=str(checkout / "src"))
     wmax = WMAXES[0]
     result = child(COUNTS, [str(wmax)], checkout, env)
-    return {f"enumerate_w{wmax}_{key}": value
-            for key, value in result.items()}
+    row = {f"enumerate_w{wmax}_{key}": value
+           for key, value in result.items()}
+    scans = child(DA_COUNTS, [str(checkout / SERIES)]
+                  + [orders for _, orders in DA_SCANS], checkout, env)
+    for (prefix, _), scan in zip(DA_SCANS, scans):
+        row.update({f"{prefix}_{key}": value for key, value in scan.items()})
+    return row
 
 
 def tier1(checkout: Path) -> dict:

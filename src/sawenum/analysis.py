@@ -140,6 +140,21 @@ def differential_approximant(coeffs, spec: DASpec, last_n: int | None = None):
     ``coeffs`` are the series coefficients c_0..c_N (ints or Fractions); the
     ``spec.unknowns`` equations match the coefficients of x^m for the highest
     usable m ending at ``last_n`` (default: the last coefficient).
+
+    The equation of x^m reads ``Q(m) . q - p_m = r_m``: ``Q(m)`` holds the
+    coefficients of the Q unknowns, ``r_m`` is the normalized term
+    q_{K,0} = 1 moved to the right-hand side, and p_m is absent above P's
+    degree M.  When P is present and the equations start at x^0, P's
+    columns are -I on the rows m <= M and zero below, so
+    det(full) = +-det(Q block): the Q block (rows M+1..last_n, one per Q
+    unknown) alone fixes q, and each p_m = Q(m) . q - r_m follows.  The
+    full system is consistent exactly when the block is.  A block with a
+    pivotless column leaves the full system singular too; the full system
+    is then solved instead, so a rank-deficient fit keeps the particular
+    solution of the whole system.  ``_solve_exact`` sets a pivotless
+    column's unknown to zero, so any zero in q sends the fit to the full
+    solve (a nonsingular block whose unique q holds a zero only pays for a
+    redundant second solve).
     """
     if last_n is None:
         last_n = len(coeffs) - 1
@@ -151,7 +166,7 @@ def differential_approximant(coeffs, spec: DASpec, last_n: int | None = None):
         raise AnalysisError(
             f"need {n_eq} coefficients, have {last_n + 1}"
         )
-    ms = range(last_n - n_eq + 1, last_n + 1)
+    first = last_n - n_eq + 1
 
     # unknown layout: q_{i,j} for all (i, j) except (K, 0), then p_0..p_M
     cols: list[tuple[int, int]] = []
@@ -161,21 +176,40 @@ def differential_approximant(coeffs, spec: DASpec, last_n: int | None = None):
                 cols.append((i, j))
     npq = len(cols)
 
-    matrix = []
-    rhs = []
-    for m in ms:
-        row = [0] * n_eq
-        for idx, (i, j) in enumerate(cols):
-            if 0 <= m - j < len(coeffs):
-                row[idx] = (m - j) ** i * coeffs[m - j]
-        if 0 <= m <= spec.pdegree:
-            row[npq + m] = -1
-        matrix.append(row)
-        # normalized term q_{K,0} = 1 moved to the right-hand side
-        rhs.append(-(m**k) * coeffs[m])
-    sol = _solve_exact(matrix, rhs)
+    def equation(m):
+        """``(Q(m), r_m)`` of the equation of x^m."""
+        row = [(m - j) ** i * coeffs[m - j] if m >= j else 0
+               for i, j in cols]
+        return row, -(m**k) * coeffs[m]
+
+    sol = None
+    if spec.pdegree >= 0 and first == 0:
+        block = [equation(m) for m in range(spec.pdegree + 1, last_n + 1)]
+        q = _solve_exact([row for row, _ in block], [r for _, r in block])
+        if q is None:
+            raise AnalysisError(
+                "singular fitting system (defective approximant)")
+        if all(q):
+            d = math.lcm(*(v.denominator for v in q))
+            qd = [v.numerator * (d // v.denominator) for v in q]
+            sol = q
+            for row, r in map(equation, range(spec.pdegree + 1)):
+                dot = sum(a * v for a, v in zip(row, qd))
+                sol.append(Fraction(dot - r * d, d))
     if sol is None:
-        raise AnalysisError("singular fitting system (defective approximant)")
+        matrix = []
+        rhs = []
+        for m in range(first, last_n + 1):
+            row, r = equation(m)
+            row += [0] * (spec.pdegree + 1)
+            if m <= spec.pdegree:
+                row[npq + m] = -1
+            matrix.append(row)
+            rhs.append(r)
+        sol = _solve_exact(matrix, rhs)
+        if sol is None:
+            raise AnalysisError(
+                "singular fitting system (defective approximant)")
 
     q_polys = []
     pos = 0

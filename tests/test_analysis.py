@@ -268,6 +268,82 @@ class TestSolveExact:
         assert _solve_exact([[0, 0], [0, 0]], [0, 1]) is None
 
 
+
+def fit_system(coeffs, spec, last_n):
+    """The whole fitting system of ``spec``: (matrix, rhs), one row per
+    equation x^m (m = last_n - unknowns + 1 .. last_n), Q unknowns
+    q_{i,j} (without q_{K,0}) first, then p_0 .. p_M."""
+    k = spec.order
+    cols = [(i, j) for i, d in enumerate(spec.qdegrees) for j in range(d + 1)
+            if (i, j) != (k, 0)]
+    matrix, rhs = [], []
+    for m in range(last_n - spec.unknowns + 1, last_n + 1):
+        row = [(m - j) ** i * coeffs[m - j] if m >= j else 0
+               for i, j in cols]
+        row += [-1 if p == m else 0 for p in range(spec.pdegree + 1)]
+        matrix.append(row)
+        rhs.append(-(m**k) * coeffs[m])
+    return matrix, rhs, len(cols)
+
+
+def fit_solution(coeffs, spec, last_n, block_only=False):
+    """The unknowns (q then p) of the fit by the Gauss-Jordan reference, or
+    None if inconsistent.  ``block_only`` solves the Q block (the rows
+    below P's degree) alone and recovers p from its top rows."""
+    matrix, rhs, npq = fit_system(coeffs, spec, last_n)
+    if not block_only:
+        return reference_solve(matrix, rhs)[0]
+    top = spec.pdegree + 1
+    q = reference_solve([row[:npq] for row in matrix[top:]], rhs[top:])[0]
+    if q is None:
+        return None
+    return q + [sum(a * v for a, v in zip(row, q)) - r
+                for row, r in zip(matrix[:top], rhs[:top])]
+
+
+def flatten(fit, spec):
+    """``differential_approximant``'s (q_polys, p_poly) as one unknown list."""
+    q_polys, p_poly = fit
+    flat = [c for poly in q_polys for c in poly]
+    del flat[sum(d + 1 for d in spec.qdegrees[:-1])]  # q_{K,0} = 1
+    return flat + p_poly
+
+
+class TestBlockSolve:
+    """An inhomogeneous fit from x^0 solves its Q block alone, unless that
+    block is singular; either way it returns the whole system's solution."""
+
+    def test_singular_q_block_falls_back_to_the_whole_system(self):
+        coeffs = power_law_series(2, Fraction(1), 30)
+        coeffs[0] += 7
+        coeffs[3] += 5
+        spec = balanced_spec(1, 4, 30)
+        assert spec.unknowns == 30  # equations from x^0 to x^29
+        whole = fit_solution(coeffs, spec, 29)
+        block = fit_solution(coeffs, spec, 29, block_only=True)
+        assert whole is not None and block is not None
+        assert block != whole
+        got = differential_approximant(coeffs, spec)
+        assert flatten(got, spec) == whole
+
+    @given(st.integers(1, 2), st.integers(0, 3), st.integers(1, 3),
+           st.data())
+    def test_fit_equals_the_whole_system_solve(self, order, pdeg, d, data):
+        # small entries make singular Q blocks common
+        n_terms = (order + 1) * d + order + pdeg + 1
+        coeffs = data.draw(st.lists(st.integers(-3, 3), min_size=n_terms,
+                                    max_size=n_terms))
+        spec = balanced_spec(order, pdeg, n_terms)
+        assert spec.unknowns == n_terms  # equations from x^0
+        want = fit_solution(coeffs, spec, n_terms - 1)
+        try:
+            got = differential_approximant(coeffs, spec)
+        except AnalysisError:
+            assert want is None
+        else:
+            assert flatten(got, spec) == want
+
+
 #: (x, exponent, Q degrees, P degree, last_n) of every estimate of
 #: da_scan(orders=(2,)) on data/saw_counts_n43.series, as computed by the
 #: Fraction Gauss-Jordan solver the fraction-free one replaced.
