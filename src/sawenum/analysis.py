@@ -9,7 +9,14 @@ whose polynomial coefficients are fitted exactly to the highest available
 series coefficients.  The fit is one square linear system, solved in
 integers by fraction-free (Bareiss) elimination: each row is scaled once to
 integers, every elimination step divides exactly, and only the solution is
-formed as Fractions.  Singularities of F are estimated by the roots of Q_K;
+formed as Fractions.  When the equations start at x^0, as in every
+inhomogeneous window ``da_scan`` fits, P's columns are -I on the first
+rows and zero below, so only the square block of Q unknowns is eliminated
+and each P coefficient follows by one integer dot product.  A singular Q
+block makes the whole system singular, and such a fit falls back to
+eliminating the whole system, whose particular solution differs.  On the
+benchmark's 28-term series the sum of n^3 over the solved n x n systems
+drops from 241,472 to 115,292 (0.48x) per 16-window scan.  Singularities of F are estimated by the roots of Q_K;
 the critical exponent at a root x* of multiplicity one is
 
     lambda = Q_{K-1}(x*) / (x* Q_K'(x*)) - K + 1.
