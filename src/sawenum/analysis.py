@@ -16,8 +16,9 @@ and each P coefficient follows by one integer dot product.  A singular Q
 block makes the whole system singular, and such a fit falls back to
 eliminating the whole system, whose particular solution differs.  On the
 benchmark's 28-term series the sum of n^3 over the solved n x n systems
-drops from 241,472 to 115,292 (0.48x) per 16-window scan.  Singularities of F are estimated by the roots of Q_K;
-the critical exponent at a root x* of multiplicity one is
+drops from 241,472 to 115,292 (0.48x) per 16-window scan.  Singularities
+of F are estimated by the roots of Q_K; the critical exponent at a root x*
+of multiplicity one is
 
     lambda = Q_{K-1}(x*) / (x* Q_K'(x*)) - K + 1.
 
@@ -199,10 +200,8 @@ def differential_approximant(coeffs, spec: DASpec, last_n: int | None = None):
         if all(q):
             d = math.lcm(*(v.denominator for v in q))
             qd = [v.numerator * (d // v.denominator) for v in q]
-            sol = q
-            for row, r in map(equation, range(spec.pdegree + 1)):
-                dot = sum(a * v for a, v in zip(row, qd))
-                sol.append(Fraction(dot - r * d, d))
+            sol = q + [Fraction(sum(a * v for a, v in zip(row, qd)) - r * d, d)
+                       for row, r in map(equation, range(spec.pdegree + 1))]
     if sol is None:
         matrix = []
         rhs = []
