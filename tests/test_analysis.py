@@ -270,9 +270,9 @@ class TestSolveExact:
 
 
 def fit_system(coeffs, spec, last_n):
-    """The whole fitting system of ``spec``: (matrix, rhs), one row per
-    equation x^m (m = last_n - unknowns + 1 .. last_n), Q unknowns
-    q_{i,j} (without q_{K,0}) first, then p_0 .. p_M."""
+    """The whole fitting system of ``spec``: (matrix, rhs, number of Q
+    unknowns), one row per equation x^m (m = last_n - unknowns + 1 ..
+    last_n), Q unknowns q_{i,j} (without q_{K,0}) first, then p_0 .. p_M."""
     k = spec.order
     cols = [(i, j) for i, d in enumerate(spec.qdegrees) for j in range(d + 1)
             if (i, j) != (k, 0)]
