@@ -29,6 +29,12 @@ Measures, for each checkout, in fresh interpreters:
   ``ckernel.sweep_residues`` over the widths that ``enumerate --wmax 13``
   sweeps.  They are exact, so they still compare checkouts where the
   multi-second timings spread too widely;
+- ``enumerate_w13_sha256`` and ``enumerate_w9_engine_sha256``, also once
+  per checkout and untimed: the SHA-256 of the series file that
+  ``sawenum enumerate --wmax 13`` writes on the compiled kernel, and of the
+  one that ``--wmax 9`` writes with ``CC`` naming no compiler, so on the
+  Python engine (about a second).  Equal digests mean both sweeps still
+  write the same bytes;
 - ``da_scan_2_estimates``, ``_digest`` and ``_elimination`` (and the same
   for ``da_scan_2_3``), also recorded once per checkout and untimed: the
   number of estimates of each ``da_scan`` row, the SHA-256 of their reprs
@@ -60,6 +66,7 @@ Usage:
 from __future__ import annotations
 
 import argparse
+import hashlib
 import json
 import os
 import platform
@@ -83,6 +90,10 @@ DA_SCANS = (("da_scan_2", "2"), ("da_scan_2_3", "2,3"))
 WMAXES = (13, 15)
 #: interleaved rounds per checkout; ten pairs before a median is quoted
 ROUNDS = 10
+#: the enumerate run digested on the Python engine, and a ``CC`` that names
+#: no compiler, which makes ``flm`` fall back to that engine
+ENGINE_WMAX = 9
+NO_COMPILER = "sawenum-no-such-compiler"
 
 #: every timed child starts with IMPORTS; just before the call, BEGIN pins
 #: it to its CPU and times the reference there, and END prints the call's
@@ -248,12 +259,25 @@ def measure(checkout: Path) -> dict:
     return row
 
 
+def output_digest(wmax: int, cwd: Path, env) -> str:
+    """SHA-256 of the series file ``sawenum enumerate --wmax`` writes."""
+    with tempfile.TemporaryDirectory() as tmp:
+        out = Path(tmp) / "out.series"
+        subprocess.run([sys.executable, "-m", "sawenum.cli", "enumerate",
+                        "--wmax", str(wmax), "-o", str(out)],
+                       cwd=cwd, env=env, check=True, capture_output=True)
+        return hashlib.sha256(out.read_bytes()).hexdigest()
+
+
 def counts(checkout: Path) -> dict:
     env = dict(os.environ, PYTHONPATH=str(checkout / "src"))
     wmax = WMAXES[0]
     result = child(COUNTS, [str(wmax)], checkout, env)
     row = {f"enumerate_w{wmax}_{key}": value
            for key, value in result.items()}
+    row[f"enumerate_w{wmax}_sha256"] = output_digest(wmax, checkout, env)
+    row[f"enumerate_w{ENGINE_WMAX}_engine_sha256"] = output_digest(
+        ENGINE_WMAX, checkout, dict(env, CC=NO_COMPILER))
     scans = child(DA_COUNTS, [str(checkout / SERIES)]
                   + [orders for _, orders in DA_SCANS], checkout, env)
     for (prefix, _), scan in zip(DA_SCANS, scans):

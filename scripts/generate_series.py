@@ -5,7 +5,7 @@ Each width's sweep runs in a fresh child process whose memory is returned to
 the OS when it exits.  The child writes the width's completion ledger as a
 text file into a cache directory, so an interrupted run resumes where it
 stopped.  One child runs per CPU this process may use, so peak memory is up
-to that many times one width's peak (about 210 MB of RSS for width 14 or 15
+to that many times one width's peak (about 150 MB of RSS for width 14 or 15
 at wmax 21 on the compiled kernel, far more on the Python engine); to hold it
 lower, compute widths one at a time with ``--width``.  When every width is
 cached the ledgers are assembled into the final series file.
@@ -120,7 +120,7 @@ def read_ledger(path: Path, header: dict) -> list[TruncatedPolynomial]:
         c, d, res = line.split("\t")
         for row, r in zip(rows[int(c)], res.split(",")):
             row[int(d)] = int(r)
-    return [TruncatedPolynomial.from_residues(moduli, n_max, col) for col in rows]
+    return [TruncatedPolynomial(moduli, n_max, col) for col in rows]
 
 
 def run_width(wmax: int, width: int, cache: Path) -> None:

@@ -393,10 +393,14 @@ def singularity_estimate(
 ) -> SingularityEstimate:
     """Physical singularity (smallest positive real root of Q_K) and exponent.
 
-    Raises AnalysisError for defective approximants: singular fit, Q_K
-    constant, no positive real root, or a multiple root (a root of
+    Raises AnalysisError for an order below 1, whose exponent would need a
+    Q_{K-1} that does not exist, and for defective approximants: singular
+    fit, Q_K constant, no positive real root, or a multiple root (a root of
     gcd(Q_K, Q_K'), or Q_K'(x*) = 0 at the rounded root).
     """
+    if spec.order < 1:
+        raise AnalysisError(
+            f"approximant order {spec.order} must be at least 1")
     if last_n is None:
         last_n = len(coeffs) - 1
     q_polys, _ = differential_approximant(coeffs, spec, last_n)
@@ -446,8 +450,12 @@ def da_scan(
     equations than effective unknowns: a generic series makes it singular,
     and only an exactly D-finite one makes it consistent, but ill-posed.
     Homogeneous windows (``pdegree`` -1) have no P part and are always
-    tried.
+    tried.  An order below 1 raises AnalysisError before any window is fitted.
     """
+    for order in orders:
+        if order < 1:
+            raise AnalysisError(
+                f"approximant order {order} must be at least 1")
     n_max = len(coeffs) - 1
     if min_last_n is None:
         min_last_n = (3 * n_max) // 4

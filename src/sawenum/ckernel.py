@@ -2,10 +2,11 @@
 
 ``ckernel.c`` ports the engine's kink move, prune bound, boundary shift and
 mirror merge, but keeps each generating function as arrays of residues
-modulo machine-word moduli, so it returns the same ledger as
-``engine.sweep``.  Like the engine it sums each state and its mirror image
-under one key at column boundaries, which about halves the states it
-carries, and with pruning on it leaves columns < W of the ledger empty.
+modulo machine-word moduli, so it returns ``engine.sweep``'s exact ledger
+reduced modulo each modulus.  Like the engine it sums each state and its
+mirror image under one key at column boundaries, which about halves the
+states it carries, and with pruning on it leaves columns < W of the ledger
+empty.
 Its work per state follows the state's occupied slots rather than the
 width.  Each state stores only the span of degrees its residues occupy, in a
 block of a per-row arena that is replaced by a wider one when a sum outgrows
@@ -120,8 +121,8 @@ def sweep_residues(
     moduli in one pass over the states.
 
     Returns ``(ledger, stats)``: ``ledger[c][i][d]`` is the degree-``d``
-    coefficient of column ``c``'s completions modulo ``moduli[i]``, the
-    ``coeffs`` of ``engine.sweep``'s ``ledger[c]``.  ``stats`` holds
+    coefficient of column ``c``'s completions modulo ``moduli[i]``, i.e.
+    ``engine.sweep(...)[c][d] % moduli[i]``.  ``stats`` holds
     ``peak_states`` (most live states entering one row), ``state_rows``
     (live states summed over all rows), ``peak_bytes`` (most bytes the
     kernel's two state maps had in use at the end of a row: 32 per entry,

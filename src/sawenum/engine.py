@@ -31,15 +31,15 @@ leaving them empty keeps the ledger independent of the states carried.
 States are packed integers (2 bits per slot, border flags on top) mapped to
 truncated generating functions.  The generating functions are themselves
 packed integers: one fixed-width field per degree holding the exact count, so
-``self += x**k * other`` is a single shift-mask-add on big integers.  Residue
-reduction happens only when the completion ledger is converted for output.
+``self += x**k * other`` is a single shift-mask-add on big integers.  The
+sweep returns the completion ledger as exact integers; ``flm`` reduces it to
+residues, the form in which the compiled kernel counts.
 """
 
 from __future__ import annotations
 
 from functools import lru_cache
 
-from .modseries import DEFAULT_MODULI, TruncatedPolynomial
 from .pruning import additional_steps_mid, additional_steps_packed
 from .signatures import accessible_targets, decode, mirror, validate
 
@@ -241,20 +241,20 @@ def sweep(
     width: int,
     l_max: int,
     n_max: int,
-    moduli=DEFAULT_MODULI,
     prune: bool = True,
     check_invariants: bool = False,
     prune_visits: list[int] | None = None,
 ):
     """Run the full sweep for one rectangle width.
 
-    Returns the completion ledger: ``ledger[c]`` is the truncated polynomial of
-    walks finishing with rightmost extent at vertex-column ``c``, i.e. the
-    spanning-walk counts of the ``width`` x ``c`` box.  Columns ``0..l_max``
-    are processed.  With ``prune``, states are pruned against ``n_max`` at
-    every column boundary and after every kink move below the top row, and
-    columns < ``width`` are left empty; ``prune_visits`` (when given)
-    accumulates the bound's visit counts.
+    Returns the exact completion ledger: ``ledger[c][d]`` is the number of
+    walks of ``d`` steps (``d`` <= ``n_max``) finishing with rightmost
+    extent at vertex-column ``c``, i.e. the spanning-walk counts of the
+    ``width`` x ``c`` box.  Columns ``0..l_max`` are processed.  With
+    ``prune``, states are pruned against ``n_max`` at every column boundary
+    and after every kink move below the top row, and columns < ``width``
+    are left empty; ``prune_visits`` (when given) accumulates the bound's
+    visit counts.
     """
     check_sweep_args(width, l_max, n_max)
     fb = 2 * (width + 2)  # first flag bit
@@ -312,9 +312,4 @@ def sweep(
             key = min(key, mirror(key, width))
             shifted[key] = shifted.get(key, 0) + poly
         states = shifted
-    return [
-        TruncatedPolynomial.from_integers(
-            moduli, n_max, unpack_coefficients(p, bits, n_max)
-        )
-        for p in ledger_packed
-    ]
+    return [unpack_coefficients(p, bits, n_max) for p in ledger_packed]

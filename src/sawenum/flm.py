@@ -9,8 +9,9 @@ correct for n <= N = 2*W_max + 1.
 Every sweep goes through :func:`_sweep`, the one place that picks the sweep
 implementation: the compiled kernel (``ckernel``) when a C compiler is found
 and every modulus fits a machine word, else the Python engine
-(``engine.sweep``), which is the reference the kernel is tested against.  Both
-give the same ledger.
+(``engine.sweep``), which is the reference the kernel is tested against.  The
+kernel counts modulo the moduli and the engine counts exact integers, which
+``_sweep`` reduces, so both give the same ledger of residue records.
 """
 
 from __future__ import annotations
@@ -43,17 +44,18 @@ class RunPlan:
 
 
 def _sweep(width: int, l_max: int, n_max: int, moduli, prune: bool = True):
-    """Completion ledger of one width, as ``engine.sweep`` returns it, and the
-    sweep's stats: ``kernel`` ("c" or "python") and, for the compiled kernel,
-    the stats of ``ckernel.sweep_residues``."""
+    """Completion ledger of one width, one ``TruncatedPolynomial`` of residues
+    modulo ``moduli`` per column, and the sweep's stats: ``kernel`` ("c" or
+    "python") and, for the compiled kernel, the stats of
+    ``ckernel.sweep_residues``."""
     engine.check_sweep_args(width, l_max, n_max)
     # a modulus of 2**64 or more does not fit the kernel's machine words
     if ckernel.available() and max(moduli) < 2**64:
         rows, stats = ckernel.sweep_residues(width, l_max, n_max, moduli, prune)
-        ledger = [TruncatedPolynomial.from_residues(moduli, n_max, col)
-                  for col in rows]
+        ledger = [TruncatedPolynomial(moduli, n_max, col) for col in rows]
         return ledger, {"kernel": "c", **stats}
-    ledger = engine.sweep(width, l_max, n_max, moduli, prune=prune)
+    ledger = [TruncatedPolynomial.from_integers(moduli, n_max, col)
+              for col in engine.sweep(width, l_max, n_max, prune=prune)]
     return ledger, {"kernel": "python"}
 
 
@@ -95,10 +97,9 @@ def assemble(ledgers, plan: RunPlan) -> SeriesTable:
             # set; c_n counts both traversal directions)
             factor = 2 * (1 if col == w else 2)
             for mi, m in enumerate(moduli):
-                row = poly.coeffs[mi]
-                for d in range(poly.min_degree, min(poly.max_degree, n_max) + 1):
-                    if row[d]:
-                        acc[d][mi] = (acc[d][mi] + factor * row[d]) % m
+                for d, v in enumerate(poly.coeffs[mi][: n_max + 1]):
+                    if v:
+                        acc[d][mi] = (acc[d][mi] + factor * v) % m
     acc[0] = [1 % m for m in moduli]
     meta = {
         "lattice": "square",
@@ -128,8 +129,7 @@ def box_counts(
     if n_max is None:
         n_max = width + 3 * length  # generous default for small test boxes
     ledger, _ = _sweep(width, length, n_max, moduli, prune)
-    poly = ledger[length]
-    doubled = TruncatedPolynomial(moduli, n_max)
-    doubled.add_shifted(poly, 0)
-    doubled.add_shifted(poly, 0)  # direction factor: both traversal orders
-    return doubled
+    # direction factor: both traversal orders
+    doubled = [[2 * v % m for v in row]
+               for row, m in zip(ledger[length].coeffs, moduli)]
+    return TruncatedPolynomial(moduli, n_max, doubled)

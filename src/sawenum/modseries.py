@@ -1,11 +1,12 @@
-"""Truncated polynomials over machine-word moduli, CRT reconstruction and the
-series file format.
+"""Residue records of ledger columns, CRT reconstruction and the series file
+format.
 
-The transfer matrix works with generating functions truncated at a maximal
-degree, with every coefficient stored as a residue vector modulo a set of
-pairwise coprime moduli.  Exact integers only appear after reconstruction via
-the Chinese remainder theorem.  The default modulus pair for walk counts is
-``2**62`` and ``2**62 - 1``.
+A sweep's completion ledger is truncated at a maximal degree.  The compiled
+kernel counts each coefficient as a residue vector modulo a set of pairwise
+coprime moduli; the Python engine counts exact integers, which
+:meth:`TruncatedPolynomial.from_integers` reduces to the same record.  Exact
+integers come back from residues via the Chinese remainder theorem.  The
+default modulus pair for walk counts is ``2**62`` and ``2**62 - 1``.
 """
 
 from __future__ import annotations
@@ -14,10 +15,6 @@ import math
 from dataclasses import dataclass, field
 
 DEFAULT_MODULI = (2**62, 2**62 - 1)
-
-#: Metric-series arithmetic multiplies coefficients, so its moduli must keep
-#: products inside a signed 64-bit word.
-METRIC_MODULUS_LIMIT = 2**30
 
 
 class SeriesFormatError(ValueError):
@@ -51,91 +48,28 @@ def crt_reconstruct(residues, moduli) -> int:
 
 
 class TruncatedPolynomial:
-    """Coefficients c_0..c_n_max as residue vectors, with degree-range cache.
+    """Coefficients c_0..c_n_max of one ledger column as residue vectors.
 
-    ``coeffs[i][d]`` is coefficient of x^d modulo ``moduli[i]``.  ``min_degree``
-    is the lowest nonzero degree (n_max + 1 for the zero polynomial); it is the
-    n_cur of the pruning test.
+    ``coeffs[i][d]`` is the coefficient of x^d modulo ``moduli[i]``; each row
+    is n_max + 1 long.
     """
 
-    __slots__ = ("moduli", "n_max", "coeffs", "min_degree", "max_degree")
+    __slots__ = ("moduli", "n_max", "coeffs")
 
-    def __init__(self, moduli, n_max: int):
+    def __init__(self, moduli, n_max: int, coeffs):
         self.moduli = moduli
         self.n_max = n_max
-        self.coeffs = [[0] * (n_max + 1) for _ in moduli]
-        self.min_degree = n_max + 1
-        self.max_degree = -1
+        self.coeffs = coeffs
 
     @classmethod
     def from_integers(cls, moduli, n_max: int, values) -> "TruncatedPolynomial":
         """Polynomial with exact integer coefficients c_0, c_1, ... reduced
         modulo each modulus (``values`` may be shorter than n_max + 1)."""
-        p = cls(moduli, n_max)
-        for d, v in enumerate(values[: n_max + 1]):
-            if v:
-                for row, m in zip(p.coeffs, moduli):
-                    row[d] = v % m
-                if d < p.min_degree:
-                    p.min_degree = d
-                if d > p.max_degree:
-                    p.max_degree = d
-        return p
-
-    @classmethod
-    def from_residues(cls, moduli, n_max: int, coeffs) -> "TruncatedPolynomial":
-        """Polynomial whose ``coeffs[i][d]`` are already reduced modulo
-        ``moduli[i]`` (each row n_max + 1 long)."""
-        p = cls(moduli, n_max)
-        p.coeffs = [list(row) for row in coeffs]
-        for row in p.coeffs:
-            lo = next((d for d, c in enumerate(row) if c), None)
-            if lo is None:
-                continue
-            hi = next(d for d in range(n_max, lo - 1, -1) if row[d])
-            p.min_degree = min(p.min_degree, lo)
-            p.max_degree = max(p.max_degree, hi)
-        return p
-
-    @classmethod
-    def one(cls, moduli, n_max: int) -> "TruncatedPolynomial":
-        p = cls(moduli, n_max)
-        for row in p.coeffs:
-            row[0] = 1
-        p.min_degree = 0
-        p.max_degree = 0
-        return p
-
-    def is_zero(self) -> bool:
-        return self.min_degree > self.n_max
-
-    def add_shifted(self, source: "TruncatedPolynomial", k: int) -> None:
-        """self += x**k * source, truncating degrees above n_max."""
-        lo = source.min_degree
-        hi = min(source.max_degree, self.n_max - k)
-        if lo > hi:
-            return  # everything shifted past the truncation order
-        for mine, theirs, m in zip(self.coeffs, source.coeffs, self.moduli):
-            for d in range(lo, hi + 1):
-                c = theirs[d]
-                if c:
-                    mine[d + k] = (mine[d + k] + c) % m
-        if lo + k < self.min_degree:
-            self.min_degree = lo + k
-        if hi + k > self.max_degree:
-            self.max_degree = hi + k
+        values = list(values[: n_max + 1]) + [0] * (n_max + 1 - len(values))
+        return cls(moduli, n_max, [[v % m for v in values] for m in moduli])
 
     def residues(self, degree: int) -> tuple[int, ...]:
         return tuple(row[degree] for row in self.coeffs)
-
-    def copy(self) -> "TruncatedPolynomial":
-        p = TruncatedPolynomial.__new__(TruncatedPolynomial)
-        p.moduli = self.moduli
-        p.n_max = self.n_max
-        p.coeffs = [row[:] for row in self.coeffs]
-        p.min_degree = self.min_degree
-        p.max_degree = self.max_degree
-        return p
 
 
 @dataclass

@@ -14,19 +14,9 @@ is involved.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from enum import IntEnum
 from typing import NamedTuple
 
 EMPTY, LOWER, UPPER, FREE = 0, 1, 2, 3
-
-
-class EdgeState(IntEnum):
-    """Per-edge connectivity state.  Numeric codes are fixed (2-bit packing)."""
-
-    Empty = EMPTY
-    Lower = LOWER
-    Upper = UPPER
-    Free = FREE
 
 
 class SignatureError(ValueError):

@@ -164,7 +164,7 @@ class TestCriterion11PruningCost:
         for width in range(w_max + 1):
             visits = [0, 0]
             engine.sweep(width, 2 * w_max - width + 1, 2 * w_max + 1,
-                         DEFAULT_MODULI, prune_visits=visits)
+                         prune_visits=visits)
             assert visits[1] > 0
             per_eval = visits[0] / visits[1]
             assert per_eval <= 8 * max(width, 1) + 16, (width, per_eval)

@@ -91,6 +91,16 @@ class TestDifferentialApproximant:
         with pytest.raises(AnalysisError):
             singularity_estimate(coeffs, DASpec((1, 1)))
 
+    def test_order_zero_fits_but_has_no_exponent(self):
+        # Q_0 F = P is a rational (Pade-like) fit, but the exponent needs
+        # Q_{K-1}, which an order-0 approximant does not have
+        coeffs = power_law_series(3, Fraction(2), 20)
+        spec = DASpec((3,), 2)
+        q_polys, p_poly = differential_approximant(coeffs, spec)
+        assert len(q_polys) == 1 and len(p_poly) == 3
+        with pytest.raises(AnalysisError, match="order 0 must be at least 1"):
+            singularity_estimate(coeffs, spec)
+
 
 class TestDaScan:
     def test_zero_spread_on_synthetic_series(self):
@@ -138,6 +148,12 @@ class TestDaScan:
         windows = len(range((3 * 43) // 4, 44)) * 2  # per P degree
         assert len(with_p) < windows * 3  # some windows were not tried
         assert sum(s.pdegree == -1 for s, _ in tried) == windows
+
+    @pytest.mark.parametrize("orders", [(2, 0), (-1,)])
+    def test_orders_below_one_are_refused(self, orders):
+        coeffs = power_law_series(3, Fraction(3, 2), 30)
+        with pytest.raises(AnalysisError, match="must be at least 1"):
+            da_scan(coeffs, orders=orders, pdegrees=(0,))
 
     def test_identical_estimates_keep_zero_spread(self):
         e = SingularityEstimate(0.25, 1.5, DASpec((3, 3)), 12)

@@ -144,6 +144,17 @@ class TestAnalyzeFitRatios:
                    "-o", str(tmp_path / "da.csv")) == 2
         assert "bad --inhomog value" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("order", ["0", "-1"])
+    def test_analyze_refuses_an_order_below_one(self, tmp_path, capsys, order):
+        series = tmp_path / "s.series"
+        csv = tmp_path / "da.csv"
+        write_series(SeriesTable([(n + 1) * 3**n for n in range(30)]), series)
+        assert run("analyze", "--series", str(series), "--order", order,
+                   "-o", str(csv)) == 2
+        assert f"error: approximant order {order} must be at least 1" in (
+            capsys.readouterr().err)
+        assert not csv.exists()
+
     def test_fit_writes_trajectory(self, tmp_path, capsys):
         series = tmp_path / "s.series"
         mu = 1 / 0.379052277752

@@ -18,7 +18,6 @@ from sawenum.engine import (
     transitions,
     unpack_coefficients,
 )
-from sawenum.modseries import DEFAULT_MODULI
 from sawenum.oracle import box_spanning_counts
 from sawenum.signatures import Signature, encode
 
@@ -128,32 +127,27 @@ class TestSweepLedger:
     @pytest.mark.parametrize("width,length", [(1, 1), (1, 2), (1, 3), (2, 2)])
     def test_ledger_matches_oracle_boxes(self, width, length):
         n_max = width + 3 * length
-        ledger = sweep(width, length, n_max, DEFAULT_MODULI)
+        ledger = sweep(width, length, n_max)
         oracle = box_spanning_counts(width, length, n_max)
-        got = [2 * r for r in
-               (ledger[length].coeffs[0][d] for d in range(n_max + 1))]
+        got = [2 * v for v in ledger[length]]
         assert got == list(oracle.values)[: n_max + 1]
 
     def test_width_zero_counts_straight_segments(self):
         # a 0 x L box is spanned only by the straight L-step walk; the ledger
         # counts undirected edge sets, so exactly one completion per column
-        ledger = sweep(0, 4, 12, DEFAULT_MODULI)
-        assert unpack_like(ledger[3])[3] == 1
-        assert sum(unpack_like(ledger[3])) == 1
+        ledger = sweep(0, 4, 12)
+        assert ledger[3][3] == 1
+        assert sum(ledger[3]) == 1
 
     def test_rejects_overflowing_width(self):
         with pytest.raises(ValueError):
-            sweep(40, 40, 10, DEFAULT_MODULI)
+            sweep(40, 40, 10)
 
     def test_prune_visits_instrumentation(self):
         visits = [0, 0]
-        sweep(2, 3, 9, DEFAULT_MODULI, prune_visits=visits)
+        sweep(2, 3, 9, prune_visits=visits)
         assert visits[1] > 0
         assert visits[0] <= (2 + 2) * visits[1]
-
-
-def unpack_like(poly):
-    return [poly.coeffs[0][d] for d in range(poly.n_max + 1)]
 
 
 @pytest.mark.parametrize("width,length,n_max", [(1, 2, 7), (2, 2, 9), (2, 3, 10)])

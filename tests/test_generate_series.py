@@ -12,7 +12,7 @@ import pytest
 
 from sawenum import ckernel, engine
 from sawenum.flm import RunPlan, enumerate_series
-from sawenum.modseries import read_series
+from sawenum.modseries import DEFAULT_MODULI, read_series
 
 ROOT = Path(__file__).resolve().parent.parent
 SCRIPT = ROOT / "scripts" / "generate_series.py"
@@ -22,6 +22,13 @@ generate_series = importlib.util.module_from_spec(_spec)
 _spec.loader.exec_module(generate_series)
 
 NO_COMPILER = {"CC": "sawenum-no-such-compiler"}
+
+
+def reduced(ledger, moduli):
+    """An exact ``engine.sweep`` ledger as residues ``[c][i][d]``, the layout
+    of ``ckernel.sweep_residues`` (column ``c``, ``moduli[i]``, degree
+    ``d``)."""
+    return [[[v % m for v in col] for m in moduli] for col in ledger]
 
 
 def generate(wmax, out, cache, env=None, *extra):
@@ -99,7 +106,7 @@ def test_kernels_write_identical_ledgers(tmp_path):
     wmax, width = 5, 4
     l_max, n_max = 2 * wmax - width + 1, 2 * wmax + 1
     header = generate_series.ledger_header(wmax, width)
-    python_rows = [p.coeffs for p in engine.sweep(width, l_max, n_max)]
+    python_rows = reduced(engine.sweep(width, l_max, n_max), DEFAULT_MODULI)
     c_rows, _ = ckernel.sweep_residues(width, l_max, n_max)
     generate_series.write_ledger(tmp_path / "python.ledger", header, python_rows)
     generate_series.write_ledger(tmp_path / "c.ledger", header, c_rows)
@@ -117,13 +124,13 @@ class TestCompiledKernel:
             l_max = 2 * wmax - width + 1
             want = engine.sweep(width, l_max, n_max)
             got, _ = ckernel.sweep_residues(width, l_max, n_max)
-            assert got == [p.coeffs for p in want]
+            assert got == reduced(want, DEFAULT_MODULI)
 
     @pytest.mark.parametrize("width,length,n_max", [(2, 6, 22), (3, 5, 20)])
     def test_matches_engine_without_pruning(self, width, length, n_max):
         want = engine.sweep(width, length, n_max, prune=False)
         got, _ = ckernel.sweep_residues(width, length, n_max, prune=False)
-        assert got == [p.coeffs for p in want]
+        assert got == reduced(want, DEFAULT_MODULI)
 
     @pytest.mark.parametrize("width,l_max,n_max,state_rows", [
         (5, 10, 15, 6710), (3, 40, 123, 11658)])
@@ -135,7 +142,7 @@ class TestCompiledKernel:
         assert stats["regrows"] > 0
         assert stats["state_rows"] == state_rows
         want = engine.sweep(width, l_max, n_max)
-        assert rows == [p.coeffs for p in want]
+        assert rows == reduced(want, DEFAULT_MODULI)
 
     @pytest.mark.parametrize("moduli", [(7,), (2**64 - 59,)])
     @pytest.mark.parametrize("width,l_max,n_max,prune", [
@@ -146,9 +153,9 @@ class TestCompiledKernel:
         (8, 11, 19, True), (9, 10, 19, True)])
     def test_matches_engine_on_small_sweeps(self, width, l_max, n_max, prune,
                                             moduli):
-        want = engine.sweep(width, l_max, n_max, moduli, prune=prune)
+        want = engine.sweep(width, l_max, n_max, prune=prune)
         got, _ = ckernel.sweep_residues(width, l_max, n_max, moduli, prune)
-        assert got == [p.coeffs for p in want]
+        assert got == reduced(want, moduli)
 
     def test_work_done_on_a_box_is_pinned(self):
         # box --width 6 --length 10: a kernel that visits, keeps, moves or
@@ -160,7 +167,7 @@ class TestCompiledKernel:
     def test_small_modulus(self):
         want = engine.sweep(4, 8, 17)
         rows, _ = ckernel.sweep_residues(4, 8, 17, (7,))
-        assert rows == [[[c % 7 for c in p.coeffs[0]]] for p in want]
+        assert rows == reduced(want, (7,))
 
     def test_bad_arguments_raise(self):
         with pytest.raises(engine.EngineFault, match="bad arguments"):

@@ -1,4 +1,4 @@
-"""Residue polynomials, CRT reconstruction and the series file format."""
+"""Residue records, CRT reconstruction and the series file format."""
 
 import pytest
 from hypothesis import given
@@ -59,43 +59,13 @@ class TestCrt:
 
 
 class TestTruncatedPolynomial:
-    def test_from_integers_reduces_and_tracks_degrees(self):
+    def test_from_integers_reduces_pads_and_truncates(self):
         p = TruncatedPolynomial.from_integers([7, 11], 5, [0, 0, 30, 0, 1])
-        assert p.min_degree == 2 and p.max_degree == 4
+        assert p.coeffs == [[0, 0, 30 % 7, 0, 1, 0], [0, 0, 30 % 11, 0, 1, 0]]
         assert p.residues(2) == (30 % 7, 30 % 11)
-        assert p.residues(4) == (1, 1)
-
-    def test_from_residues_tracks_degrees_over_all_rows(self):
-        # a coefficient can vanish modulo one modulus and not the other
-        p = TruncatedPolynomial.from_residues(
-            [7, 11], 5, [[0, 0, 3, 0, 0, 0], [0, 4, 0, 0, 5, 0]])
-        assert p.min_degree == 1 and p.max_degree == 4
-        empty = TruncatedPolynomial.from_residues([7], 2, [[0, 0, 0]])
-        assert empty.is_zero() and empty.max_degree == -1
-
-    def test_add_shifted_truncates(self):
-        p = TruncatedPolynomial.one([101], 3)
-        q = TruncatedPolynomial.from_integers([101], 3, [1, 1, 1, 1])
-        p.add_shifted(q, 2)  # x^2 + x^3; degrees 4, 5 fall off
-        assert [p.residues(d)[0] for d in range(4)] == [1, 0, 1, 1]
-        assert p.max_degree == 3
-
-    def test_add_shifted_entirely_past_truncation_is_noop(self):
-        p = TruncatedPolynomial([101], 3)
-        q = TruncatedPolynomial.from_integers([101], 3, [0, 0, 0, 5])
-        p.add_shifted(q, 1)
-        assert p.is_zero()
-
-    def test_copy_is_independent(self):
-        p = TruncatedPolynomial.one([101], 3)
-        q = p.copy()
-        q.add_shifted(p, 1)
-        assert p.residues(1) == (0,) and q.residues(1) == (1,)
-
-    def test_modular_addition_wraps(self):
-        p = TruncatedPolynomial.from_integers([7], 1, [6])
-        p.add_shifted(TruncatedPolynomial.from_integers([7], 1, [3]), 0)
-        assert p.residues(0) == (2,)
+        assert p.residues(5) == (0, 0)
+        big = TruncatedPolynomial.from_integers([2**62], 1, [2**64 + 3, 5, 9])
+        assert big.coeffs == [[3, 5]]
 
 
 class TestSeriesTable:
