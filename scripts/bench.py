@@ -22,7 +22,8 @@ Measures, for each checkout, in fresh interpreters:
   ``ckernel.sweep_residues``);
 - ``tier1_s``: the tier-1 suite, with its summary line, timed once per
   checkout after the rounds: no perf change targets it, and it would take
-  most of every round;
+  most of every round.  ``tier1_slowest`` holds pytest's ``--durations``
+  lines for its ten slowest test phases, which show where that time goes;
 - ``enumerate_w13_state_rows`` and ``enumerate_w13_peak_states``, recorded
   once per checkout beside ``tier1_s`` and not timed: the sum of
   ``state_rows`` and the maximum of ``peak_states`` of
@@ -70,6 +71,7 @@ import hashlib
 import json
 import os
 import platform
+import re
 import statistics
 import subprocess
 import sys
@@ -90,6 +92,10 @@ DA_SCANS = (("da_scan_2", "2"), ("da_scan_2_3", "2,3"))
 WMAXES = (13, 15)
 #: interleaved rounds per checkout; ten pairs before a median is quoted
 ROUNDS = 10
+#: how many of the tier-1 suite's slowest test phases are recorded
+SLOWEST = 10
+#: a line of pytest's durations section: "<seconds>s <phase> <test id>"
+DURATION = re.compile(r"\d+\.\d+s (setup|call|teardown) ")
 #: the enumerate run digested on the Python engine, and a ``CC`` that names
 #: no compiler, which makes ``flm`` fall back to that engine
 ENGINE_WMAX = 9
@@ -290,7 +296,8 @@ def tier1(checkout: Path) -> dict:
     t0 = time.perf_counter()
     proc = subprocess.run([sys.executable, "-m", "pytest", "-q", "-p",
                            "no:cacheprovider",
-                           "--continue-on-collection-errors"],
+                           "--continue-on-collection-errors",
+                           f"--durations={SLOWEST}"],
                           cwd=checkout, env=env, capture_output=True,
                           text=True)
     wall = time.perf_counter() - t0
@@ -298,7 +305,8 @@ def tier1(checkout: Path) -> dict:
     last = lines[-1] if lines else ""
     if proc.returncode != 0:
         raise RuntimeError(f"tier-1 failed in {checkout}: {last}")
-    return {"tier1_s": wall, "tier1_summary": last}
+    slowest = [line for line in lines if DURATION.match(line)]
+    return {"tier1_s": wall, "tier1_summary": last, "tier1_slowest": slowest}
 
 
 def main() -> int:

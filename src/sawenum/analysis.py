@@ -389,9 +389,9 @@ def singularity_estimate(
     coeffs,
     spec: DASpec,
     last_n: int | None = None,
-    dps: int = 30,
 ) -> SingularityEstimate:
-    """Physical singularity (smallest positive real root of Q_K) and exponent.
+    """Physical singularity (smallest positive real root of Q_K) and exponent,
+    at 30 significant digits.
 
     Raises AnalysisError for an order below 1, whose exponent would need a
     Q_{K-1} that does not exist, and for defective approximants: singular
@@ -405,7 +405,7 @@ def singularity_estimate(
         last_n = len(coeffs) - 1
     q_polys, _ = differential_approximant(coeffs, spec, last_n)
     k = spec.order
-    with mpmath.workdps(dps):
+    with mpmath.workdps(30):
         qk = _integer_row(q_polys[k])
         while qk and qk[-1] == 0:
             qk.pop()
@@ -439,7 +439,6 @@ def da_scan(
     orders=(2, 3),
     pdegrees=(0, 2, 4, 6, 8, 10),
     min_last_n: int | None = None,
-    dps: int = 30,
 ) -> list[SingularityEstimate]:
     """All non-defective balanced approximants ending at each usable series
     coefficient >= min_last_n (default: use at least 3/4 of the series).
@@ -450,12 +449,18 @@ def da_scan(
     equations than effective unknowns: a generic series makes it singular,
     and only an exactly D-finite one makes it consistent, but ill-posed.
     Homogeneous windows (``pdegree`` -1) have no P part and are always
-    tried.  An order below 1 raises AnalysisError before any window is fitted.
+    tried.  An order below 1 or a P degree below -1 raises AnalysisError
+    before any window is fitted.  Each estimate is computed at 30 digits
+    (see :func:`singularity_estimate`).
     """
     for order in orders:
         if order < 1:
             raise AnalysisError(
                 f"approximant order {order} must be at least 1")
+    for pdeg in pdegrees:
+        if pdeg < -1:
+            raise AnalysisError(
+                f"inhomogeneous degree {pdeg} must be at least -1")
     n_max = len(coeffs) - 1
     if min_last_n is None:
         min_last_n = (3 * n_max) // 4
@@ -468,7 +473,7 @@ def da_scan(
                     if pdeg >= 0 and spec.unknowns < last_n + 1:
                         continue  # P's low coefficients have no equation
                     out.append(
-                        singularity_estimate(coeffs, spec, last_n, dps)
+                        singularity_estimate(coeffs, spec, last_n)
                     )
                 except AnalysisError:
                     continue
@@ -558,13 +563,12 @@ def amplitude_fit(
     k: int,
     m: int,
     last_n: int | None = None,
-    dps: int = 40,
 ) -> AmplitudeFit:
     """Fit ``k`` leading-part and ``m`` alternating-part amplitudes.
 
     Solves the square linear system matching c_n exactly at the ``k + m``
-    indices ending at ``last_n``; precision ``dps`` covers the wild dynamic
-    range of mu^n.
+    indices ending at ``last_n``; 40 significant digits cover the wild
+    dynamic range of mu^n.
     """
     if last_n is None:
         last_n = len(coeffs) - 1
@@ -573,7 +577,7 @@ def amplitude_fit(
     size = k + m
     if last_n + 1 < size or last_n - size + 1 < 1:
         raise AnalysisError("not enough coefficients for this fit")
-    with mpmath.workdps(dps):
+    with mpmath.workdps(40):
         mu_ = mpmath.mpf(mu)
         e1_ = mpmath.mpf(e1.numerator) / e1.denominator \
             if isinstance(e1, Fraction) else mpmath.mpf(e1)
@@ -601,13 +605,12 @@ def amplitude_fit(
                         float(mu), last_n)
 
 
-def amplitude_trajectory(coeffs, mu, e1, e2, k, m, first_last_n=None):
-    """AmplitudeFit at every usable ``last_n``; for plotting a_0 versus 1/n."""
+def amplitude_trajectory(coeffs, mu, e1, e2, k, m):
+    """AmplitudeFit at every usable ``last_n`` from 2/3 of the series on;
+    for plotting a_0 versus 1/n."""
     n_max = len(coeffs) - 1
-    if first_last_n is None:
-        first_last_n = max(k + m + 1, (2 * n_max) // 3)
     fits = []
-    for last_n in range(first_last_n, n_max + 1):
+    for last_n in range(max(k + m + 1, (2 * n_max) // 3), n_max + 1):
         try:
             fits.append(amplitude_fit(coeffs, mu, e1, e2, k, m, last_n))
         except AnalysisError:

@@ -744,8 +744,7 @@ static int degree_cap(const Geometry *g, u64 key, int r, int c)
     int bottom = (key >> g->fb) & 1, top = (key >> (g->fb + 1)) & 1;
     int n_add;
     if (r != g->width)
-        n_add = steps_mid(key & g->edges_mask, r, g->width, bottom, top,
-                          c < g->width ? c : g->width);
+        n_add = steps_mid(key & g->edges_mask, r, g->width, bottom, top, c);
     else
         n_add = steps_mid(shifted_key(g, key) & g->edges_mask, -1, g->width,
                           bottom, top, c + 1);

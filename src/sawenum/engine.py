@@ -41,9 +41,7 @@ from __future__ import annotations
 from functools import lru_cache
 
 from .pruning import additional_steps_mid, additional_steps_packed
-from .signatures import accessible_targets, decode, mirror, validate
-
-FORBIDDEN_KINKS = {(1, 1), (2, 2), (2, 1), (1, 3), (2, 3), (3, 1), (3, 2), (3, 3)}
+from .signatures import accessible_targets, mirror
 
 
 class EngineFault(RuntimeError):
@@ -195,12 +193,13 @@ def kink_update(
     first_col: bool,
     bits: int,
     mask: int,
-    check_invariants: bool = False,
 ) -> tuple[StateMap, int]:
     """Apply one kink move (one added vertex) to every state.
 
     Returns the new state map and the packed completion weights of this move.
-    ``mask`` truncates degrees above n_max.
+    ``bits`` is the coefficient field width and ``mask`` truncates degrees
+    above n_max.  ``sweep`` calls this through the module attribute, so a
+    wrapper set on ``engine.kink_update`` sees every move's states.
     """
     out: StateMap = {}
     completions = 0
@@ -213,18 +212,8 @@ def kink_update(
             w = (poly << (bits * k)) & mask if k else poly
             if w:
                 out[tk] = get(tk, 0) + w
-    if check_invariants:
-        _check_states(out, width)
     # only nonzero weights are added, so no state is ever empty
     return out, completions
-
-
-def _check_states(states: StateMap, width: int) -> None:
-    for key in states:
-        sig = decode(key, width + 2)
-        err = validate(sig)
-        if err is not None:
-            raise EngineFault(f"invalid signature {sig}: {err}")
 
 
 def check_sweep_args(width: int, l_max: int, n_max: int) -> None:
@@ -237,14 +226,7 @@ def check_sweep_args(width: int, l_max: int, n_max: int) -> None:
         raise ValueError(f"width {width} overflows the packed key layout")
 
 
-def sweep(
-    width: int,
-    l_max: int,
-    n_max: int,
-    prune: bool = True,
-    check_invariants: bool = False,
-    prune_visits: list[int] | None = None,
-):
+def sweep(width: int, l_max: int, n_max: int, prune: bool = True):
     """Run the full sweep for one rectangle width.
 
     Returns the exact completion ledger: ``ledger[c][d]`` is the number of
@@ -253,8 +235,10 @@ def sweep(
     ``width`` x ``c`` box.  Columns ``0..l_max`` are processed.  With
     ``prune``, states are pruned against ``n_max`` at every column boundary
     and after every kink move below the top row, and columns < ``width``
-    are left empty; ``prune_visits`` (when given) accumulates the bound's
-    visit counts.
+    are left empty.  The bound is looked up as the module attributes
+    ``additional_steps_packed`` (column boundary) and
+    ``additional_steps_mid`` (after a kink move), so a wrapper set on
+    either sees each of its evaluations.
     """
     check_sweep_args(width, l_max, n_max)
     fb = 2 * (width + 2)  # first flag bit
@@ -276,10 +260,10 @@ def sweep(
             top = bool(key & (2 << fb))
             if r < 0:
                 n_add = additional_steps_packed(
-                    key, width, bottom, top, column, prune_visits)
+                    key, width, bottom, top, column)
             else:
                 n_add = additional_steps_mid(
-                    key, r, width, bottom, top, column, prune_visits)
+                    key, r, width, bottom, top, column)
             live = poly & degree_masks[n_add] if n_add <= n_max else 0
             if live:
                 kept[key] = live
@@ -295,7 +279,7 @@ def sweep(
         for r in range(-1, width + 1):
             if r >= 0:
                 states, comp = kink_update(
-                    states, width, r, c == 0, bits, mask, check_invariants)
+                    states, width, r, c == 0, bits, mask)
                 if not prune or c >= width:
                     ledger_packed[c] += comp
             if prune and r < width:

@@ -112,23 +112,17 @@ def assemble(ledgers, plan: RunPlan) -> SeriesTable:
     return SeriesTable([tuple(v) for v in acc], moduli, meta)
 
 
-def box_counts(
-    width: int,
-    length: int,
-    n_max: int | None = None,
-    moduli=DEFAULT_MODULI,
-    prune: bool = True,
-) -> TruncatedPolynomial:
-    """Spanning-walk counts by length for the exact ``width`` x ``length`` box.
+def box_counts(width: int, length: int, n_max: int,
+               moduli=DEFAULT_MODULI) -> TruncatedPolynomial:
+    """Spanning-walk counts of up to ``n_max`` steps for the exact ``width``
+    x ``length`` box, by the pruned sweep.
 
     Exposed for testing against the brute-force oracle; the minimum nonzero
     degree is at least width + length.
     """
     if width > length:
         raise ValueError("box_counts requires width <= length")
-    if n_max is None:
-        n_max = width + 3 * length  # generous default for small test boxes
-    ledger, _ = _sweep(width, length, n_max, moduli, prune)
+    ledger, _ = _sweep(width, length, n_max, moduli)
     # direction factor: both traversal orders
     doubled = [[2 * v % m for v in row]
                for row, m in zip(ledger[length].coeffs, moduli)]

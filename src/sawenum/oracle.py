@@ -23,6 +23,8 @@ def _meta(quantity: str, n_max: int) -> dict:
 
 def count_walks(n_max: int) -> SeriesTable:
     """Exact c_0..c_n_max by direct enumeration."""
+    if n_max < 0:
+        raise ValueError("n_max must be non-negative")
     c = [0] * (n_max + 1)
     c[0] = 1
     if n_max >= 1:
@@ -79,6 +81,8 @@ def box_spanning_counts(width: int, length: int, n_max: int) -> SeriesTable:
     """
     if width > length:
         raise ValueError("box_spanning_counts requires width <= length")
+    if n_max < 0:
+        raise ValueError("n_max must be non-negative")
     counts = [0] * (n_max + 1)
     nx, ny = length + 1, width + 1
     occ = [[False] * ny for _ in range(nx)]
@@ -123,6 +127,8 @@ def metric_sums(n_max: int) -> tuple[SeriesTable, SeriesTable, SeriesTable]:
     All three are exact integers; the monomer series is accumulated doubled
     and halved at the end, with a consistency check.
     """
+    if n_max < 0:
+        raise ValueError("n_max must be non-negative")
     e = [0] * (n_max + 1)
     g = [0] * (n_max + 1)
     m2 = [0] * (n_max + 1)  # doubled monomer sums

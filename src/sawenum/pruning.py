@@ -60,7 +60,6 @@ def additional_steps_mid(
     bottom: bool,
     top: bool,
     column: int,
-    visits: list[int] | None = None,
 ) -> int:
     """n_add for a state right after the kink move at row ``r`` of column
     ``column``; r = -1 is the column boundary, before the first kink move.
@@ -70,9 +69,9 @@ def additional_steps_mid(
     end-point at row = slot, one column past the cut), slot r+1 the vertical
     kink edge (future end-point at row r+1), slots r+2..width+1 the remaining
     left edges (future end-point at row = slot - 1).  The mapped positions
-    are exact.  ``bottom`` and ``top`` are the border-touch flags.
-    ``visits`` (when given) accumulates the slot reads in ``visits[0]`` and
-    the calls in ``visits[1]``, for the O(W) cost check.
+    are exact.  ``bottom`` and ``top`` are the border-touch flags.  One
+    evaluation reads each slot once, and the kink slot at most once more,
+    so its cost is O(W).
 
     The connection cost is column-aware.  An arc's reach is the number of
     columns past the cut-line its path is forced: at least 0 when both ends
@@ -148,9 +147,6 @@ def additional_steps_mid(
             else:
                 to_bottom = min(to_bottom, pos)
                 to_top = min(to_top, width - pos)
-    if visits is not None:
-        visits[0] += nslots
-        visits[1] += 1
     new_any = 1 if key & ((1 << (2 * (r + 1))) - 1) else 0
     reached = column + new_any
     credit = max(0, top_reach - new_any)
@@ -176,11 +172,10 @@ def additional_steps_packed(
     bottom: bool,
     top: bool,
     column: int,
-    visits: list[int] | None = None,
 ) -> int:
     """The bound at a column boundary, on the start-of-column ``key``.
 
     A name of its own, so that the two prune sites can be timed apart
     (``bench/tracer.py`` wraps each).
     """
-    return additional_steps_mid(key, -1, width, bottom, top, column, visits)
+    return additional_steps_mid(key, -1, width, bottom, top, column)

@@ -135,7 +135,7 @@ class TestDaScan:
         # a window whose equations start above x^0 leaves p_0 without one
         tried = []
 
-        def spy(coeffs, spec, last_n, dps):
+        def spy(coeffs, spec, last_n):
             tried.append((spec, last_n))
             raise AnalysisError("not solved here")
 
@@ -154,6 +154,12 @@ class TestDaScan:
         coeffs = power_law_series(3, Fraction(3, 2), 30)
         with pytest.raises(AnalysisError, match="must be at least 1"):
             da_scan(coeffs, orders=orders, pdegrees=(0,))
+
+    @pytest.mark.parametrize("pdegrees", [(-2,), (0, -3)])
+    def test_p_degrees_below_minus_one_are_refused(self, pdegrees):
+        coeffs = power_law_series(3, Fraction(3, 2), 30)
+        with pytest.raises(AnalysisError, match="must be at least -1"):
+            da_scan(coeffs, orders=(2,), pdegrees=pdegrees)
 
     def test_identical_estimates_keep_zero_spread(self):
         e = SingularityEstimate(0.25, 1.5, DASpec((3, 3)), 12)

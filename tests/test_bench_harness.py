@@ -12,6 +12,10 @@ from pathlib import Path
 
 import pytest
 
+from sawenum.engine import sweep
+
+from slot_reads import slot_reads
+
 ROOT = Path(__file__).resolve().parent.parent
 SPEC = json.loads((ROOT / "BENCHMARK.json").read_text(encoding="utf-8"))
 
@@ -49,12 +53,10 @@ def test_tracer_counts_each_prune_site_once():
     )
     assert proc.returncode == 0, proc.stderr
     layers = json.loads(proc.stdout)
-    from sawenum.engine import sweep
-
-    visits = [0, 0]
-    sweep(3, 5, 9, prune_visits=visits)
+    # every call event on the bound's code object is one evaluation
+    _, evaluations = slot_reads(sweep, 3, 5, 9)
     assert layers["pruning.boundary_calls"] > 0
     assert layers["pruning.mid_calls"] > 0
     assert (layers["pruning.boundary_calls"] + layers["pruning.mid_calls"]
-            == visits[1])
+            == len(evaluations))
     assert layers["engine.kink_update_calls"] == 4 * 6

@@ -96,6 +96,16 @@ class TestBoxAndCrt:
                    "-o", str(b)) == 0
         assert run("verify", str(a), str(b)) == 0
 
+    @pytest.mark.parametrize("command", [
+        ["oracle", "--nmax", "-1"],
+        ["box", "--width", "2", "--length", "3", "--oracle", "--nmax", "-1"],
+    ])
+    def test_oracle_refuses_a_negative_nmax(self, tmp_path, capsys, command):
+        out = tmp_path / "o.series"
+        assert run(*command, "-o", str(out)) == 2
+        assert "error: n_max must be non-negative" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_crt_reconstructs_residue_file(self, tmp_path):
         resid = tmp_path / "r.series"
         exact = tmp_path / "x.series"
@@ -152,6 +162,17 @@ class TestAnalyzeFitRatios:
         assert run("analyze", "--series", str(series), "--order", order,
                    "-o", str(csv)) == 2
         assert f"error: approximant order {order} must be at least 1" in (
+            capsys.readouterr().err)
+        assert not csv.exists()
+
+    def test_analyze_refuses_a_p_degree_below_minus_one(self, tmp_path,
+                                                         capsys):
+        series = tmp_path / "s.series"
+        csv = tmp_path / "da.csv"
+        write_series(SeriesTable([(n + 1) * 3**n for n in range(30)]), series)
+        assert run("analyze", "--series", str(series), "--inhomog", "-2",
+                   "-o", str(csv)) == 2
+        assert "error: inhomogeneous degree -2 must be at least -1" in (
             capsys.readouterr().err)
         assert not csv.exists()
 

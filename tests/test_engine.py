@@ -12,14 +12,12 @@ from sawenum import engine
 from sawenum.engine import (
     EngineFault,
     field_bits,
-    kink_update,
-    seed,
     sweep,
     transitions,
     unpack_coefficients,
 )
 from sawenum.oracle import box_spanning_counts
-from sawenum.signatures import Signature, encode
+from sawenum.signatures import Signature, decode, encode, validate
 
 from walk_replay import replay, shift_boundary, spanning_walks
 
@@ -113,14 +111,24 @@ class TestTransitions:
 
 
 class TestKinkUpdate:
-    def test_invariant_checking_passes_on_real_sweeps(self):
-        bits = field_bits(7)
-        mask = (1 << (bits * 8)) - 1
-        states = seed()
-        for r in range(3):
-            states, _ = kink_update(states, 2, r, True, bits, mask,
-                                    check_invariants=True)
-        assert states
+    def test_invariant_checking_passes_on_real_sweeps(self, monkeypatch):
+        # every state each kink move of a pruned and an unpruned sweep makes
+        # decodes to a valid signature
+        kink_update = engine.kink_update
+        moves = []
+
+        def validated(states, width, *args):
+            out, completions = kink_update(states, width, *args)
+            for key in out:
+                sig = decode(key, width + 2)
+                assert validate(sig) is None, sig
+            moves.append(len(out))
+            return out, completions
+
+        monkeypatch.setattr(engine, "kink_update", validated)
+        for prune in (True, False):
+            sweep(3, 5, 11, prune=prune)
+        assert len(moves) == 2 * 4 * 6 and sum(moves)
 
 
 class TestSweepLedger:
@@ -142,12 +150,6 @@ class TestSweepLedger:
     def test_rejects_overflowing_width(self):
         with pytest.raises(ValueError):
             sweep(40, 40, 10)
-
-    def test_prune_visits_instrumentation(self):
-        visits = [0, 0]
-        sweep(2, 3, 9, prune_visits=visits)
-        assert visits[1] > 0
-        assert visits[0] <= (2 + 2) * visits[1]
 
 
 @pytest.mark.parametrize("width,length,n_max", [(1, 2, 7), (2, 2, 9), (2, 3, 10)])

@@ -88,7 +88,7 @@ class TestBoxCounts:
 
     def test_rejects_wide_boxes(self):
         with pytest.raises(ValueError):
-            box_counts(3, 2)
+            box_counts(3, 2, 11)
 
     def test_minimum_degree_spans_the_box(self):
         poly = box_counts(2, 3, 12)
@@ -135,14 +135,15 @@ class TestSweepChoice:
     @needs_compiler
     @pytest.mark.parametrize("width,length", [(3, 40), (4, 40), (1, 90)])
     def test_kernel_covers_long_boxes(self, width, length):
-        # the default n_max of these boxes (123, 124 and 271) once overflowed
-        # the kernel's fixed degree window or its 8-bit degree fields
+        # the CLI's default n_max of these boxes (123, 124 and 271) once
+        # overflowed the kernel's fixed degree window or its 8-bit degree
+        # fields
         n_max = width + 3 * length
         ledger, stats = flm._sweep(width, length, n_max, DEFAULT_MODULI)
         assert stats["kernel"] == "c"
         want = engine.sweep(width, length, n_max)
         assert [p.coeffs for p in ledger] == reduced(want, DEFAULT_MODULI)
-        assert box_counts(width, length).coeffs == reduced(
+        assert box_counts(width, length, n_max).coeffs == reduced(
             [[2 * v for v in want[length]]], DEFAULT_MODULI)[0]
 
     @needs_compiler

@@ -119,3 +119,10 @@ class TestMetricSums:
         assert list(te.values) == e
         assert list(tg.values) == g
         assert [2 * v for v in tm.values] == m2
+
+
+@pytest.mark.parametrize("oracle", [
+    count_walks, metric_sums, lambda n_max: box_spanning_counts(1, 2, n_max)])
+def test_negative_n_max_is_refused(oracle):
+    with pytest.raises(ValueError, match="n_max must be non-negative"):
+        oracle(-1)

@@ -15,6 +15,7 @@ from sawenum.pruning import UNREACHABLE, additional_steps_mid
 from sawenum.signatures import (EMPTY, FREE, LOWER, UPPER,
                                 all_valid_signatures, encode, mirror)
 
+from slot_reads import slot_reads
 from walk_replay import replay, spanning_walks
 
 
@@ -152,11 +153,14 @@ class TestShouldPrune:
 
 class TestBoundaryBound:
     def test_visit_count_is_linear_in_width(self):
+        reads = []
         for width in (3, 7, 11):
-            visits = [0, 0]
-            additional_steps_mid(0, -1, width, False, False, 0, visits)
-            assert visits[1] == 1
-            assert visits[0] <= 8 * width + 16
+            _, (n,) = slot_reads(additional_steps_mid, 0, -1, width, False,
+                                 False, 0)
+            assert 0 < n <= 8 * width + 16
+            reads.append(n)
+        # evenly spaced widths: a linear count grows by equal steps
+        assert reads[1] - reads[0] == reads[2] - reads[1]
 
     @pytest.mark.parametrize("width", range(7))
     def test_is_mirror_symmetric(self, width):
