@@ -14,12 +14,12 @@ Measures, for each checkout, in fresh interpreters:
   whose states spread over many degrees (n_max 123);
 - ``enumerate_w15_s`` and ``enumerate_w15_rss_mb``: the same for
   ``sawenum enumerate --wmax 15``;
-- ``kernel_w12_wmax16_s``: ``ckernel.sweep_residues(12, 21, 33)`` alone
+- ``kernel_w12_wmax16_s``: ``ckernel.sweep(12, 21, 33)`` alone
   (width 12 of ``enumerate --wmax 16``, after the warm-up build), a
   production-scale width that the small runs above do not reach, with the
   sweep's exact work counts ``kernel_w12_wmax16_peak_states``,
   ``_state_rows``, ``_regrows``, ``_merged`` and ``_peak_bytes`` (see
-  ``ckernel.sweep_residues``);
+  ``ckernel.sweep``);
 - ``tier1_s``: the tier-1 suite, with its summary line, timed once per
   checkout after the rounds: no perf change targets it, and it would take
   most of every round.  ``tier1_slowest`` holds pytest's ``--durations``
@@ -27,7 +27,7 @@ Measures, for each checkout, in fresh interpreters:
 - ``enumerate_w13_state_rows`` and ``enumerate_w13_peak_states``, recorded
   once per checkout beside ``tier1_s`` and not timed: the sum of
   ``state_rows`` and the maximum of ``peak_states`` of
-  ``ckernel.sweep_residues`` over the widths that ``enumerate --wmax 13``
+  ``ckernel.sweep`` over the widths that ``enumerate --wmax 13``
   sweeps.  They are exact, so they still compare checkouts where the
   multi-second timings spread too widely;
 - ``enumerate_w13_sha256`` and ``enumerate_w9_engine_sha256``, also once
@@ -135,7 +135,7 @@ result = {}
 KERNEL = IMPORTS + """
 from sawenum import ckernel
 """ + BEGIN + """
-_, result = ckernel.sweep_residues(12, 21, 33)
+_, result = ckernel.sweep(12, 21, 33)
 """ + END
 
 #: run in the measured checkout: the work counts of the enumerate --wmax
@@ -144,7 +144,7 @@ COUNTS = """
 import json, sys
 from sawenum import ckernel
 wmax = int(sys.argv[1])
-stats = [ckernel.sweep_residues(w, 2 * wmax - w + 1, 2 * wmax + 1)[1]
+stats = [ckernel.sweep(w, 2 * wmax - w + 1, 2 * wmax + 1)[1]
          for w in range(wmax + 1)]
 print(json.dumps({"state_rows": sum(s["state_rows"] for s in stats),
                   "peak_states": max(s["peak_states"] for s in stats)}))

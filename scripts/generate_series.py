@@ -12,15 +12,18 @@ cached the ledgers are assembled into the final series file.
 
 Each width is swept by ``flm``'s sweep, which runs the compiled kernel
 (``sawenum.ckernel``) when a C compiler is found, else the Python engine;
-both write the same ledger bytes.
+both return the same exact ledger, so both write the same ledger bytes.
 
 A ledger file holds '#'-prefixed headers, then one ``column<TAB>degree<TAB>
-residues`` line per nonzero coefficient (residues comma-separated, in the
-order of the ``moduli`` header; columns < width have no lines, since the
-pruned sweeps leave them empty).  The headers are ``algorithm-version``,
-``width``, ``l_max``, ``n_max``, ``moduli`` and ``sha256``, the digest of
-everything after the header lines.  A cached ledger whose headers do not
-match the run, or whose body does not match its digest, is refused.  Each
+residues`` line per nonzero coefficient: the exact count reduced modulo each
+of ``DEFAULT_MODULI``, comma-separated in the order of the ``moduli``
+header, and reconstructed by CRT when the ledger is read (columns < width
+have no lines, since the pruned sweeps leave them empty).  The headers are
+``algorithm-version``, ``width``, ``l_max``, ``n_max``, ``moduli`` and
+``sha256``, the digest of everything after the header lines.  A cached
+ledger whose headers do not match the run, whose body does not match its
+digest, or whose moduli cannot hold counts up to its ``n_max``
+(``modseries.check_crt_range``) is refused.  Each
 child also writes ``<ledger>.stats.json`` (seconds and peak RSS, and from
 the kernel peak live states, state rows, the most bytes its state maps had
 in use, how many states moved to a wider block and how many states a state
@@ -49,7 +52,8 @@ sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 from sawenum import flm  # noqa: E402
 from sawenum.modseries import (  # noqa: E402
     DEFAULT_MODULI,
-    TruncatedPolynomial,
+    check_crt_range,
+    crt_reconstruct,
     write_series,
 )
 
@@ -76,24 +80,23 @@ def _digest(body: str) -> str:
     return hashlib.sha256(body.encode("ascii")).hexdigest()
 
 
-def write_ledger(path: Path, header: dict, rows) -> None:
-    """Write ``rows[c][i][d]`` (residue of column c, modulus i, degree d)."""
-    lines = []
-    for c, col in enumerate(rows):
-        for d in range(len(col[0])):
-            res = [row[d] for row in col]
-            if any(res):
-                lines.append(f"{c}\t{d}\t{','.join(map(str, res))}\n")
-    body = "".join(lines)
+def write_ledger(path: Path, header: dict, ledger) -> None:
+    """Write the exact ``ledger[c][d]`` (column c, degree d) reduced modulo
+    the header's moduli."""
+    moduli = [int(m) for m in header["moduli"].split(",")]
+    body = "".join(f"{c}\t{d}\t{','.join(str(v % m) for m in moduli)}\n"
+                   for c, col in enumerate(ledger)
+                   for d, v in enumerate(col) if v)
     head = "".join(f"# {k}: {v}\n" for k, v in header.items())
     tmp = path.with_suffix(".tmp")
     tmp.write_text(f"{head}# sha256: {_digest(body)}\n{body}", encoding="ascii")
     tmp.rename(path)
 
 
-def read_ledger(path: Path, header: dict) -> list[TruncatedPolynomial]:
-    """Load a ledger, refusing it unless its headers equal ``header`` and its
-    body matches the recorded digest."""
+def read_ledger(path: Path, header: dict) -> list[list[int]]:
+    """Load a ledger as exact counts ``[column][degree]``, refusing it unless
+    its headers equal ``header`` and its body matches the recorded digest
+    (LedgerError), and its moduli pass ``check_crt_range`` (ValueError)."""
     text = path.read_text(encoding="ascii")
     meta = {}
     body_at = 0
@@ -113,14 +116,14 @@ def read_ledger(path: Path, header: dict) -> list[TruncatedPolynomial]:
     if digest != _digest(body):
         raise LedgerError(f"{path}: ledger body does not match its sha256 header")
     n_max = int(header["n_max"])
-    moduli = tuple(int(m) for m in header["moduli"].split(","))
-    rows = [[[0] * (n_max + 1) for _ in moduli]
-            for _ in range(int(header["l_max"]) + 1)]
+    moduli = [int(m) for m in header["moduli"].split(",")]
+    check_crt_range(moduli, n_max)
+    ledger = [[0] * (n_max + 1) for _ in range(int(header["l_max"]) + 1)]
     for line in body.splitlines():
         c, d, res = line.split("\t")
-        for row, r in zip(rows[int(c)], res.split(",")):
-            row[int(d)] = int(r)
-    return [TruncatedPolynomial(moduli, n_max, col) for col in rows]
+        ledger[int(c)][int(d)] = crt_reconstruct(
+            [int(r) for r in res.split(",")], moduli)
+    return ledger
 
 
 def run_width(wmax: int, width: int, cache: Path) -> None:
@@ -130,8 +133,7 @@ def run_width(wmax: int, width: int, cache: Path) -> None:
     n_max = 2 * wmax + 1
     l_max = 2 * wmax - width + 1
     t0 = time.time()
-    ledger, stats = flm._sweep(width, l_max, n_max, DEFAULT_MODULI)
-    rows = [p.coeffs for p in ledger]
+    ledger, stats = flm._sweep(width, l_max, n_max)
     stats = {
         "kernel": stats.pop("kernel"),
         "seconds": round(time.time() - t0, 1),
@@ -140,7 +142,7 @@ def run_width(wmax: int, width: int, cache: Path) -> None:
             resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024, 1),
     }
     out = ledger_path(cache, wmax, width)
-    write_ledger(out, ledger_header(wmax, width), rows)
+    write_ledger(out, ledger_header(wmax, width), ledger)
     Path(f"{out}.stats.json").write_text(json.dumps(stats) + "\n")
 
 
@@ -168,7 +170,7 @@ def main() -> int:
         if path.exists():
             try:
                 ledgers[w] = read_ledger(path, ledger_header(args.wmax, w))
-            except LedgerError as exc:
+            except (LedgerError, ValueError) as exc:
                 print(f"error: {exc}", file=sys.stderr)
                 return 1
             print(f"width {w:2d}: cached", flush=True)
@@ -206,7 +208,7 @@ def main() -> int:
 
     plan = flm.RunPlan(w_max=args.wmax)
     table = flm.assemble([ledgers[w] for w in range(args.wmax + 1)], plan)
-    write_series(table.to_exact(), args.output)
+    write_series(table, args.output)
     print(f"wrote {args.output}", flush=True)
     return 0
 

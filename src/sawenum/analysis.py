@@ -449,9 +449,9 @@ def da_scan(
     equations than effective unknowns: a generic series makes it singular,
     and only an exactly D-finite one makes it consistent, but ill-posed.
     Homogeneous windows (``pdegree`` -1) have no P part and are always
-    tried.  An order below 1 or a P degree below -1 raises AnalysisError
-    before any window is fitted.  Each estimate is computed at 30 digits
-    (see :func:`singularity_estimate`).
+    tried.  An order below 1, a P degree below -1 or a ``min_last_n`` past
+    the series' end raises AnalysisError before any window is fitted.  Each
+    estimate is computed at 30 digits (see :func:`singularity_estimate`).
     """
     for order in orders:
         if order < 1:
@@ -464,6 +464,10 @@ def da_scan(
     n_max = len(coeffs) - 1
     if min_last_n is None:
         min_last_n = (3 * n_max) // 4
+    if min_last_n > n_max:
+        raise AnalysisError(
+            f"the series has {n_max + 1} terms, fewer than the "
+            f"{min_last_n + 1} asked for")
     out = []
     for last_n in range(min_last_n, n_max + 1):
         for order in orders:
@@ -555,6 +559,11 @@ def _a_power(i: int) -> Fraction:
     return Fraction(0) if i == 0 else -Fraction(i + 1, 2)
 
 
+def _check_fit_shape(k: int, m: int) -> None:
+    if k < 1 or m < 0:
+        raise AnalysisError("need k >= 1 and m >= 0")
+
+
 def amplitude_fit(
     coeffs,
     mu: float,
@@ -572,8 +581,7 @@ def amplitude_fit(
     """
     if last_n is None:
         last_n = len(coeffs) - 1
-    if k < 1 or m < 0:
-        raise AnalysisError("need k >= 1 and m >= 0")
+    _check_fit_shape(k, m)
     size = k + m
     if last_n + 1 < size or last_n - size + 1 < 1:
         raise AnalysisError("not enough coefficients for this fit")
@@ -607,7 +615,9 @@ def amplitude_fit(
 
 def amplitude_trajectory(coeffs, mu, e1, e2, k, m):
     """AmplitudeFit at every usable ``last_n`` from 2/3 of the series on;
-    for plotting a_0 versus 1/n."""
+    for plotting a_0 versus 1/n.  Windows whose fit fails are skipped, but
+    a bad ``k`` or ``m`` raises AnalysisError."""
+    _check_fit_shape(k, m)
     n_max = len(coeffs) - 1
     fits = []
     for last_n in range(max(k + m + 1, (2 * n_max) // 3), n_max + 1):

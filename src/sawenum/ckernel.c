@@ -3,10 +3,12 @@
  * The state layout, the kink move (engine.transitions), the prune bound
  * (pruning.additional_steps_mid, after each row and, at row -1, at column
  * boundaries), the boundary shift and the mirror merge port the Python engine
- * and give the same results.  A generating function is kept as residues
- * modulo each of ``nmod`` moduli; every operation on it is an addition or a
- * degree shift, so working modulo m gives the exact ledger modulo m, and all
- * moduli share one pass over the states.
+ * and give the same results.  A generating function keeps each degree's
+ * count as one unsigned 128-bit integer.  Every count is a sum of
+ * nonnegative terms, so the sweep's counts are exact unless an addition
+ * carries out of 128 bits; each addition ORs its carry into a flag, and a
+ * sweep that carried fails with error 5 instead of returning a wrapped
+ * ledger.
  *
  * At a column boundary a state and its mirror image (the reflection y ->
  * W - y, see mirror_key) have the same future completions, so the top row
@@ -39,11 +41,10 @@
  * in a block of a per-row bump arena (see the state map below).  A state's
  * first sum is copied into its fresh block; a block that a later sum
  * outgrows is replaced by one twice as wide, so every sweep runs once,
- * whatever the spread of its states' degrees.  Moduli may be anything from
- * 2 to 2**64 - 1.
+ * whatever the spread of its states' degrees.
  *
  * Error codes: 1 forbidden kink state, 2 occupied vertical edge above the
- * lattice, 3 out of memory, 4 bad arguments.
+ * lattice, 3 out of memory, 4 bad arguments, 5 a count overflowed 128 bits.
  */
 
 #include <stdint.h>
@@ -51,22 +52,16 @@
 #include <string.h>
 
 typedef uint64_t u64;
+typedef unsigned __int128 u128;
 
 #define MAX_SLOTS 30
 #define MAX_TARGETS 32
 #define MAX_NMAX (1 << 29) /* keeps degrees inside an int, spans in Entry.cap */
 #define SLOT_LOW_BITS 0x5555555555555555ULL /* low bit of every 2-bit slot */
 
-/* Residues of a generating function are stored degree by degree: residue i
- * (modulo mod[i]) of degree base + j sits at block[j * nmod + i]. */
-typedef struct {
-    int n, nmod;
-    const u64 *mod;
-} Ring;
-
 /* ------------------------------------------------------------------------
  * State map: insertion-ordered entries behind an open-addressing index.  An
- * entry's residues live in a block of ``cap`` degrees of the map's arena,
+ * entry's counts live in a block of ``cap`` degrees of the map's arena,
  * starting at degree ``base``, and are zero outside [lo, hi] (the entry is
  * empty when lo > hi).  The arena is a bump allocator, reset with the map
  * once per row: an entry's first sum is copied into a block just as wide as
@@ -93,7 +88,7 @@ typedef struct {
 /* index slots hold an entry number + 1, 0 = empty slot */
 typedef struct {
     Entry *e;
-    u64 *arena;
+    u128 *arena;
     uint32_t *index;
     size_t count, cap, used, arena_cap, index_size;
 } Map;
@@ -112,10 +107,10 @@ static int map_init(Map *m)
 {
     memset(m, 0, sizeof *m);
     m->cap = MAP_START;
-    m->arena_cap = 4 * MAP_START;
+    m->arena_cap = 2 * MAP_START;
     m->index_size = 2 * MAP_START;
     m->e = malloc(m->cap * sizeof(Entry));
-    m->arena = malloc(m->arena_cap * sizeof(u64));
+    m->arena = malloc(m->arena_cap * sizeof(u128));
     m->index = calloc(m->index_size, sizeof(uint32_t));
     return m->e && m->arena && m->index ? 0 : 3;
 }
@@ -135,11 +130,11 @@ static void map_clear(Map *m)
     memset(m->index, 0, m->index_size * sizeof(uint32_t));
 }
 
-/* Bytes the map has in use: its entries, the arena words handed out and
+/* Bytes the map has in use: its entries, the arena counts handed out and
  * its hash index. */
 static size_t map_bytes(const Map *m)
 {
-    return m->count * sizeof(Entry) + m->used * sizeof(u64)
+    return m->count * sizeof(Entry) + m->used * sizeof(u128)
            + m->index_size * sizeof(uint32_t);
 }
 
@@ -232,42 +227,42 @@ static size_t map_insert(Map *m, u64 key, size_t h, int top)
     return i;
 }
 
-/* Offset of a fresh block of ``words`` residues at the arena's end, not
+/* Offset of a fresh block of ``degrees`` counts at the arena's end, not
  * zeroed; growing the arena may move it, and with it every entry's
- * residues. */
-static int arena_alloc(Map *m, size_t words, uint32_t *block)
+ * counts. */
+static int arena_alloc(Map *m, size_t degrees, uint32_t *block)
 {
-    if (m->used + words > UINT32_MAX)
+    if (m->used + degrees > UINT32_MAX)
         return 3;
-    if (m->used + words > m->arena_cap) {
+    if (m->used + degrees > m->arena_cap) {
         size_t cap = m->arena_cap + m->arena_cap / 2;
-        if (cap < m->used + words)
-            cap = m->used + words;
-        if (grow((void **)&m->arena, cap * sizeof(u64)))
+        if (cap < m->used + degrees)
+            cap = m->used + degrees;
+        if (grow((void **)&m->arena, cap * sizeof(u128)))
             return 3;
         m->arena_cap = cap;
     }
     *block = (uint32_t)m->used;
-    m->used += words;
+    m->used += degrees;
     return 0;
 }
 
 /* A fresh block for the new, still empty entry j, holding degrees lo..hi
- * (lo <= hi) from now on: as wide as that span and at least MIN_SPAN, with
- * every degree past the span zeroed.  Returns where the caller writes the
- * span's residues, or NULL when out of memory. */
-static u64 *new_block(const Ring *R, Map *m, size_t j, int lo, int hi)
+ * (lo <= hi) from now on: as wide as that span and at least MIN_SPAN (but
+ * no wider than the n = n_max + 1 degrees any entry can span), with every
+ * degree past the span zeroed.  Returns where the caller writes the span's
+ * counts, or NULL when out of memory. */
+static u128 *new_block(Map *m, size_t j, int lo, int hi, int n)
 {
     int len = hi - lo + 1;
-    int cap = MIN_SPAN < R->n ? MIN_SPAN : R->n; /* no entry spans more */
+    int cap = MIN_SPAN < n ? MIN_SPAN : n;
     if (cap < len)
         cap = len;
     uint32_t block;
-    if (arena_alloc(m, (size_t)cap * R->nmod, &block))
+    if (arena_alloc(m, cap, &block))
         return NULL;
-    u64 *v = m->arena + block;
-    memset(v + (size_t)len * R->nmod, 0,
-           (size_t)(cap - len) * R->nmod * sizeof(u64));
+    u128 *v = m->arena + block;
+    memset(v + len, 0, (size_t)(cap - len) * sizeof(u128));
     Entry *e = &m->e[j];
     e->block = block;
     e->cap = cap;
@@ -281,70 +276,51 @@ static u64 *new_block(const Ring *R, Map *m, size_t j, int lo, int hi)
  * at most ``cap`` degrees, else move the entry to a fresh block (counted in
  * *regrows) at least twice as wide.  The arena may move, so callers re-read
  * block addresses. */
-static int widen(const Ring *R, Map *m, size_t j, int lo, int hi,
-                 u64 *regrows)
+static int widen(Map *m, size_t j, int lo, int hi, int n, u64 *regrows)
 {
     Entry *e = &m->e[j];
-    int nmod = R->nmod;
     int len = e->hi - e->lo + 1;
     lo = lo < e->lo ? lo : e->lo;
     hi = hi > e->hi ? hi : e->hi;
-    size_t from = e->block + (size_t)(e->lo - e->base) * nmod;
+    size_t from = e->block + (size_t)(e->lo - e->base);
     if (hi - lo + 1 > e->cap) {
         int64_t cap = 2 * (int64_t)e->cap;
-        if (cap > R->n) /* no entry spans more than n_max + 1 degrees */
-            cap = R->n;
+        if (cap > n) /* no entry spans more than n_max + 1 degrees */
+            cap = n;
         if (cap < hi - lo + 1)
             cap = hi - lo + 1;
         uint32_t block;
-        if (arena_alloc(m, (size_t)cap * nmod, &block))
+        if (arena_alloc(m, cap, &block))
             return 3;
-        memcpy(m->arena + block + (size_t)(e->lo - lo) * nmod,
-               m->arena + from, (size_t)len * nmod * sizeof(u64));
+        memcpy(m->arena + block + (e->lo - lo), m->arena + from,
+               (size_t)len * sizeof(u128));
         ++*regrows;
         e->block = block;
         e->cap = (uint32_t)cap;
     } else {
-        memmove(m->arena + e->block + (size_t)(e->lo - lo) * nmod,
-                m->arena + from, (size_t)len * nmod * sizeof(u64));
+        memmove(m->arena + e->block + (e->lo - lo), m->arena + from,
+                (size_t)len * sizeof(u128));
     }
     /* zero the block around the live degrees' new place */
-    u64 *v = m->arena + e->block;
+    u128 *v = m->arena + e->block;
     int to = e->lo - lo;
-    memset(v, 0, (size_t)to * nmod * sizeof(u64));
-    memset(v + (size_t)(to + len) * nmod, 0,
-           (size_t)(e->cap - to - len) * nmod * sizeof(u64));
+    memset(v, 0, (size_t)to * sizeof(u128));
+    memset(v + to + len, 0, (size_t)(e->cap - to - len) * sizeof(u128));
     e->base = lo;
     e->lo = lo;
     e->hi = hi;
     return 0;
 }
 
-/* (a + b) mod ``mod`` for a, b < mod, without overflow for any mod < 2**64:
- * a sum that wraps past 2**64 is at least mod, and wrapping back is exact. */
-static inline u64 add_mod(u64 a, u64 b, u64 mod)
-{
-    u64 x = a + b;
-    return x < a || x >= mod ? x - mod : x;
-}
-
-static int zero_at(const Ring *R, const u64 *v)
-{
-    for (int i = 0; i < R->nmod; i++)
-        if (v[i])
-            return 0;
-    return 1;
-}
-
-/* Shrink entry i's degree range past degrees that are zero modulo every
- * modulus; returns 0 when the entry is empty. */
-static int trim(const Ring *R, Map *m, size_t i)
+/* Shrink entry i's degree range past degrees whose count is zero; returns 0
+ * when the entry is empty. */
+static int trim(Map *m, size_t i)
 {
     Entry *e = &m->e[i];
-    const u64 *v = m->arena + e->block;
-    while (e->lo <= e->hi && zero_at(R, v + (size_t)(e->lo - e->base) * R->nmod))
+    const u128 *v = m->arena + e->block;
+    while (e->lo <= e->hi && !v[e->lo - e->base])
         e->lo++;
-    while (e->hi >= e->lo && zero_at(R, v + (size_t)(e->hi - e->base) * R->nmod))
+    while (e->hi >= e->lo && !v[e->hi - e->base])
         e->hi--;
     return e->lo <= e->hi;
 }
@@ -352,25 +328,26 @@ static int trim(const Ring *R, Map *m, size_t i)
 /* The new, still empty entry j of ``dst`` = x**k * entry i of ``src``,
  * truncated at dst's degree cap (callers check that something is left):
  * one copy into a fresh block. */
-static int first_sum(const Ring *R, Map *dst, size_t j, const Map *src,
-                     size_t i, int k)
+static int first_sum(Map *dst, size_t j, const Map *src, size_t i, int k,
+                     int n)
 {
     const Entry *s = &src->e[i];
     int lo = s->lo + k, hi = s->hi + k;
     if (hi > dst->e[j].top)
         hi = dst->e[j].top;
-    u64 *dv = new_block(R, dst, j, lo, hi);
+    u128 *dv = new_block(dst, j, lo, hi, n);
     if (!dv)
         return 3;
-    memcpy(dv, src->arena + s->block + (size_t)(s->lo - s->base) * R->nmod,
-           (size_t)(hi - lo + 1) * R->nmod * sizeof(u64));
+    memcpy(dv, src->arena + s->block + (s->lo - s->base),
+           (size_t)(hi - lo + 1) * sizeof(u128));
     return 0;
 }
 
 /* Entry j of ``dst`` (nonempty) += x**k * entry i of ``src``, truncated at
- * dst's degree cap; in place when the sum fits the entry's block. */
-static int add_shifted(const Ring *R, Map *dst, size_t j, const Map *src,
-                       size_t i, int k, u64 *regrows)
+ * dst's degree cap; in place when the sum fits the entry's block.  A carry
+ * out of 128 bits sets *carried. */
+static int add_shifted(Map *dst, size_t j, const Map *src, size_t i, int k,
+                       int n, u64 *regrows, int *carried)
 {
     const Entry *s = &src->e[i];
     Entry *d = &dst->e[j];
@@ -380,7 +357,7 @@ static int add_shifted(const Ring *R, Map *dst, size_t j, const Map *src,
     if (lo > hi)
         return 0;
     if (lo < d->base || hi >= d->base + d->cap) {
-        if (widen(R, dst, j, lo, hi, regrows))
+        if (widen(dst, j, lo, hi, n, regrows))
             return 3;
     } else {
         if (lo < d->lo)
@@ -388,23 +365,21 @@ static int add_shifted(const Ring *R, Map *dst, size_t j, const Map *src,
         if (hi > d->hi)
             d->hi = hi;
     }
-    int nmod = R->nmod;
-    u64 *dv = dst->arena + d->block + (size_t)(lo - d->base) * nmod;
-    const u64 *sv = src->arena + s->block + (size_t)(s->lo - s->base) * nmod;
+    u128 *dv = dst->arena + d->block + (lo - d->base);
+    const u128 *sv = src->arena + s->block + (s->lo - s->base);
     for (int t = 0; t <= hi - lo; t++)
-        for (int r = 0; r < nmod; r++, dv++, sv++)
-            *dv = add_mod(*dv, *sv, R->mod[r]);
+        *carried |= __builtin_add_overflow(dv[t], sv[t], &dv[t]);
     return 0;
 }
 
-/* Full-length vector (nmod rows of n residues) += entry i of ``src``. */
-static void add_full(const Ring *R, u64 *dst, const Map *src, size_t i)
+/* Ledger column ``dst`` (counts of degrees 0..n_max) += entry i of ``src``;
+ * a carry out of 128 bits sets *carried. */
+static void add_full(u128 *dst, const Map *src, size_t i, int *carried)
 {
     const Entry *e = &src->e[i];
-    const u64 *v = src->arena + e->block + (size_t)(e->lo - e->base) * R->nmod;
-    for (int d = e->lo; d <= e->hi; d++)
-        for (int r = 0; r < R->nmod; r++, v++)
-            dst[r * R->n + d] = add_mod(dst[r * R->n + d], *v, R->mod[r]);
+    const u128 *v = src->arena + e->block + (e->lo - e->base);
+    for (int d = e->lo; d <= e->hi; d++, v++)
+        *carried |= __builtin_add_overflow(dst[d], *v, &dst[d]);
 }
 
 /* ------------------------------------------------------------------------
@@ -769,55 +744,52 @@ static void expand(const Geometry *g, u64 key, int r, int first_col,
     }
 }
 
-/* ledger: (l_max + 1) * nmod * (n_max + 1) residues, column by column and
- * within a column modulus by modulus (columns < width stay zero when
- * pruning).  stats[0] = peak live states entering one row, stats[1] = live
- * states summed over all rows, stats[2] = most bytes both state maps had in
- * use at the end of a row (map_bytes), stats[3] = entries moved to a wider
- * block, stats[4] = live states at column boundaries that both a key and its
- * distinct mirror image added something to below the degree cap. */
-int sawenum_sweep(int width, int l_max, int n_max, const u64 *moduli,
-                  int nmod, int prune, u64 *ledger, u64 *stats)
+/* out: (l_max + 1) * (n_max + 1) counts, column by column, each an unsigned
+ * 128-bit integer in the machine's byte order (columns < width stay zero
+ * when pruning); written only when the sweep succeeds.  stats[0] = peak
+ * live states entering one row, stats[1] = live states summed over all
+ * rows, stats[2] = most bytes both state maps had in use at the end of a
+ * row (map_bytes), stats[3] = entries moved to a wider block, stats[4] =
+ * live states at column boundaries that both a key and its distinct mirror
+ * image added something to below the degree cap. */
+int sawenum_sweep(int width, int l_max, int n_max, int prune, void *out,
+                  u64 *stats)
 {
     int nslots = width + 2;
-    if (width < 0 || l_max < 0 || n_max < 0 || n_max > MAX_NMAX || nmod < 1
+    if (width < 0 || l_max < 0 || n_max < 0 || n_max > MAX_NMAX
         || nslots > MAX_SLOTS || 2 * nslots + 2 > 62)
         return 4;
-    for (int i = 0; i < nmod; i++)
-        if (moduli[i] < 2)
-            return 4;
-    Ring ring = {n_max + 1, nmod, moduli}, *R = &ring;
-    int fb = 2 * nslots;
+    int n = n_max + 1, fb = 2 * nslots;
+    size_t ledger_bytes = (size_t)(l_max + 1) * n * sizeof(u128);
     Geometry geo = {width, fb, prune, n_max, (1ULL << fb) - 1, 3ULL << fb};
     Map cur, nxt;
     Emitter ems[2];
-    int err = 0;
+    int err = 0, carried = 0;
     size_t j, h = 0;
     u64 regrows = 0, merged = 0;
+    u128 *ledger = calloc(1, ledger_bytes);
 
-    memset(ledger, 0, (size_t)(l_max + 1) * nmod * R->n * sizeof(u64));
     stats[0] = stats[1] = stats[2] = 0;
     err = map_init(&cur);
-    if (map_init(&nxt) || err) { /* both, so that both can be freed */
+    if (map_init(&nxt) || err || !ledger) { /* all, so all can be freed */
         err = 3;
         goto done;
     }
     /* the seed, the empty state of weight 1, unless the boundary prune
      * already rules out every walk */
     if (!prune || steps_mid(0, -1, width, 0, 0, 0) <= n_max) {
-        u64 *v;
+        u128 *v;
         map_find(&cur, 0, hash_key(0), &h);
         if ((j = map_insert(&cur, 0, h, n_max)) == NO_ENTRY
-            || !(v = new_block(R, &cur, j, 0, 0))) {
+            || !(v = new_block(&cur, j, 0, 0, n))) {
             err = 3;
             goto done;
         }
-        for (int i = 0; i < nmod; i++)
-            v[i] = 1;
+        *v = 1;
     }
 
     for (int c = 0; c <= l_max; c++) {
-        u64 *comp = ledger + (size_t)c * nmod * R->n;
+        u128 *comp = ledger + (size_t)c * n;
         for (int r = 0; r <= width; r++) {
             map_clear(&nxt);
             size_t live = 0;
@@ -829,7 +801,7 @@ int sawenum_sweep(int width, int l_max, int n_max, const u64 *moduli,
             size_t src = NO_ENTRY; /* the entry whose targets are due */
             for (size_t i = 0; i <= cur.count; i++) {
                 if (i < cur.count) {
-                    if (!trim(R, &cur, i))
+                    if (!trim(&cur, i))
                         continue;
                     expand(&geo, cur.e[i].key, r, c == 0, ahead, &nxt);
                 }
@@ -846,7 +818,7 @@ int sawenum_sweep(int width, int l_max, int n_max, const u64 *moduli,
                     goto done;
                 }
                 if (em->completes && (!prune || c >= width))
-                    add_full(R, comp, &cur, s);
+                    add_full(comp, &cur, s, &carried);
                 /* s's index slots were prefetched one source ago */
                 for (int t = 0; t < em->n; t++)
                     prefetch_entry(&nxt, em->t[t].hash);
@@ -854,8 +826,8 @@ int sawenum_sweep(int width, int l_max, int n_max, const u64 *moduli,
                     const Target *tg = &em->t[t];
                     if ((j = map_find(&nxt, tg->key, tg->hash, &h))
                         != NO_ENTRY) {
-                        if ((err = add_shifted(R, &nxt, j, &cur, s, tg->k,
-                                               &regrows)))
+                        if ((err = add_shifted(&nxt, j, &cur, s, tg->k, n,
+                                               &regrows, &carried)))
                             goto done;
                         if (cur.e[s].lo + tg->k <= nxt.e[j].top)
                             nxt.e[j].seen |= 1u << tg->mirrored;
@@ -865,7 +837,7 @@ int sawenum_sweep(int width, int l_max, int n_max, const u64 *moduli,
                     if (cur.e[s].lo + tg->k > top)
                         continue; /* nothing that could still complete */
                     if ((j = map_insert(&nxt, tg->key, h, top)) == NO_ENTRY
-                        || first_sum(R, &nxt, j, &cur, s, tg->k)) {
+                        || first_sum(&nxt, j, &cur, s, tg->k, n)) {
                         err = 3;
                         goto done;
                     }
@@ -892,7 +864,7 @@ int sawenum_sweep(int width, int l_max, int n_max, const u64 *moduli,
                 e->hi = 0;
                 continue;
             }
-            if (!trim(R, &cur, i))
+            if (!trim(&cur, i))
                 continue;
             if ((e->key >> (2 * (width + 1))) & 3) {
                 err = 2;
@@ -902,10 +874,15 @@ int sawenum_sweep(int width, int l_max, int n_max, const u64 *moduli,
             e->key = shifted_key(&geo, e->key);
         }
     }
+    if (carried)
+        err = 5;
+    else
+        memcpy(out, ledger, ledger_bytes);
 done:
     stats[3] = regrows;
     stats[4] = merged;
     map_free(&cur);
     map_free(&nxt);
+    free(ledger);
     return err;
 }

@@ -1,23 +1,24 @@
 """Compiled sweep kernel: ``engine.sweep`` for one width, written in C.
 
 ``ckernel.c`` ports the engine's kink move, prune bound, boundary shift and
-mirror merge, but keeps each generating function as arrays of residues
-modulo machine-word moduli, so it returns ``engine.sweep``'s exact ledger
-reduced modulo each modulus.  Like the engine it sums each state and its
-mirror image under one key at column boundaries, which about halves the
-states it carries, and with pruning on it leaves columns < W of the ledger
-empty.
+mirror merge, and counts each degree of a generating function as one
+unsigned 128-bit integer, so it returns ``engine.sweep``'s exact ledger.  A
+sweep whose counts would pass 2**128 raises instead (c_79, the longest
+published walk count, is about 2**113).  Like the engine it sums each state
+and its mirror image under one key at column boundaries, which about halves
+the states it carries, and with pruning on it leaves columns < W of the
+ledger empty.
 Its work per state follows the state's occupied slots rather than the
-width.  Each state stores only the span of degrees its residues occupy, in a
+width.  Each state stores only the span of degrees its counts occupy, in a
 block of a per-row arena that is replaced by a wider one when a sum outgrows
 it, so every width is swept exactly once whatever its degrees' spread.  The
 row loop expands each state one step ahead of applying it and prefetches
 where its targets' hash probes will land, which hides most cache misses of
 the large maps.
 ``flm`` runs every sweep on it (``enumerate``, ``box`` and
-``scripts/generate_series.py`` alike) when a C compiler is found and every
-modulus fits a machine word.  The Python engine stays the reference the
-kernel is tested against, and the fallback where no compiler is found.
+``scripts/generate_series.py`` alike) when a C compiler is found.  The
+Python engine stays the reference the kernel is tested against, and the
+fallback where no compiler is found.
 
 The shared library is built on first use with the C compiler named by ``CC``
 (default ``cc``; it must accept GCC builtins such as ``__builtin_ctzll`` and
@@ -30,10 +31,10 @@ to build it; a build that fails raises.
 from __future__ import annotations
 
 import os
+import sys
 from pathlib import Path
 
 from .engine import EngineFault
-from .modseries import DEFAULT_MODULI
 
 SOURCE = Path(__file__).with_name("ckernel.c")
 
@@ -41,8 +42,9 @@ _ERRORS = {
     1: "forbidden kink state",
     2: "occupied vertical edge above the lattice",
     3: "out of memory",
-    4: "bad arguments (width too large or modulus out of range)",
+    4: "bad arguments (width too large)",
 }
+OVERFLOW = 5  # the error code of a count that carried out of 128 bits
 
 _lib = None
 
@@ -84,9 +86,8 @@ def _load():
     lib = ctypes.CDLL(str(lib_path))
     lib.sawenum_sweep.restype = ctypes.c_int
     lib.sawenum_sweep.argtypes = [
-        ctypes.c_int, ctypes.c_int, ctypes.c_int,
-        ctypes.POINTER(ctypes.c_uint64), ctypes.c_int, ctypes.c_int,
-        ctypes.POINTER(ctypes.c_uint64), ctypes.POINTER(ctypes.c_uint64),
+        ctypes.c_int, ctypes.c_int, ctypes.c_int, ctypes.c_int,
+        ctypes.c_void_p, ctypes.POINTER(ctypes.c_uint64),
     ]
     _lib = lib
     return lib
@@ -113,44 +114,40 @@ def _build(lib_path: Path) -> None:
             os.remove(tmp)
 
 
-def sweep_residues(
-    width: int, l_max: int, n_max: int, moduli=DEFAULT_MODULI,
-    prune: bool = True,
-) -> tuple[list[list[list[int]]], dict]:
-    """Ledger of one sweep modulo each of ``moduli`` (each 2..2**64 - 1), all
-    moduli in one pass over the states.
+def sweep(width: int, l_max: int, n_max: int,
+          prune: bool = True) -> tuple[list[list[int]], dict]:
+    """``engine.sweep(width, l_max, n_max, prune)``, compiled, with stats.
 
-    Returns ``(ledger, stats)``: ``ledger[c][i][d]`` is the degree-``d``
-    coefficient of column ``c``'s completions modulo ``moduli[i]``, i.e.
-    ``engine.sweep(...)[c][d] % moduli[i]``.  ``stats`` holds
+    Returns ``(ledger, stats)``: ``ledger[c][d]`` is the exact count of
+    column ``c``, degree ``d``, equal to ``engine.sweep``'s.  ``stats`` holds
     ``peak_states`` (most live states entering one row), ``state_rows``
     (live states summed over all rows), ``peak_bytes`` (most bytes the
     kernel's two state maps had in use at the end of a row: 32 per entry,
-    8 per residue word handed out by the arenas, plus both hash indexes;
+    16 per degree handed out by the arenas, plus both hash indexes;
     allocated but unused capacity is not counted),
-    ``regrows`` (how often a state's residues outgrew their block and
+    ``regrows`` (how often a state's counts outgrew their block and
     moved to a wider one) and ``merged`` (states at column boundaries that a
     state and its distinct mirror image were summed into, see
-    ``signatures.mirror``).
+    ``signatures.mirror``).  Raises OverflowError when a count of the sweep
+    does not fit 128 bits.
     """
     import ctypes
 
-    if any(m >= 2**64 for m in moduli):
-        raise ValueError("the compiled kernel needs moduli below 2**64")
     lib = _load()
     n = n_max + 1
-    k = len(moduli)
-    ledger = (ctypes.c_uint64 * ((l_max + 1) * k * n))()
+    out = ctypes.create_string_buffer(16 * (l_max + 1) * n)
     stats = (ctypes.c_uint64 * 5)()
-    err = lib.sawenum_sweep(width, l_max, n_max,
-                            (ctypes.c_uint64 * k)(*moduli), k, int(prune),
-                            ledger, stats)
+    err = lib.sawenum_sweep(width, l_max, n_max, int(prune), out, stats)
+    if err == OVERFLOW:
+        raise OverflowError(
+            f"a count of the width-{width} sweep to column {l_max} and "
+            f"degree {n_max} does not fit the kernel's 128 bits")
     if err:
         raise EngineFault(f"compiled sweep failed: {_ERRORS.get(err, err)}")
-    rows = [
-        [list(ledger[(c * k + i) * n:(c * k + i + 1) * n]) for i in range(k)]
-        for c in range(l_max + 1)
-    ]
-    return rows, {"peak_states": stats[0], "state_rows": stats[1],
-                  "peak_bytes": stats[2], "regrows": stats[3],
-                  "merged": stats[4]}
+    raw = out.raw
+    counts = [int.from_bytes(raw[i:i + 16], sys.byteorder)
+              for i in range(0, len(raw), 16)]
+    ledger = [counts[c * n:(c + 1) * n] for c in range(l_max + 1)]
+    return ledger, {"peak_states": stats[0], "state_rows": stats[1],
+                    "peak_bytes": stats[2], "regrows": stats[3],
+                    "merged": stats[4]}

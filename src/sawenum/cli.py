@@ -16,6 +16,8 @@ from .modseries import (
     DEFAULT_MODULI,
     SeriesFormatError,
     SeriesTable,
+    TruncatedPolynomial,
+    check_coprime,
     read_series,
     write_series,
 )
@@ -54,15 +56,19 @@ def _write_csv(path, header_meta: dict, columns: tuple[str, ...], rows) -> None:
 
 
 def _cmd_enumerate(args) -> int:
+    moduli = _parse_ints(args.moduli, "--moduli")
+    check_coprime(moduli)
     plan = flm.RunPlan(
         w_max=args.wmax,
-        moduli=_parse_ints(args.moduli, "--moduli"),
         workers=args.workers,
         prune=not args.no_prune,
     )
     table = flm.enumerate_series(plan)
-    if not args.residues:
-        table = table.to_exact()
+    if args.residues:
+        poly = TruncatedPolynomial.from_integers(moduli, plan.n_max,
+                                                 table.values)
+        table = SeriesTable([poly.residues(d) for d in range(plan.n_max + 1)],
+                            moduli, table.metadata)
     table.metadata.update(_base_meta(f"enumerate --wmax {args.wmax}"))
     table.metadata["workers-invariant"] = "true"
     write_series(table, args.output)
@@ -86,15 +92,13 @@ def _cmd_box(args) -> int:
     if args.oracle:
         table = oracle.box_spanning_counts(args.width, args.length, nmax)
     else:
-        poly = flm.box_counts(args.width, args.length, nmax,
-                              moduli=_parse_ints(args.moduli, "--moduli"))
         table = SeriesTable(
-            [poly.residues(d) for d in range(nmax + 1)],
-            poly.moduli,
+            flm.box_counts(args.width, args.length, nmax),
+            None,
             {"lattice": "square", "quantity": "box_count",
              "width": str(args.width), "length": str(args.length),
              "nmax": str(nmax), "method": "transfer-matrix"},
-        ).to_exact()
+        )
     table.metadata.update(
         _base_meta(f"box --width {args.width} --length {args.length}"))
     write_series(table, args.output)
@@ -203,7 +207,7 @@ def build_parser() -> argparse.ArgumentParser:
                        help="transfer-matrix walk series up to n = 2*wmax + 1")
     p.add_argument("--wmax", type=int, required=True)
     p.add_argument("--moduli", default=moduli_default,
-                   help="comma-separated coprime moduli")
+                   help="comma-separated coprime moduli of --residues")
     p.add_argument("--workers", type=int, default=1)
     p.add_argument("--no-prune", action="store_true",
                    help="disable state pruning (diagnostic)")
@@ -223,7 +227,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--width", type=int, required=True)
     p.add_argument("--length", type=int, required=True)
     p.add_argument("--nmax", type=int)
-    p.add_argument("--moduli", default=moduli_default)
     p.add_argument("--oracle", action="store_true",
                    help="use the brute-force oracle instead of the engine")
     p.add_argument("-o", "--output", required=True)
@@ -286,7 +289,8 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (CliError, ValueError, analysis.AnalysisError) as exc:
+    except (CliError, ValueError, OverflowError,
+            analysis.AnalysisError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

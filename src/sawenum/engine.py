@@ -32,8 +32,8 @@ States are packed integers (2 bits per slot, border flags on top) mapped to
 truncated generating functions.  The generating functions are themselves
 packed integers: one fixed-width field per degree holding the exact count, so
 ``self += x**k * other`` is a single shift-mask-add on big integers.  The
-sweep returns the completion ledger as exact integers; ``flm`` reduces it to
-residues, the form in which the compiled kernel counts.
+sweep returns the completion ledger as exact integers, as the compiled
+kernel does.
 """
 
 from __future__ import annotations

@@ -1,12 +1,12 @@
-"""Residue records of ledger columns, CRT reconstruction and the series file
-format.
+"""Residue output, CRT reconstruction and the series file format.
 
-A sweep's completion ledger is truncated at a maximal degree.  The compiled
-kernel counts each coefficient as a residue vector modulo a set of pairwise
-coprime moduli; the Python engine counts exact integers, which
-:meth:`TruncatedPolynomial.from_integers` reduces to the same record.  Exact
-integers come back from residues via the Chinese remainder theorem.  The
-default modulus pair for walk counts is ``2**62`` and ``2**62 - 1``.
+Both sweeps count exact integers.  Residues modulo a set of pairwise coprime
+moduli are only an output format, of ``enumerate --residues`` (through
+:meth:`TruncatedPolynomial.from_integers`) and of the ledger files of
+``scripts/generate_series.py``.  Exact integers come back from residues via
+the Chinese remainder theorem, refused by :func:`check_crt_range` when the
+moduli's product is too small to hold the walk counts.  The default modulus
+pair is ``2**62`` and ``2**62 - 1``, whose product holds c_n up to n = 77.
 """
 
 from __future__ import annotations
@@ -47,8 +47,20 @@ def crt_reconstruct(residues, moduli) -> int:
     return x
 
 
+def check_crt_range(moduli, n_max: int) -> None:
+    """Refuse ``moduli`` whose product does not exceed 4 * 3**(n_max - 1),
+    the bound on c_1..c_n_max (four first steps, at most three for each
+    later one) and so on every count of a ledger truncated at n_max; CRT
+    would silently wrap a count past the product."""
+    bound = 4 * 3 ** (n_max - 1) if n_max > 0 else 1
+    if math.prod(moduli) <= bound:
+        raise ValueError(
+            f"moduli {','.join(map(str, moduli))} cannot hold counts up to "
+            f"n = {n_max}: their product must exceed 4*3^{n_max - 1}")
+
+
 class TruncatedPolynomial:
-    """Coefficients c_0..c_n_max of one ledger column as residue vectors.
+    """Residues of exact coefficients c_0..c_n_max, for writing as residues.
 
     ``coeffs[i][d]`` is the coefficient of x^d modulo ``moduli[i]``; each row
     is n_max + 1 long.
@@ -95,8 +107,12 @@ class SeriesTable:
         return self.moduli is None
 
     def to_exact(self) -> "SeriesTable":
+        """Exact values by CRT; a ``quantity: count`` table is first checked
+        with :func:`check_crt_range`."""
         if self.is_exact:
             return self
+        if self.metadata.get("quantity") == "count":
+            check_crt_range(self.moduli, len(self.values) - 1)
         vals = [crt_reconstruct(v, self.moduli) for v in self.values]
         meta = dict(self.metadata)
         return SeriesTable(vals, None, meta)

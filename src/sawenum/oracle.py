@@ -81,6 +81,8 @@ def box_spanning_counts(width: int, length: int, n_max: int) -> SeriesTable:
     """
     if width > length:
         raise ValueError("box_spanning_counts requires width <= length")
+    if width < 0:
+        raise ValueError("width must be non-negative")
     if n_max < 0:
         raise ValueError("n_max must be non-negative")
     counts = [0] * (n_max + 1)

@@ -53,11 +53,7 @@ class TestCriterion02BoxEquivalence:
     def test_all_boxes_up_to_3_by_6(self):
         for width in range(4):
             for length in range(width, 7):
-                poly = box_counts(width, length, 13)
-                got = [
-                    crt_reconstruct(poly.residues(d), poly.moduli)
-                    for d in range(14)
-                ]
+                got = box_counts(width, length, 13)
                 want = list(
                     oracle.box_spanning_counts(width, length, 13).values
                 )

@@ -29,8 +29,7 @@ def test_a_sweep_does_not_load_openssl():
     code = (
         "import sys\n"
         "from sawenum import flm\n"
-        "from sawenum.modseries import DEFAULT_MODULI\n"
-        "_, stats = flm._sweep(3, 5, 9, DEFAULT_MODULI)\n"
+        "_, stats = flm._sweep(3, 5, 9)\n"
         "print(stats['kernel'], '_hashlib' in sys.modules)\n"
     )
     src_dir = Path(ckernel.__file__).resolve().parent.parent

@@ -1,9 +1,15 @@
 """End-to-end command-line behaviour."""
 
+from pathlib import Path
+
 import pytest
 
+from sawenum import ckernel, oracle
 from sawenum.cli import main
 from sawenum.modseries import SeriesTable, read_series, write_series
+
+SERIES_N43 = Path(__file__).resolve().parent.parent / "data" / \
+    "saw_counts_n43.series"
 
 
 def run(*argv):
@@ -65,6 +71,35 @@ class TestEnumerateOracleVerify:
         assert read_series(exact).is_exact
         assert not read_series(resid).is_exact
 
+    def test_small_moduli_do_not_wrap_the_exact_series(self, tmp_path):
+        # the moduli only shape --residues output; c_11 is far above 7 * 11
+        out = tmp_path / "e.series"
+        assert run("enumerate", "--wmax", "5", "--moduli", "7,11",
+                   "-o", str(out)) == 0
+        assert read_series(out).values[11] == 120292
+
+    @pytest.mark.parametrize("moduli", [(2**64 + 13,), (2**62, 2**64 + 1)])
+    def test_moduli_beyond_a_machine_word_reduce_the_series(self, tmp_path,
+                                                            moduli):
+        resid = tmp_path / "r.series"
+        exact = tmp_path / "x.series"
+        assert run("enumerate", "--wmax", "4", "--residues", "--moduli",
+                   ",".join(map(str, moduli)), "-o", str(resid)) == 0
+        want = list(oracle.count_walks(9).values)
+        table = read_series(resid)
+        assert table.moduli == moduli
+        assert table.values == [tuple(v % m for m in moduli) for v in want]
+        assert run("crt", str(resid), "-o", str(exact)) == 0
+        assert read_series(exact).values == want
+
+    def test_enumerate_refuses_non_coprime_moduli(self, tmp_path, capsys):
+        out = tmp_path / "e.series"
+        assert run("enumerate", "--wmax", "2", "--moduli", "6,10",
+                   "-o", str(out)) == 2
+        assert "error: moduli 6 and 10 are not coprime" in (
+            capsys.readouterr().err)
+        assert not out.exists()
+
     def test_no_prune_is_identical(self, tmp_path):
         a = tmp_path / "a.series"
         b = tmp_path / "b.series"
@@ -105,6 +140,37 @@ class TestBoxAndCrt:
         assert run(*command, "-o", str(out)) == 2
         assert "error: n_max must be non-negative" in capsys.readouterr().err
         assert not out.exists()
+
+    @pytest.mark.parametrize("oracle_flag", [[], ["--oracle"]])
+    def test_box_refuses_a_negative_width(self, tmp_path, capsys,
+                                          oracle_flag):
+        out = tmp_path / "b.series"
+        assert run("box", "--width", "-1", "--length", "3", *oracle_flag,
+                   "-o", str(out)) == 2
+        assert "error: width" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.skipif(not ckernel.available(),
+                        reason="no C compiler to build the kernel")
+    def test_a_count_past_128_bits_is_an_error(self, tmp_path, capsys):
+        # the 2 x 74 box's counts reach 2**130; the Python engine, run
+        # without a compiler, would count them exactly
+        out = tmp_path / "b.series"
+        assert run("box", "--width", "2", "--length", "74",
+                   "-o", str(out)) == 2
+        assert "128 bits" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_crt_refuses_moduli_too_small_for_the_counts(self, tmp_path,
+                                                         capsys):
+        resid = tmp_path / "r.series"
+        exact = tmp_path / "x.series"
+        assert run("enumerate", "--wmax", "5", "--moduli", "7,11",
+                   "--residues", "-o", str(resid)) == 0
+        assert run("crt", str(resid), "-o", str(exact)) == 2
+        assert "error: moduli 7,11 cannot hold counts up to n = 11" in (
+            capsys.readouterr().err)
+        assert not exact.exists()
 
     def test_crt_reconstructs_residue_file(self, tmp_path):
         resid = tmp_path / "r.series"
@@ -174,6 +240,22 @@ class TestAnalyzeFitRatios:
                    "-o", str(csv)) == 2
         assert "error: inhomogeneous degree -2 must be at least -1" in (
             capsys.readouterr().err)
+        assert not csv.exists()
+
+    def test_analyze_refuses_more_terms_than_the_series_has(self, tmp_path,
+                                                             capsys):
+        csv = tmp_path / "da.csv"
+        assert run("analyze", "--series", str(SERIES_N43), "--min-terms",
+                   "200", "-o", str(csv)) == 2
+        assert "error: the series has 44 terms, fewer than the 200" in (
+            capsys.readouterr().err)
+        assert not csv.exists()
+
+    def test_fit_refuses_a_bad_shape(self, tmp_path, capsys):
+        csv = tmp_path / "fit.csv"
+        assert run("fit", "--series", str(SERIES_N43), "--model", "count",
+                   "--k", "0", "--m", "0", "-o", str(csv)) == 2
+        assert "error: need k >= 1 and m >= 0" in capsys.readouterr().err
         assert not csv.exists()
 
     def test_fit_writes_trajectory(self, tmp_path, capsys):

@@ -12,7 +12,7 @@ import pytest
 
 from sawenum import ckernel, engine
 from sawenum.flm import RunPlan, enumerate_series
-from sawenum.modseries import DEFAULT_MODULI, read_series
+from sawenum.modseries import read_series
 
 ROOT = Path(__file__).resolve().parent.parent
 SCRIPT = ROOT / "scripts" / "generate_series.py"
@@ -22,13 +22,6 @@ generate_series = importlib.util.module_from_spec(_spec)
 _spec.loader.exec_module(generate_series)
 
 NO_COMPILER = {"CC": "sawenum-no-such-compiler"}
-
-
-def reduced(ledger, moduli):
-    """An exact ``engine.sweep`` ledger as residues ``[c][i][d]``, the layout
-    of ``ckernel.sweep_residues`` (column ``c``, ``moduli[i]``, degree
-    ``d``)."""
-    return [[[v % m for v in col] for m in moduli] for col in ledger]
 
 
 def generate(wmax, out, cache, env=None, *extra):
@@ -106,12 +99,32 @@ def test_kernels_write_identical_ledgers(tmp_path):
     wmax, width = 5, 4
     l_max, n_max = 2 * wmax - width + 1, 2 * wmax + 1
     header = generate_series.ledger_header(wmax, width)
-    python_rows = reduced(engine.sweep(width, l_max, n_max), DEFAULT_MODULI)
-    c_rows, _ = ckernel.sweep_residues(width, l_max, n_max)
+    python_rows = engine.sweep(width, l_max, n_max)
+    c_rows, _ = ckernel.sweep(width, l_max, n_max)
     generate_series.write_ledger(tmp_path / "python.ledger", header, python_rows)
     generate_series.write_ledger(tmp_path / "c.ledger", header, c_rows)
     assert ((tmp_path / "python.ledger").read_bytes()
             == (tmp_path / "c.ledger").read_bytes())
+    # and a ledger reads back as the exact counts it was written from
+    assert generate_series.read_ledger(tmp_path / "c.ledger",
+                                       header) == python_rows
+
+
+def test_small_modulus(tmp_path):
+    # a ledger holds each count modulo the header's moduli, and one whose
+    # moduli cannot hold the counts is refused instead of read back wrapped
+    wmax, width = 4, 3
+    header = dict(generate_series.ledger_header(wmax, width), moduli="7")
+    ledger = engine.sweep(width, 2 * wmax - width + 1, 2 * wmax + 1)
+    path = tmp_path / "w3.ledger"
+    generate_series.write_ledger(path, header, ledger)
+    body = [line.split("\t") for line in path.read_text().splitlines()
+            if not line.startswith("#")]
+    assert body == [[str(c), str(d), str(v % 7)]
+                    for c, col in enumerate(ledger)
+                    for d, v in enumerate(col) if v]
+    with pytest.raises(ValueError, match="cannot hold"):
+        generate_series.read_ledger(path, header)
 
 
 @pytest.mark.skipif(not ckernel.available(),
@@ -123,14 +136,14 @@ class TestCompiledKernel:
         for width in range(wmax + 1):
             l_max = 2 * wmax - width + 1
             want = engine.sweep(width, l_max, n_max)
-            got, _ = ckernel.sweep_residues(width, l_max, n_max)
-            assert got == reduced(want, DEFAULT_MODULI)
+            got, _ = ckernel.sweep(width, l_max, n_max)
+            assert got == want
 
     @pytest.mark.parametrize("width,length,n_max", [(2, 6, 22), (3, 5, 20)])
     def test_matches_engine_without_pruning(self, width, length, n_max):
         want = engine.sweep(width, length, n_max, prune=False)
-        got, _ = ckernel.sweep_residues(width, length, n_max, prune=False)
-        assert got == reduced(want, DEFAULT_MODULI)
+        got, _ = ckernel.sweep(width, length, n_max, prune=False)
+        assert got == want
 
     @pytest.mark.parametrize("width,l_max,n_max,state_rows", [
         (5, 10, 15, 6710), (3, 40, 123, 11658)])
@@ -138,37 +151,47 @@ class TestCompiledKernel:
                                                        n_max, state_rows):
         # both sweeps move states to wider blocks; 3x40 once needed three
         # sweeps at doubling fixed windows
-        rows, stats = ckernel.sweep_residues(width, l_max, n_max)
+        rows, stats = ckernel.sweep(width, l_max, n_max)
         assert stats["regrows"] > 0
         assert stats["state_rows"] == state_rows
-        want = engine.sweep(width, l_max, n_max)
-        assert rows == reduced(want, DEFAULT_MODULI)
+        assert rows == engine.sweep(width, l_max, n_max)
 
-    @pytest.mark.parametrize("moduli", [(7,), (2**64 - 59,)])
     @pytest.mark.parametrize("width,l_max,n_max,prune", [
         (0, 4, 9, True), (1, 3, 14, False), (2, 5, 11, True),
         (2, 4, 20, False), (3, 3, 9, True), (3, 6, 25, True),
         (4, 5, 13, False), (5, 6, 17, True),
         # widths 8 and 9 of enumerate --wmax 9: sparse keys in many slots
         (8, 11, 19, True), (9, 10, 19, True)])
-    def test_matches_engine_on_small_sweeps(self, width, l_max, n_max, prune,
-                                            moduli):
+    def test_matches_engine_on_small_sweeps(self, width, l_max, n_max, prune):
         want = engine.sweep(width, l_max, n_max, prune=prune)
-        got, _ = ckernel.sweep_residues(width, l_max, n_max, moduli, prune)
-        assert got == reduced(want, moduli)
+        got, _ = ckernel.sweep(width, l_max, n_max, prune)
+        assert got == want
 
     def test_work_done_on_a_box_is_pinned(self):
         # box --width 6 --length 10: a kernel that visits, keeps, moves or
         # merges a different number of states fails here
-        _, stats = ckernel.sweep_residues(6, 10, 36)
+        _, stats = ckernel.sweep(6, 10, 36)
         assert (stats["peak_states"], stats["state_rows"], stats["regrows"],
                 stats["merged"]) == (2748, 127187, 11657, 7400)
 
-    def test_small_modulus(self):
-        want = engine.sweep(4, 8, 17)
-        rows, _ = ckernel.sweep_residues(4, 8, 17, (7,))
-        assert rows == reduced(want, (7,))
+    def test_counts_are_exact_up_to_128_bits(self):
+        # the largest count of this unpruned sweep has 126 bits
+        got, _ = ckernel.sweep(2, 72, 216, prune=False)
+        assert max(max(col) for col in got).bit_length() == 126
+        assert got == engine.sweep(2, 72, 216, prune=False)
+
+    @pytest.mark.parametrize("width,l_max,n_max,prune", [
+        # the ledger reaches 130 bits
+        (2, 74, 222, False), (2, 74, 222, True),
+        # only the states' sums carry: the ledger's largest count has 128
+        # bits and is never summed past them
+        (3, 50, 153, False),
+        # only the ledger's sums carry, to 129 bits
+        (1, 129, 383, True)])
+    def test_a_count_past_128_bits_raises(self, width, l_max, n_max, prune):
+        with pytest.raises(OverflowError, match="128 bits"):
+            ckernel.sweep(width, l_max, n_max, prune)
 
     def test_bad_arguments_raise(self):
         with pytest.raises(engine.EngineFault, match="bad arguments"):
-            ckernel.sweep_residues(40, 5, 10)
+            ckernel.sweep(40, 5, 10)

@@ -10,6 +10,7 @@ from sawenum.modseries import (
     SeriesTable,
     TruncatedPolynomial,
     check_coprime,
+    check_crt_range,
     crt_reconstruct,
     read_series,
     write_series,
@@ -58,6 +59,19 @@ class TestCrt:
             check_coprime([1, 5])
 
 
+class TestCrtRange:
+    def test_default_moduli_hold_counts_to_n_77(self):
+        check_crt_range(DEFAULT_MODULI, 77)
+        with pytest.raises(ValueError):
+            check_crt_range(DEFAULT_MODULI, 78)
+
+    def test_bound_is_four_times_three_to_the_n_minus_one(self):
+        check_crt_range((37,), 3)  # 4 * 3**2 = 36
+        with pytest.raises(ValueError):
+            check_crt_range((36,), 3)
+        check_crt_range((2,), 0)  # c_0 = 1
+
+
 class TestTruncatedPolynomial:
     def test_from_integers_reduces_pads_and_truncates(self):
         p = TruncatedPolynomial.from_integers([7, 11], 5, [0, 0, 30, 0, 1])
@@ -76,6 +90,15 @@ class TestSeriesTable:
         exact = table.to_exact()
         assert exact.is_exact
         assert exact.values == [LARGE_COUNTS[n] for n in sorted(LARGE_COUNTS)]
+
+    def test_to_exact_refuses_moduli_that_cannot_hold_the_counts(self):
+        # c_2 = 12 reduced modulo 7 would come back as 5
+        table = SeriesTable([(1,), (4,), (5,)], (7,), {"quantity": "count"})
+        with pytest.raises(ValueError, match="cannot hold counts up to n = 2"):
+            table.to_exact()
+        # a table of another quantity has no such bound
+        assert SeriesTable([(1,), (4,), (5,)], (7,)).to_exact().values == [
+            1, 4, 5]
 
     def test_to_exact_is_identity_on_exact(self):
         t = SeriesTable([1, 4, 12])
