@@ -43,7 +43,11 @@ Measures, for each checkout, in fresh interpreters:
   ``analysis._solve_exact`` call of the scan on an n x n system (the child
   wraps the solver), with ``_solves``, the number of those calls.  Equal
   digests mean the same estimates, and the elimination size follows the
-  work of the exact solves, the larger part of a scan.
+  work of the exact solves, the larger part of a scan;
+- ``src_py_lines`` and ``ckernel_c_lines``, also once per checkout: the
+  total of ``wc -l src/sawenum/*.py`` and the line count of
+  ``src/sawenum/ckernel.c`` (0 where there is none), so a change that
+  shrinks the code records by how much.
 
 The host's speed for one process drifts by tens of percent over minutes,
 so every timed call is scaled as ``bench/run.py`` scales its calls: the
@@ -288,6 +292,11 @@ def counts(checkout: Path) -> dict:
                   + [orders for _, orders in DA_SCANS], checkout, env)
     for (prefix, _), scan in zip(DA_SCANS, scans):
         row.update({f"{prefix}_{key}": value for key, value in scan.items()})
+    package = checkout / "src" / "sawenum"
+    for name, pattern in (("src_py_lines", "*.py"),
+                          ("ckernel_c_lines", "ckernel.c")):
+        row[name] = sum(p.read_bytes().count(b"\n")
+                        for p in package.glob(pattern))
     return row
 
 

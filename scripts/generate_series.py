@@ -67,11 +67,12 @@ def ledger_path(cache: Path, wmax: int, width: int) -> Path:
 
 
 def ledger_header(wmax: int, width: int) -> dict:
+    l_max, n_max = flm.RunPlan(wmax).sweep_size(width)
     return {
         "algorithm-version": flm.ALGORITHM_VERSION,
         "width": str(width),
-        "l_max": str(2 * wmax - width + 1),
-        "n_max": str(2 * wmax + 1),
+        "l_max": str(l_max),
+        "n_max": str(n_max),
         "moduli": ",".join(str(m) for m in DEFAULT_MODULI),
     }
 
@@ -130,10 +131,8 @@ def run_width(wmax: int, width: int, cache: Path) -> None:
     # the Python engine's sweep holds one huge dict, which cycle collection
     # only stalls; the compiled kernel allocates nothing the collector tracks
     gc.disable()
-    n_max = 2 * wmax + 1
-    l_max = 2 * wmax - width + 1
     t0 = time.time()
-    ledger, stats = flm._sweep(width, l_max, n_max)
+    ledger, stats = flm._sweep(width, *flm.RunPlan(wmax).sweep_size(width))
     stats = {
         "kernel": stats.pop("kernel"),
         "seconds": round(time.time() - t0, 1),

@@ -559,9 +559,11 @@ def _a_power(i: int) -> Fraction:
     return Fraction(0) if i == 0 else -Fraction(i + 1, 2)
 
 
-def _check_fit_shape(k: int, m: int) -> None:
+def _check_fit_args(mu: float, k: int, m: int) -> None:
     if k < 1 or m < 0:
         raise AnalysisError("need k >= 1 and m >= 0")
+    if not mu > 0:
+        raise AnalysisError("mu must be positive")
 
 
 def amplitude_fit(
@@ -581,7 +583,7 @@ def amplitude_fit(
     """
     if last_n is None:
         last_n = len(coeffs) - 1
-    _check_fit_shape(k, m)
+    _check_fit_args(mu, k, m)
     size = k + m
     if last_n + 1 < size or last_n - size + 1 < 1:
         raise AnalysisError("not enough coefficients for this fit")
@@ -616,8 +618,8 @@ def amplitude_fit(
 def amplitude_trajectory(coeffs, mu, e1, e2, k, m):
     """AmplitudeFit at every usable ``last_n`` from 2/3 of the series on;
     for plotting a_0 versus 1/n.  Windows whose fit fails are skipped, but
-    a bad ``k`` or ``m`` raises AnalysisError."""
-    _check_fit_shape(k, m)
+    a bad ``k``, ``m`` or ``mu`` raises AnalysisError."""
+    _check_fit_args(mu, k, m)
     n_max = len(coeffs) - 1
     fits = []
     for last_n in range(max(k + m + 1, (2 * n_max) // 3), n_max + 1):

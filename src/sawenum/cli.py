@@ -180,8 +180,9 @@ def _cmd_fit(args) -> int:
 
 
 def _cmd_ratios(args) -> int:
-    if args.C == 0:
-        raise CliError("amplitude C must be nonzero")
+    for name in ("A", "C"):
+        if getattr(args, name) == 0:
+            raise CliError(f"amplitude {name} must be nonzero")
     # raw metric-series fits estimate the products A*C, A*D, A*E; the ratios
     # only need D/C and E/C, so dividing each by A changes nothing but keeps
     # the reported amplitudes on the paper-normalized scale

@@ -75,8 +75,7 @@ def transitions(key: int, r: int, width: int, first_col: bool):
     ``completes`` is True when the source closes into a finished spanning walk
     (weight x^0, to be credited to the current column's ledger).
     """
-    nslots = width + 2
-    fb = 2 * nslots  # first flag bit
+    fb = 2 * (width + 2)  # first flag bit
     edges_mask = (1 << fb) - 1
     shift = 2 * r
     a = (key >> shift) & 3          # vertical kink edge, below
@@ -130,9 +129,7 @@ def transitions(key: int, r: int, width: int, first_col: bool):
                     targets.append((flagged(3 << (shift + 2)), 1))
                     targets.append((flagged(15 << shift), 2))
         elif rest:
-            edges = tuple((base >> (2 * i)) & 3 for i in range(nslots))
-            gap = r + 0.5
-            arcs, frees = accessible_targets(edges, gap)
+            arcs, frees = accessible_targets(rest, r)
 
             def emit(newkey: int, k: int) -> None:
                 s_up = (newkey >> (shift + 2)) & 3
@@ -159,7 +156,7 @@ def transitions(key: int, r: int, width: int, first_col: bool):
                 # the new free end
                 emit(relab | (new_lab << shift) | (3 << (shift + 2)), 2)
                 emit(relab | (3 << shift) | (new_lab << (shift + 2)), 2)
-            for lo, hi, _lvl in arcs:
+            for lo, hi in arcs:
                 if lo < r and hi > r + 1:
                     # splice inside the enclosing arc
                     emit(base | (2 << shift) | (1 << (shift + 2)), 2)

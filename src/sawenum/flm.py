@@ -35,10 +35,17 @@ class RunPlan:
     def __post_init__(self):
         if self.w_max < 0:
             raise ValueError("w_max must be non-negative")
+        if self.workers < 1:
+            raise ValueError(f"workers must be at least 1, not {self.workers}")
 
     @property
     def n_max(self) -> int:
         return 2 * self.w_max + 1
+
+    def sweep_size(self, width: int) -> tuple[int, int]:
+        """``(l_max, n_max)`` of the sweep of ``width``: rectangles up to
+        2*w_max - width + 1 long, walks up to N steps."""
+        return self.n_max - width, self.n_max
 
 
 def _sweep(width: int, l_max: int, n_max: int, prune: bool = True):
@@ -58,10 +65,8 @@ def _sweep_job(args):
 
 def enumerate_series(plan: RunPlan) -> SeriesTable:
     """Exact series c_0..c_N for the given plan.  c_0 = 1 by convention."""
-    jobs = [
-        (w, 2 * plan.w_max - w + 1, plan.n_max, plan.prune)
-        for w in range(plan.w_max + 1)
-    ]
+    jobs = [(w, *plan.sweep_size(w), plan.prune)
+            for w in range(plan.w_max + 1)]
     if plan.workers > 1 and len(jobs) > 1:
         import multiprocessing
 

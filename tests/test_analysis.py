@@ -634,6 +634,13 @@ class TestAmplitudeFit:
         with pytest.raises(AnalysisError):
             amplitude_fit([1, 2, 3], 2.0, 1.0, 0.0, k=0, m=0)
 
+    @pytest.mark.parametrize("mu", [0.0, -1.0])
+    def test_rejects_nonpositive_mu(self, mu):
+        coeffs = [0] + [2**n for n in range(1, 25)]
+        for fit in (amplitude_fit, amplitude_trajectory):
+            with pytest.raises(AnalysisError, match="mu must be positive"):
+                fit(coeffs, mu, 1.0, 0.0, 1, 0)
+
 
 class TestUniversalRatios:
     def test_paper_scale_amplitudes_sit_on_the_identity(self):

@@ -294,3 +294,24 @@ class TestErrorHandling:
 
     def test_zero_c_rejected(self, capsys):
         assert run("ratios", "--A", "1", "--C", "0", "--D", "1", "--E", "1") == 2
+
+    def test_zero_a_rejected(self, capsys):
+        assert run("ratios", "--A", "0", "--C", "1", "--D", "1", "--E", "1") == 2
+        assert "error: amplitude A must be nonzero" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("mu", ["0", "-1"])
+    def test_fit_refuses_a_nonpositive_mu(self, tmp_path, capsys, mu):
+        csv = tmp_path / "fit.csv"
+        assert run("fit", "--series", str(SERIES_N43), "--model", "count",
+                   "--k", "2", "--m", "1", "--mu", mu, "-o", str(csv)) == 2
+        assert "error: mu must be positive" in capsys.readouterr().err
+        assert not csv.exists()
+
+    @pytest.mark.parametrize("workers", ["0", "-2"])
+    def test_enumerate_refuses_fewer_than_one_worker(self, tmp_path, capsys,
+                                                     workers):
+        out = tmp_path / "o.series"
+        assert run("enumerate", "--wmax", "2", "--workers", workers,
+                   "-o", str(out)) == 2
+        assert "error: workers must be at least 1" in capsys.readouterr().err
+        assert not out.exists()

@@ -17,13 +17,10 @@ from sawenum.engine import (
     unpack_coefficients,
 )
 from sawenum.oracle import box_spanning_counts
-from sawenum.signatures import Signature, decode, encode, validate
 
+from keys import is_valid_key
+from keys import key as key_of
 from walk_replay import replay, shift_boundary, spanning_walks
-
-
-def key_of(s, bottom=False, top=False):
-    return encode(Signature.from_string(s, bottom, top))
 
 
 class TestPackedPolynomials:
@@ -113,15 +110,14 @@ class TestTransitions:
 class TestKinkUpdate:
     def test_invariant_checking_passes_on_real_sweeps(self, monkeypatch):
         # every state each kink move of a pruned and an unpruned sweep makes
-        # decodes to a valid signature
+        # is a valid key
         kink_update = engine.kink_update
         moves = []
 
         def validated(states, width, *args):
             out, completions = kink_update(states, width, *args)
             for key in out:
-                sig = decode(key, width + 2)
-                assert validate(sig) is None, sig
+                assert is_valid_key(key, width + 2), hex(key)
             moves.append(len(out))
             return out, completions
 

@@ -21,6 +21,12 @@ class TestRunPlan:
         with pytest.raises(ValueError):
             RunPlan(w_max=-1)
 
+    def test_sweep_size(self):
+        # width w sweeps rectangles up to 2*w_max - w + 1 long, to N = 9
+        plan = RunPlan(w_max=4)
+        assert [plan.sweep_size(w) for w in (0, 1, 4)] == [
+            (9, 9), (8, 9), (5, 9)]
+
 
 class TestEnumerate:
     @pytest.mark.parametrize("w_max", [0, 1, 2, 3])

@@ -97,7 +97,7 @@ def test_committed_ledgers_are_reproduced(tmp_path, width):
                     reason="no C compiler to build the kernel")
 def test_kernels_write_identical_ledgers(tmp_path):
     wmax, width = 5, 4
-    l_max, n_max = 2 * wmax - width + 1, 2 * wmax + 1
+    l_max, n_max = RunPlan(wmax).sweep_size(width)
     header = generate_series.ledger_header(wmax, width)
     python_rows = engine.sweep(width, l_max, n_max)
     c_rows, _ = ckernel.sweep(width, l_max, n_max)
@@ -132,9 +132,8 @@ def test_small_modulus(tmp_path):
 class TestCompiledKernel:
     @pytest.mark.parametrize("wmax", [4, 7])
     def test_matches_engine_for_every_width(self, wmax):
-        n_max = 2 * wmax + 1
         for width in range(wmax + 1):
-            l_max = 2 * wmax - width + 1
+            l_max, n_max = RunPlan(wmax).sweep_size(width)
             want = engine.sweep(width, l_max, n_max)
             got, _ = ckernel.sweep(width, l_max, n_max)
             assert got == want

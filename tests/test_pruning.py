@@ -12,9 +12,9 @@ import pytest
 
 from sawenum.engine import sweep
 from sawenum.pruning import UNREACHABLE, additional_steps_mid
-from sawenum.signatures import (EMPTY, FREE, LOWER, UPPER,
-                                all_valid_signatures, encode, mirror)
+from sawenum.signatures import EMPTY, FREE, LOWER, UPPER, mirror
 
+from keys import valid_keys
 from slot_reads import slot_reads
 from walk_replay import replay, spanning_walks
 
@@ -166,17 +166,17 @@ class TestBoundaryBound:
     def test_is_mirror_symmetric(self, width):
         # the sweeps sum a state and its mirror image at column boundaries
         # and bound the sum by one of the two keys: both must give the same
-        for s in all_valid_signatures(width + 2):
-            if s.edges[0] != EMPTY:
+        fb = 2 * (width + 2)
+        for key in valid_keys(width + 2):
+            if key & 3 != EMPTY:
                 continue
-            key = encode(s)
             image = mirror(key, width)
+            bottom, top = bool(key >> fb & 1), bool(key >> fb & 2)
             for column in range(width + 2):
-                assert (additional_steps_mid(key, -1, width, s.bottom_touched,
-                                             s.top_touched, column)
-                        == additional_steps_mid(image, -1, width,
-                                                s.top_touched,
-                                                s.bottom_touched, column))
+                assert (additional_steps_mid(key, -1, width, bottom, top,
+                                             column)
+                        == additional_steps_mid(image, -1, width, top,
+                                                bottom, column))
 
 
 @lru_cache(maxsize=None)
@@ -297,13 +297,15 @@ def _reference_bound(key, r, width, bottom, top, column, enclosed_ends=True,
 
 @pytest.mark.parametrize("width", range(6))
 def test_bound_matches_segment_reference(width):
-    for s in all_valid_signatures(width + 2):
-        key = encode(s) & ((1 << (2 * (width + 2))) - 1)
+    fb = 2 * (width + 2)
+    for flagged in valid_keys(width + 2):
+        key = flagged & ((1 << fb) - 1)
+        bottom, top = bool(flagged >> fb & 1), bool(flagged >> fb & 2)
         for r in range(-1, width):
-            if r == -1 and s.edges[0] != EMPTY:
+            if r == -1 and key & 3 != EMPTY:
                 continue
             for column in (0, width // 2, width):
-                args = (key, r, width, s.bottom_touched, s.top_touched, column)
+                args = (key, r, width, bottom, top, column)
                 assert additional_steps_mid(*args) == _reference_bound(*args)
 
 
