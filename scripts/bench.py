@@ -47,7 +47,12 @@ Measures, for each checkout, in fresh interpreters:
 - ``src_py_lines`` and ``ckernel_c_lines``, also once per checkout: the
   total of ``wc -l src/sawenum/*.py`` and the line count of
   ``src/sawenum/ckernel.c`` (0 where there is none), so a change that
-  shrinks the code records by how much.
+  shrinks the code records by how much;
+- ``setup_modules``, also once per checkout: how many modules the set-up
+  import that ``bench/child.py`` times (``from sawenum import analysis,
+  cli`` after ``import mpmath``) adds to ``sys.modules``.  It is exact, so
+  an import that lengthens every command's start-up shows without the
+  noise of ``setup_s``.
 
 The host's speed for one process drifts by tens of percent over minutes,
 so every timed call is scaled as ``bench/run.py`` scales its calls: the
@@ -181,6 +186,16 @@ for arg in sys.argv[2:]:
 print(json.dumps(out))
 """
 
+#: run in the measured checkout: the number of modules that the set-up
+#: import of ``bench/child.py`` adds to those of ``import mpmath``, untimed
+SETUP_MODULES = """
+import sys
+import mpmath
+before = set(sys.modules)
+from sawenum import analysis, cli
+print(len(set(sys.modules) - before))
+"""
+
 #: run a command as a child; with its time, its peak RSS (MB) and status
 TIMED = IMPORTS + """
 import resource, subprocess
@@ -297,6 +312,7 @@ def counts(checkout: Path) -> dict:
                           ("ckernel_c_lines", "ckernel.c")):
         row[name] = sum(p.read_bytes().count(b"\n")
                         for p in package.glob(pattern))
+    row["setup_modules"] = child(SETUP_MODULES, [], checkout, env)
     return row
 
 

@@ -36,8 +36,8 @@ form with analytic and half-integer correction terms plus an antiferromagnetic
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
+from typing import NamedTuple
 
 import mpmath
 
@@ -55,8 +55,7 @@ class AnalysisError(ValueError):
     """Defective approximant or unsolvable fit."""
 
 
-@dataclass(frozen=True)
-class DASpec:
+class DASpec(NamedTuple):
     """Shape of one differential approximant.
 
     ``qdegrees[i]`` is the degree of Q_i (i = 0..K); ``pdegree`` is the degree
@@ -76,8 +75,7 @@ class DASpec:
         return sum(d + 1 for d in self.qdegrees) - 1 + (self.pdegree + 1)
 
 
-@dataclass(frozen=True)
-class SingularityEstimate:
+class SingularityEstimate(NamedTuple):
     """Physical-singularity estimate from one approximant."""
 
     x: float
@@ -533,8 +531,7 @@ def summarize_estimates(estimates) -> tuple[float, float, float, float]:
     return estimate_spread(consistent_estimates(estimates))
 
 
-@dataclass
-class AmplitudeFit:
+class AmplitudeFit(NamedTuple):
     """Solution of a square asymptotic fit ending at coefficient ``last_n``.
 
     ``a`` are the amplitudes of the leading (mu^n n^e1) part with term powers
@@ -562,8 +559,8 @@ def _a_power(i: int) -> Fraction:
 def _check_fit_args(mu: float, k: int, m: int) -> None:
     if k < 1 or m < 0:
         raise AnalysisError("need k >= 1 and m >= 0")
-    if not mu > 0:
-        raise AnalysisError("mu must be positive")
+    if not 0 < mu < math.inf:
+        raise AnalysisError("mu must be positive and finite")
 
 
 def amplitude_fit(
@@ -630,8 +627,7 @@ def amplitude_trajectory(coeffs, mu, e1, e2, k, m):
     return fits
 
 
-@dataclass(frozen=True)
-class RatioReport:
+class RatioReport(NamedTuple):
     """Universal amplitude ratios from the four critical amplitudes."""
 
     d_over_c: float

@@ -18,7 +18,11 @@ the large maps.
 ``flm`` runs every sweep on it (``enumerate``, ``box`` and
 ``scripts/generate_series.py`` alike) when a C compiler is found.  The
 Python engine stays the reference the kernel is tested against, and the
-fallback where no compiler is found.
+fallback where no compiler is found.  Every command imports this module
+through ``flm``, so it imports what a sweep needs (``ctypes``, ``zlib``, the
+build's ``subprocess``) inside the functions that use it, and ``engine``
+only to raise its ``EngineFault`` when a sweep fails: a run on the kernel
+never loads the Python engine.
 
 The shared library is built on first use with the C compiler named by ``CC``
 (default ``cc``; it must accept GCC builtins such as ``__builtin_ctzll`` and
@@ -33,8 +37,6 @@ from __future__ import annotations
 import os
 import sys
 from pathlib import Path
-
-from .engine import EngineFault
 
 SOURCE = Path(__file__).with_name("ckernel.c")
 
@@ -143,6 +145,8 @@ def sweep(width: int, l_max: int, n_max: int,
             f"a count of the width-{width} sweep to column {l_max} and "
             f"degree {n_max} does not fit the kernel's 128 bits")
     if err:
+        from .engine import EngineFault
+
         raise EngineFault(f"compiled sweep failed: {_ERRORS.get(err, err)}")
     raw = out.raw
     counts = [int.from_bytes(raw[i:i + 16], sys.byteorder)

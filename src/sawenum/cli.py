@@ -9,9 +9,10 @@ byte-identical files regardless of worker count.
 from __future__ import annotations
 
 import argparse
+import math
 import sys
 
-from . import __version__, analysis, flm, oracle
+from . import __version__, analysis, flm
 from .modseries import (
     DEFAULT_MODULI,
     SeriesFormatError,
@@ -76,6 +77,8 @@ def _cmd_enumerate(args) -> int:
 
 
 def _cmd_oracle(args) -> int:
+    from . import oracle
+
     table = oracle.count_walks(args.nmax)
     table.metadata.update(_base_meta(f"oracle --nmax {args.nmax}"))
     write_series(table, args.output)
@@ -90,6 +93,8 @@ def _cmd_oracle(args) -> int:
 def _cmd_box(args) -> int:
     nmax = args.nmax if args.nmax is not None else args.width + 3 * args.length
     if args.oracle:
+        from . import oracle
+
         table = oracle.box_spanning_counts(args.width, args.length, nmax)
     else:
         table = SeriesTable(
@@ -180,6 +185,9 @@ def _cmd_fit(args) -> int:
 
 
 def _cmd_ratios(args) -> int:
+    for name in ("A", "C", "D", "E"):
+        if not math.isfinite(getattr(args, name)):
+            raise CliError(f"amplitude {name} must be finite")
     for name in ("A", "C"):
         if getattr(args, name) == 0:
             raise CliError(f"amplitude {name} must be nonzero")

@@ -40,6 +40,7 @@ from __future__ import annotations
 
 from functools import lru_cache
 
+from .flm import check_sweep_args
 from .pruning import additional_steps_mid, additional_steps_packed
 from .signatures import accessible_targets, mirror
 
@@ -211,16 +212,6 @@ def kink_update(
                 out[tk] = get(tk, 0) + w
     # only nonzero weights are added, so no state is ever empty
     return out, completions
-
-
-def check_sweep_args(width: int, l_max: int, n_max: int) -> None:
-    """Reject a negative size or a sweep whose states the packed key layout
-    cannot hold; the compiled kernel shares the layout, so ``flm`` checks
-    this for both."""
-    if width < 0 or l_max < 0 or n_max < 0:
-        raise ValueError("width, l_max and n_max must be non-negative")
-    if 2 * (width + 2) + 2 > 62:
-        raise ValueError(f"width {width} overflows the packed key layout")
 
 
 def sweep(width: int, l_max: int, n_max: int, prune: bool = True):

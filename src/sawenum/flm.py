@@ -9,34 +9,52 @@ correct for n <= N = 2*W_max + 1.
 Every sweep goes through :func:`_sweep`, the one place that picks the sweep
 implementation: the compiled kernel (``ckernel``) when a C compiler is found,
 else the Python engine (``engine.sweep``), which is the reference the kernel
-is tested against.  Both return the same exact ledger, so the series is
+is tested against.  ``engine`` is imported only on that fallback branch, so a
+run on the kernel never loads it, nor the ``pruning`` and ``signatures``
+modules it needs.  Both return the same exact ledger, so the series is
 assembled from exact integers; residues are only an output format (see
 ``modseries``).
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
-from . import ckernel, engine
+from . import ckernel
 from .modseries import SeriesTable
 
 ALGORITHM_VERSION = "1"
 
+#: the widest sweep whose states the packed key layout holds: two bits for
+#: each of the W + 2 edge slots, plus the two border flags, in 62 bits
+MAX_WIDTH = 28
 
-@dataclass(frozen=True)
+
+def check_sweep_args(width: int, l_max: int, n_max: int) -> None:
+    """Reject a negative size or a sweep whose states the packed key layout
+    cannot hold.  Both sweeps share the layout and call this first."""
+    if width < 0 or l_max < 0 or n_max < 0:
+        raise ValueError("width, l_max and n_max must be non-negative")
+    if width > MAX_WIDTH:
+        raise ValueError(f"width {width} overflows the packed key layout")
+
+
 class RunPlan:
-    """Parameters of an assembly run.  N = 2*w_max + 1."""
+    """Parameters of an assembly run.  N = 2*w_max + 1.
 
-    w_max: int
-    workers: int = 1
-    prune: bool = True
+    Its widest sweep is checked when it is made, so a ``w_max`` past what
+    the packed key layout holds is refused before any width is swept.
+    """
 
-    def __post_init__(self):
-        if self.w_max < 0:
+    __slots__ = ("w_max", "workers", "prune")
+
+    def __init__(self, w_max: int, workers: int = 1, prune: bool = True):
+        if w_max < 0:
             raise ValueError("w_max must be non-negative")
-        if self.workers < 1:
-            raise ValueError(f"workers must be at least 1, not {self.workers}")
+        if workers < 1:
+            raise ValueError(f"workers must be at least 1, not {workers}")
+        self.w_max = w_max
+        self.workers = workers
+        self.prune = prune
+        check_sweep_args(w_max, *self.sweep_size(w_max))
 
     @property
     def n_max(self) -> int:
@@ -52,10 +70,12 @@ def _sweep(width: int, l_max: int, n_max: int, prune: bool = True):
     """Exact completion ledger ``[column][degree]`` of one width, and the
     sweep's stats: ``kernel`` ("c" or "python") and, for the compiled
     kernel, the stats of ``ckernel.sweep``."""
-    engine.check_sweep_args(width, l_max, n_max)
+    check_sweep_args(width, l_max, n_max)
     if ckernel.available():
         ledger, stats = ckernel.sweep(width, l_max, n_max, prune)
         return ledger, {"kernel": "c", **stats}
+    from . import engine
+
     return engine.sweep(width, l_max, n_max, prune), {"kernel": "python"}
 
 

@@ -12,7 +12,6 @@ pair is ``2**62`` and ``2**62 - 1``, whose product holds c_n up to n = 77.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
 
 DEFAULT_MODULI = (2**62, 2**62 - 1)
 
@@ -84,7 +83,6 @@ class TruncatedPolynomial:
         return tuple(row[degree] for row in self.coeffs)
 
 
-@dataclass
 class SeriesTable:
     """Coefficients c_0..c_N, exact or as residue vectors, plus metadata.
 
@@ -92,9 +90,13 @@ class SeriesTable:
     tuple of residues in the order of ``moduli``.
     """
 
-    values: list
-    moduli: tuple[int, ...] | None = None
-    metadata: dict = field(default_factory=dict)
+    __slots__ = ("values", "moduli", "metadata")
+
+    def __init__(self, values: list, moduli: tuple[int, ...] | None = None,
+                 metadata: dict | None = None):
+        self.values = values
+        self.moduli = moduli
+        self.metadata = {} if metadata is None else metadata
 
     def __len__(self) -> int:
         return len(self.values)

@@ -1,5 +1,6 @@
 """The compiled kernel's library cache."""
 
+import json
 import os
 import subprocess
 import sys
@@ -37,3 +38,28 @@ def test_a_sweep_does_not_load_openssl():
                          text=True, check=True,
                          env={**os.environ, "PYTHONPATH": str(src_dir)})
     assert out.stdout.split() == ["c", "False"]
+
+
+def test_the_set_up_import_loads_only_what_a_command_runs():
+    ckernel._load()  # built here, so that the child only loads it
+    code = (
+        "import json, sys\n"
+        "import mpmath\n"
+        "from sawenum import analysis, cli\n"
+        "startup = sorted(sys.modules)\n"
+        "from sawenum import flm\n"
+        "_, stats = flm._sweep(3, 5, 9)\n"
+        "print(json.dumps([startup, stats['kernel'], sorted(sys.modules)]))\n"
+    )
+    src_dir = Path(ckernel.__file__).resolve().parent.parent
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                         text=True, check=True,
+                         env={**os.environ, "PYTHONPATH": str(src_dir)})
+    startup, kernel, after_sweep = json.loads(out.stdout)
+    # the Python engine is the fallback, the oracle serves two commands, and
+    # dataclasses brings inspect, ast, dis and tokenize with it
+    unused = {"dataclasses", "inspect", "sawenum.engine", "sawenum.pruning",
+              "sawenum.signatures", "sawenum.oracle"}
+    assert unused.isdisjoint(startup)
+    assert kernel == "c"
+    assert "sawenum.engine" not in after_sweep

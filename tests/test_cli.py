@@ -4,7 +4,7 @@ from pathlib import Path
 
 import pytest
 
-from sawenum import ckernel, oracle
+from sawenum import ckernel, flm, oracle
 from sawenum.cli import main
 from sawenum.modseries import SeriesTable, read_series, write_series
 
@@ -314,4 +314,35 @@ class TestErrorHandling:
         assert run("enumerate", "--wmax", "2", "--workers", workers,
                    "-o", str(out)) == 2
         assert "error: workers must be at least 1" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("mu", ["inf", "nan"])
+    def test_fit_refuses_a_non_finite_mu(self, tmp_path, capsys, mu):
+        csv = tmp_path / "fit.csv"
+        assert run("fit", "--series", str(SERIES_N43), "--model", "count",
+                   "--k", "2", "--m", "1", "--mu", mu, "-o", str(csv)) == 2
+        assert "error: mu must be positive and finite" in (
+            capsys.readouterr().err)
+        assert not csv.exists()
+
+    @pytest.mark.parametrize("name", ["A", "C", "D", "E"])
+    @pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
+    def test_ratios_refuses_a_non_finite_amplitude(self, capsys, name, value):
+        amplitudes = {"A": "1", "C": "1", "D": "1", "E": "1", name: value}
+        argv = [f"--{n}={v}" for n, v in amplitudes.items()]
+        assert run("ratios", *argv) == 2
+        captured = capsys.readouterr()
+        assert f"error: amplitude {name} must be finite" in captured.err
+        assert captured.out == ""
+
+    def test_enumerate_refuses_a_width_past_the_key_layout_up_front(
+            self, tmp_path, capsys, monkeypatch):
+        def no_sweep(job):
+            raise AssertionError(f"width {job[0]} was swept")
+
+        monkeypatch.setattr(flm, "_sweep_job", no_sweep)
+        out = tmp_path / "o.series"
+        assert run("enumerate", "--wmax", "29", "-o", str(out)) == 2
+        assert "error: width 29 overflows the packed key layout" in (
+            capsys.readouterr().err)
         assert not out.exists()

@@ -21,6 +21,12 @@ class TestRunPlan:
         with pytest.raises(ValueError):
             RunPlan(w_max=-1)
 
+    def test_rejects_a_width_past_the_key_layout(self):
+        assert RunPlan(w_max=flm.MAX_WIDTH).n_max == 57
+        with pytest.raises(ValueError,
+                           match="width 29 overflows the packed key layout"):
+            RunPlan(w_max=29)
+
     def test_sweep_size(self):
         # width w sweeps rectangles up to 2*w_max - w + 1 long, to N = 9
         plan = RunPlan(w_max=4)
