@@ -15,15 +15,11 @@ Each width is swept by ``flm``'s sweep, which runs the compiled kernel
 both return the same exact ledger, so both write the same ledger bytes.
 
 A ledger file holds '#'-prefixed headers, then one ``column<TAB>degree<TAB>
-residues`` line per nonzero coefficient: the exact count reduced modulo each
-of ``DEFAULT_MODULI``, comma-separated in the order of the ``moduli``
-header, and reconstructed by CRT when the ledger is read (columns < width
-have no lines, since the pruned sweeps leave them empty).  The headers are
-``algorithm-version``, ``width``, ``l_max``, ``n_max``, ``moduli`` and
-``sha256``, the digest of everything after the header lines.  A cached
-ledger whose headers do not match the run, whose body does not match its
-digest, or whose moduli cannot hold counts up to its ``n_max``
-(``modseries.check_crt_range``) is refused.  Each
+count`` line per nonzero exact count (columns < width have no lines, since
+the pruned sweeps leave them empty).  The headers are ``algorithm-version``,
+``width``, ``l_max``, ``n_max`` and ``sha256``, the digest of everything
+after the header lines.  A cached ledger whose headers do not match the run
+or whose body does not match its digest is refused.  Each
 child also writes ``<ledger>.stats.json`` (seconds and peak RSS, and from
 the kernel peak live states, state rows, the most bytes its state maps had
 in use, how many states moved to a wider block and how many states a state
@@ -50,16 +46,7 @@ from pathlib import Path
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
 from sawenum import flm  # noqa: E402
-from sawenum.modseries import (  # noqa: E402
-    DEFAULT_MODULI,
-    check_crt_range,
-    crt_reconstruct,
-    write_series,
-)
-
-
-class LedgerError(RuntimeError):
-    """A cached ledger that does not belong to this run or is corrupt."""
+from sawenum.modseries import write_series  # noqa: E402
 
 
 def ledger_path(cache: Path, wmax: int, width: int) -> Path:
@@ -73,7 +60,6 @@ def ledger_header(wmax: int, width: int) -> dict:
         "width": str(width),
         "l_max": str(l_max),
         "n_max": str(n_max),
-        "moduli": ",".join(str(m) for m in DEFAULT_MODULI),
     }
 
 
@@ -82,10 +68,8 @@ def _digest(body: str) -> str:
 
 
 def write_ledger(path: Path, header: dict, ledger) -> None:
-    """Write the exact ``ledger[c][d]`` (column c, degree d) reduced modulo
-    the header's moduli."""
-    moduli = [int(m) for m in header["moduli"].split(",")]
-    body = "".join(f"{c}\t{d}\t{','.join(str(v % m) for m in moduli)}\n"
+    """Write the exact counts ``ledger[c][d]`` (column c, degree d)."""
+    body = "".join(f"{c}\t{d}\t{v}\n"
                    for c, col in enumerate(ledger)
                    for d, v in enumerate(col) if v)
     head = "".join(f"# {k}: {v}\n" for k, v in header.items())
@@ -97,7 +81,7 @@ def write_ledger(path: Path, header: dict, ledger) -> None:
 def read_ledger(path: Path, header: dict) -> list[list[int]]:
     """Load a ledger as exact counts ``[column][degree]``, refusing it unless
     its headers equal ``header`` and its body matches the recorded digest
-    (LedgerError), and its moduli pass ``check_crt_range`` (ValueError)."""
+    (ValueError)."""
     text = path.read_text(encoding="ascii")
     meta = {}
     body_at = 0
@@ -110,20 +94,17 @@ def read_ledger(path: Path, header: dict) -> list[list[int]]:
     body = text[body_at:]
     digest = meta.pop("sha256", None)
     if meta != header:
-        raise LedgerError(
+        raise ValueError(
             f"{path}: ledger headers {meta} do not match this run's {header}; "
             "delete the file to recompute it"
         )
     if digest != _digest(body):
-        raise LedgerError(f"{path}: ledger body does not match its sha256 header")
-    n_max = int(header["n_max"])
-    moduli = [int(m) for m in header["moduli"].split(",")]
-    check_crt_range(moduli, n_max)
-    ledger = [[0] * (n_max + 1) for _ in range(int(header["l_max"]) + 1)]
+        raise ValueError(f"{path}: ledger body does not match its sha256 header")
+    ledger = [[0] * (int(header["n_max"]) + 1)
+              for _ in range(int(header["l_max"]) + 1)]
     for line in body.splitlines():
-        c, d, res = line.split("\t")
-        ledger[int(c)][int(d)] = crt_reconstruct(
-            [int(r) for r in res.split(",")], moduli)
+        c, d, v = line.split("\t")
+        ledger[int(c)][int(d)] = int(v)
     return ledger
 
 
@@ -155,6 +136,12 @@ def main() -> int:
     ap.add_argument("--width", type=int, default=None,
                     help="compute only this width's ledger and exit")
     args = ap.parse_args()
+    try:
+        plan = flm.RunPlan(args.wmax)
+    except ValueError as exc:
+        ap.error(str(exc))
+    if args.width is not None and not 0 <= args.width <= args.wmax:
+        ap.error(f"--width {args.width} is outside 0..{args.wmax}")
 
     cache = Path(args.cache) if args.cache else Path(args.output).parent / "ledgers"
     cache.mkdir(parents=True, exist_ok=True)
@@ -169,7 +156,7 @@ def main() -> int:
         if path.exists():
             try:
                 ledgers[w] = read_ledger(path, ledger_header(args.wmax, w))
-            except (LedgerError, ValueError) as exc:
+            except ValueError as exc:
                 print(f"error: {exc}", file=sys.stderr)
                 return 1
             print(f"width {w:2d}: cached", flush=True)
@@ -205,7 +192,6 @@ def main() -> int:
         if running:
             time.sleep(0.2)
 
-    plan = flm.RunPlan(w_max=args.wmax)
     table = flm.assemble([ledgers[w] for w in range(args.wmax + 1)], plan)
     write_series(table, args.output)
     print(f"wrote {args.output}", flush=True)

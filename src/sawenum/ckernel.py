@@ -28,8 +28,9 @@ The shared library is built on first use with the C compiler named by ``CC``
 (default ``cc``; it must accept GCC builtins such as ``__builtin_ctzll`` and
 ``__builtin_prefetch``, as GCC and Clang do) and cached next to this
 module's bytecode, keyed by the CRC-32 and length of the source (see
-:func:`_lib_path`).  :func:`available` reports whether a compiler is there
-to build it; a build that fails raises.
+:func:`_lib_path`); a build removes the libraries of other sources there.
+:func:`available` reports whether a compiler is there to build it; a build
+that fails raises.
 """
 
 from __future__ import annotations
@@ -114,6 +115,9 @@ def _build(lib_path: Path) -> None:
     finally:
         if os.path.exists(tmp):
             os.remove(tmp)
+    # a process that loaded an older library keeps it mapped when unlinked
+    for old in set(lib_path.parent.glob("ckernel-*.so")) - {lib_path}:
+        old.unlink(missing_ok=True)
 
 
 def sweep(width: int, l_max: int, n_max: int,

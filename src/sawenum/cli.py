@@ -12,10 +12,9 @@ import argparse
 import math
 import sys
 
-from . import __version__, analysis, flm
+from . import __version__, flm
 from .modseries import (
     DEFAULT_MODULI,
-    SeriesFormatError,
     SeriesTable,
     TruncatedPolynomial,
     check_coprime,
@@ -40,8 +39,6 @@ def _load_series(path) -> SeriesTable:
         return read_series(path)
     except OSError as exc:
         raise CliError(f"cannot read {path}: {exc.strerror}") from exc
-    except SeriesFormatError as exc:
-        raise CliError(str(exc)) from exc
 
 
 def _base_meta(args_desc: str) -> dict:
@@ -57,15 +54,16 @@ def _write_csv(path, header_meta: dict, columns: tuple[str, ...], rows) -> None:
 
 
 def _cmd_enumerate(args) -> int:
-    moduli = _parse_ints(args.moduli, "--moduli")
-    check_coprime(moduli)
+    if args.residues is not None:
+        moduli = _parse_ints(args.residues, "--residues")
+        check_coprime(moduli)
     plan = flm.RunPlan(
         w_max=args.wmax,
         workers=args.workers,
         prune=not args.no_prune,
     )
     table = flm.enumerate_series(plan)
-    if args.residues:
+    if args.residues is not None:
         poly = TruncatedPolynomial.from_integers(moduli, plan.n_max,
                                                  table.values)
         table = SeriesTable([poly.residues(d) for d in range(plan.n_max + 1)],
@@ -140,6 +138,8 @@ def _cmd_crt(args) -> int:
 
 
 def _cmd_analyze(args) -> int:
+    from . import analysis
+
     table = _load_series(args.series).to_exact()
     min_last_n = args.min_terms - 1 if args.min_terms else None
     pdegrees = _parse_ints(args.inhomog, "--inhomog")
@@ -168,8 +168,13 @@ def _cmd_analyze(args) -> int:
 
 
 def _cmd_fit(args) -> int:
-    table = _load_series(args.series).to_exact()
+    from . import analysis
+
+    if args.model not in analysis.MODEL_EXPONENTS:
+        raise CliError(f"unknown model {args.model!r} (choose from "
+                       f"{', '.join(sorted(analysis.MODEL_EXPONENTS))})")
     e1, e2 = analysis.MODEL_EXPONENTS[args.model]
+    table = _load_series(args.series).to_exact()
     fits = analysis.amplitude_trajectory(
         table.values, args.mu, e1, e2, args.k, args.m)
     if not fits:
@@ -185,6 +190,8 @@ def _cmd_fit(args) -> int:
 
 
 def _cmd_ratios(args) -> int:
+    from . import analysis
+
     for name in ("A", "C", "D", "E"):
         if not math.isfinite(getattr(args, name)):
             raise CliError(f"amplitude {name} must be finite")
@@ -215,13 +222,12 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("enumerate",
                        help="transfer-matrix walk series up to n = 2*wmax + 1")
     p.add_argument("--wmax", type=int, required=True)
-    p.add_argument("--moduli", default=moduli_default,
-                   help="comma-separated coprime moduli of --residues")
     p.add_argument("--workers", type=int, default=1)
     p.add_argument("--no-prune", action="store_true",
                    help="disable state pruning (diagnostic)")
-    p.add_argument("--residues", action="store_true",
-                   help="write per-modulus residues instead of exact integers")
+    p.add_argument("--residues", nargs="?", const=moduli_default,
+                   metavar="MODULI", help="write residues modulo these comma-"
+                   f"separated coprime moduli (default {moduli_default})")
     p.add_argument("-o", "--output", required=True)
     p.set_defaults(func=_cmd_enumerate)
 
@@ -270,8 +276,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("fit", help="asymptotic amplitude fit trajectory")
     p.add_argument("--series", required=True)
-    p.add_argument("--model", choices=sorted(analysis.MODEL_EXPONENTS),
-                   required=True)
+    p.add_argument("--model", required=True,
+                   help="series quantity, a key of analysis.MODEL_EXPONENTS")
     p.add_argument("--k", type=int, required=True,
                    help="number of leading-part amplitudes")
     p.add_argument("--m", type=int, required=True,
@@ -298,8 +304,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (CliError, ValueError, OverflowError,
-            analysis.AnalysisError) as exc:
+    except (CliError, ValueError, OverflowError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

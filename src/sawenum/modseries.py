@@ -1,12 +1,12 @@
 """Residue output, CRT reconstruction and the series file format.
 
 Both sweeps count exact integers.  Residues modulo a set of pairwise coprime
-moduli are only an output format, of ``enumerate --residues`` (through
-:meth:`TruncatedPolynomial.from_integers`) and of the ledger files of
-``scripts/generate_series.py``.  Exact integers come back from residues via
-the Chinese remainder theorem, refused by :func:`check_crt_range` when the
-moduli's product is too small to hold the walk counts.  The default modulus
-pair is ``2**62`` and ``2**62 - 1``, whose product holds c_n up to n = 77.
+moduli are only an output format, written by ``enumerate --residues``
+alone (through :meth:`TruncatedPolynomial.from_integers`).  Exact integers
+come back from residues via the Chinese remainder theorem, refused by
+:func:`check_crt_range` when the moduli's product is too small to hold the
+walk counts.  The default modulus pair is ``2**62`` and ``2**62 - 1``,
+whose product holds c_n up to n = 77.
 """
 
 from __future__ import annotations
@@ -49,8 +49,7 @@ def crt_reconstruct(residues, moduli) -> int:
 def check_crt_range(moduli, n_max: int) -> None:
     """Refuse ``moduli`` whose product does not exceed 4 * 3**(n_max - 1),
     the bound on c_1..c_n_max (four first steps, at most three for each
-    later one) and so on every count of a ledger truncated at n_max; CRT
-    would silently wrap a count past the product."""
+    later one); CRT would silently wrap a count past the product."""
     bound = 4 * 3 ** (n_max - 1) if n_max > 0 else 1
     if math.prod(moduli) <= bound:
         raise ValueError(

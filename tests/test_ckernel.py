@@ -25,6 +25,14 @@ def test_cached_library_follows_the_source():
         assert ckernel._lib_path(bytes(edited)) != path
 
 
+def test_a_build_removes_the_libraries_of_other_sources(tmp_path):
+    stale = tmp_path / "ckernel-deadbeef-1.so"
+    stale.write_bytes(b"")
+    lib_path = tmp_path / ckernel._lib_path(ckernel.SOURCE.read_bytes()).name
+    ckernel._build(lib_path)
+    assert [p.name for p in tmp_path.iterdir()] == [lib_path.name]
+
+
 def test_a_sweep_does_not_load_openssl():
     ckernel._load()  # built here, so that the child only loads it
     code = (
@@ -44,18 +52,23 @@ def test_the_set_up_import_loads_only_what_a_command_runs():
     ckernel._load()  # built here, so that the child only loads it
     code = (
         "import json, sys\n"
+        "from sawenum import cli\n"
+        "cli_only = sorted(sys.modules)\n"
         "import mpmath\n"
-        "from sawenum import analysis, cli\n"
+        "from sawenum import analysis\n"
         "startup = sorted(sys.modules)\n"
         "from sawenum import flm\n"
         "_, stats = flm._sweep(3, 5, 9)\n"
-        "print(json.dumps([startup, stats['kernel'], sorted(sys.modules)]))\n"
+        "print(json.dumps([cli_only, startup, stats['kernel'],\n"
+        "                  sorted(sys.modules)]))\n"
     )
     src_dir = Path(ckernel.__file__).resolve().parent.parent
     out = subprocess.run([sys.executable, "-c", code], capture_output=True,
                          text=True, check=True,
                          env={**os.environ, "PYTHONPATH": str(src_dir)})
-    startup, kernel, after_sweep = json.loads(out.stdout)
+    cli_only, startup, kernel, after_sweep = json.loads(out.stdout)
+    # only analyze, fit and ratios import analysis, and with it mpmath
+    assert {"mpmath", "sawenum.analysis"}.isdisjoint(cli_only)
     # the Python engine is the fallback, the oracle serves two commands, and
     # dataclasses brings inspect, ast, dis and tokenize with it
     unused = {"dataclasses", "inspect", "sawenum.engine", "sawenum.pruning",

@@ -6,7 +6,8 @@ import pytest
 
 from sawenum import ckernel, flm, oracle
 from sawenum.cli import main
-from sawenum.modseries import SeriesTable, read_series, write_series
+from sawenum.modseries import (DEFAULT_MODULI, SeriesTable, read_series,
+                               write_series)
 
 SERIES_N43 = Path(__file__).resolve().parent.parent / "data" / \
     "saw_counts_n43.series"
@@ -69,21 +70,14 @@ class TestEnumerateOracleVerify:
         run("enumerate", "--wmax", "2", "-o", str(exact))
         run("enumerate", "--wmax", "2", "--residues", "-o", str(resid))
         assert read_series(exact).is_exact
-        assert not read_series(resid).is_exact
-
-    def test_small_moduli_do_not_wrap_the_exact_series(self, tmp_path):
-        # the moduli only shape --residues output; c_11 is far above 7 * 11
-        out = tmp_path / "e.series"
-        assert run("enumerate", "--wmax", "5", "--moduli", "7,11",
-                   "-o", str(out)) == 0
-        assert read_series(out).values[11] == 120292
+        assert read_series(resid).moduli == DEFAULT_MODULI
 
     @pytest.mark.parametrize("moduli", [(2**64 + 13,), (2**62, 2**64 + 1)])
     def test_moduli_beyond_a_machine_word_reduce_the_series(self, tmp_path,
                                                             moduli):
         resid = tmp_path / "r.series"
         exact = tmp_path / "x.series"
-        assert run("enumerate", "--wmax", "4", "--residues", "--moduli",
+        assert run("enumerate", "--wmax", "4", "--residues",
                    ",".join(map(str, moduli)), "-o", str(resid)) == 0
         want = list(oracle.count_walks(9).values)
         table = read_series(resid)
@@ -92,9 +86,14 @@ class TestEnumerateOracleVerify:
         assert run("crt", str(resid), "-o", str(exact)) == 0
         assert read_series(exact).values == want
 
-    def test_enumerate_refuses_non_coprime_moduli(self, tmp_path, capsys):
+    def test_enumerate_refuses_non_coprime_moduli(self, tmp_path, capsys,
+                                                  monkeypatch):
+        def no_sweep(job):
+            raise AssertionError(f"width {job[0]} was swept")
+
+        monkeypatch.setattr(flm, "_sweep_job", no_sweep)
         out = tmp_path / "e.series"
-        assert run("enumerate", "--wmax", "2", "--moduli", "6,10",
+        assert run("enumerate", "--wmax", "2", "--residues", "6,10",
                    "-o", str(out)) == 2
         assert "error: moduli 6 and 10 are not coprime" in (
             capsys.readouterr().err)
@@ -165,8 +164,8 @@ class TestBoxAndCrt:
                                                          capsys):
         resid = tmp_path / "r.series"
         exact = tmp_path / "x.series"
-        assert run("enumerate", "--wmax", "5", "--moduli", "7,11",
-                   "--residues", "-o", str(resid)) == 0
+        assert run("enumerate", "--wmax", "5", "--residues", "7,11",
+                   "-o", str(resid)) == 0
         assert run("crt", str(resid), "-o", str(exact)) == 2
         assert "error: moduli 7,11 cannot hold counts up to n = 11" in (
             capsys.readouterr().err)
@@ -249,6 +248,14 @@ class TestAnalyzeFitRatios:
                    "200", "-o", str(csv)) == 2
         assert "error: the series has 44 terms, fewer than the 200" in (
             capsys.readouterr().err)
+        assert not csv.exists()
+
+    def test_fit_refuses_an_unknown_model(self, tmp_path, capsys):
+        csv = tmp_path / "fit.csv"
+        assert run("fit", "--series", str(SERIES_N43), "--model", "nope",
+                   "--k", "2", "--m", "1", "-o", str(csv)) == 2
+        assert ("error: unknown model 'nope' (choose from count, r2e, r2g, "
+                "r2m)") in capsys.readouterr().err
         assert not csv.exists()
 
     def test_fit_refuses_a_bad_shape(self, tmp_path, capsys):

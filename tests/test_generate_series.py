@@ -1,6 +1,7 @@
 """scripts/generate_series.py: per-width text ledgers, resume and assembly,
 and the compiled kernel it runs when a C compiler is found."""
 
+import hashlib
 import importlib.util
 import json
 import os
@@ -11,8 +12,8 @@ from pathlib import Path
 import pytest
 
 from sawenum import ckernel, engine
-from sawenum.flm import RunPlan, enumerate_series
-from sawenum.modseries import read_series
+from sawenum.flm import RunPlan, assemble, enumerate_series
+from sawenum.modseries import read_series, write_series
 
 ROOT = Path(__file__).resolve().parent.parent
 SCRIPT = ROOT / "scripts" / "generate_series.py"
@@ -65,18 +66,65 @@ def test_series_matches_enumerate_and_ledgers_are_checked(tmp_path, env, kernel)
     assert "do not match" in run.stderr
     assert not (tmp_path / "w4.series").exists()
 
-    # so is an edited count: the first body line's residues, each plus one
+    # so is an edited count: the first body line's, plus one
     lines = text.splitlines(keepends=True)
     first = next(i for i, line in enumerate(lines) if not line.startswith("#"))
-    column, degree, residues = lines[first].rstrip("\n").split("\t")
-    edited = ",".join(str(int(r) + 1) for r in residues.split(","))
-    lines[first] = f"{column}\t{degree}\t{edited}\n"
+    column, degree, count = lines[first].rstrip("\n").split("\t")
+    lines[first] = f"{column}\t{degree}\t{int(count) + 1}\n"
     tampered = "".join(lines)
     assert tampered != text
     ledger.write_text(tampered)
     run = generate(3, out, cache, env)
     assert run.returncode == 1
     assert "sha256" in run.stderr
+
+
+def test_a_ledger_of_residues_is_refused(tmp_path):
+    # ledgers once held each count modulo the moduli of a "moduli" header
+    wmax, width = 3, 2
+    moduli = (2**62, 2**62 - 1)
+    header = {**generate_series.ledger_header(wmax, width),
+              "moduli": ",".join(map(str, moduli))}
+    ledger = engine.sweep(width, *RunPlan(wmax).sweep_size(width))
+    body = "".join(f"{c}\t{d}\t{v % moduli[0]},{v % moduli[1]}\n"
+                   for c, col in enumerate(ledger)
+                   for d, v in enumerate(col) if v)
+    head = "".join(f"# {k}: {v}\n" for k, v in header.items())
+    digest = hashlib.sha256(body.encode("ascii")).hexdigest()
+    (tmp_path / "wmax3_w2.ledger").write_text(
+        f"{head}# sha256: {digest}\n{body}")
+    out = tmp_path / "w3.series"
+    run = generate(wmax, out, tmp_path)
+    assert run.returncode == 1
+    assert "do not match" in run.stderr
+    assert "delete the file" in run.stderr
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("wmax,width", [(3, 5), (3, -1), (-1, None)])
+def test_a_width_outside_the_run_is_refused(tmp_path, wmax, width):
+    cache = tmp_path / "ledgers"
+    out = tmp_path / "s.series"
+    extra = [] if width is None else ["--width", str(width)]
+    run = generate(wmax, out, cache, None, *extra)
+    assert run.returncode == 2
+    assert "error: " in run.stderr
+    assert "Traceback" not in run.stderr
+    assert not cache.exists()
+    assert not out.exists()
+
+
+def test_committed_ledgers_assemble_to_the_committed_series(tmp_path):
+    # every committed ledger, widths 8-21 included, is read back and the
+    # assembly writes the committed series byte for byte
+    wmax = 21
+    ledgers = [generate_series.read_ledger(
+        ROOT / "data" / "ledgers" / f"wmax{wmax}_w{w}.ledger",
+        generate_series.ledger_header(wmax, w)) for w in range(wmax + 1)]
+    out = tmp_path / "n43.series"
+    write_series(assemble(ledgers, RunPlan(wmax)), out)
+    assert (out.read_bytes()
+            == (ROOT / "data" / "saw_counts_n43.series").read_bytes())
 
 
 @pytest.mark.skipif(not ckernel.available(),
@@ -108,23 +156,6 @@ def test_kernels_write_identical_ledgers(tmp_path):
     # and a ledger reads back as the exact counts it was written from
     assert generate_series.read_ledger(tmp_path / "c.ledger",
                                        header) == python_rows
-
-
-def test_small_modulus(tmp_path):
-    # a ledger holds each count modulo the header's moduli, and one whose
-    # moduli cannot hold the counts is refused instead of read back wrapped
-    wmax, width = 4, 3
-    header = dict(generate_series.ledger_header(wmax, width), moduli="7")
-    ledger = engine.sweep(width, 2 * wmax - width + 1, 2 * wmax + 1)
-    path = tmp_path / "w3.ledger"
-    generate_series.write_ledger(path, header, ledger)
-    body = [line.split("\t") for line in path.read_text().splitlines()
-            if not line.startswith("#")]
-    assert body == [[str(c), str(d), str(v % 7)]
-                    for c, col in enumerate(ledger)
-                    for d, v in enumerate(col) if v]
-    with pytest.raises(ValueError, match="cannot hold"):
-        generate_series.read_ledger(path, header)
 
 
 @pytest.mark.skipif(not ckernel.available(),
