@@ -44,6 +44,11 @@ Measures, for each checkout, in fresh interpreters:
   wraps the solver), with ``_solves``, the number of those calls.  Equal
   digests mean the same estimates, and the elimination size follows the
   work of the exact solves, the larger part of a scan;
+- ``fit_count_3_1_digest``, also once per checkout and untimed: the SHA-256
+  of the reprs (one per line) of the 16 fits that
+  ``analysis.amplitude_trajectory`` makes on that series with the count
+  model, mu = 1/0.379052277752, k = 3 and m = 1.  An equal digest means
+  the amplitude fits still give the same bytes;
 - ``src_py_lines`` and ``ckernel_c_lines``, also once per checkout: the
   total of ``wc -l src/sawenum/*.py`` and the line count of
   ``src/sawenum/ckernel.c`` (0 where there is none), so a change that
@@ -186,6 +191,19 @@ for arg in sys.argv[2:]:
 print(json.dumps(out))
 """
 
+#: run in the measured checkout: the digest of the count-model amplitude
+#: trajectory (k = 3, m = 1) on the series ``sys.argv[1]``, untimed
+FIT_DIGEST = """
+import hashlib, json, sys
+from sawenum import analysis
+from sawenum.modseries import read_series
+coeffs = read_series(sys.argv[1]).values
+e1, e2 = analysis.MODEL_EXPONENTS["count"]
+fits = analysis.amplitude_trajectory(coeffs, 1 / 0.379052277752, e1, e2, 3, 1)
+text = "\\n".join(map(repr, fits))
+print(json.dumps(hashlib.sha256(text.encode()).hexdigest()))
+"""
+
 #: run in the measured checkout: the number of modules that the set-up
 #: import of ``bench/child.py`` adds to those of ``import mpmath``, untimed
 SETUP_MODULES = """
@@ -307,6 +325,8 @@ def counts(checkout: Path) -> dict:
                   + [orders for _, orders in DA_SCANS], checkout, env)
     for (prefix, _), scan in zip(DA_SCANS, scans):
         row.update({f"{prefix}_{key}": value for key, value in scan.items()})
+    row["fit_count_3_1_digest"] = child(FIT_DIGEST, [str(checkout / SERIES)],
+                                        checkout, env)
     package = checkout / "src" / "sawenum"
     for name, pattern in (("src_py_lines", "*.py"),
                           ("ckernel_c_lines", "ckernel.c")):

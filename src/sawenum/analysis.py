@@ -25,8 +25,8 @@ of multiplicity one is
 The physical singularity x_c is the smallest positive root of Q_K, located
 exactly on Q_K's integer coefficients: a Sturm chain of pseudo-remainders
 isolates it by bisection on dyadic points, and sign bisection on Q_K's
-squarefree part refines it to a few bits past working precision, so it is
-rounded to an mpf only once.
+squarefree part refines it to ``ROOT_BITS`` bits.  The exponent is exact at
+that dyadic root, and each of the two is rounded to a float only once.
 
 Amplitude fits solve for the leading amplitudes of the standard asymptotic
 form with analytic and half-integer correction terms plus an antiferromagnetic
@@ -36,10 +36,13 @@ form with analytic and half-integer correction terms plus an antiferromagnetic
 from __future__ import annotations
 
 import math
+from decimal import Decimal, localcontext
 from fractions import Fraction
 from typing import NamedTuple
 
-import mpmath
+#: Relative precision, in bits, of the dyadic root of Q_K: the 103-bit
+#: mantissa of 30 significant digits plus 20 guard bits.
+ROOT_BITS = 123
 
 #: (leading exponent, alternating-term exponent) of the coefficient
 #: asymptotics for each quantity: count c_n, then the three metric series.
@@ -230,10 +233,10 @@ def differential_approximant(coeffs, spec: DASpec, last_n: int | None = None):
     return q_polys, p_poly
 
 
-def _poly_eval(poly, x):
-    acc = mpmath.mpf(0)
+def _poly_eval(poly, x: Fraction) -> Fraction:
+    acc = Fraction(0)
     for c in reversed(poly):
-        acc = acc * x + mpmath.mpf(c.numerator) / c.denominator
+        acc = acc * x + c
     return acc
 
 
@@ -388,13 +391,13 @@ def singularity_estimate(
     spec: DASpec,
     last_n: int | None = None,
 ) -> SingularityEstimate:
-    """Physical singularity (smallest positive real root of Q_K) and exponent,
-    at 30 significant digits.
+    """Physical singularity (smallest positive real root of Q_K, to
+    ``ROOT_BITS`` bits) and the exponent exactly there, each rounded once.
 
     Raises AnalysisError for an order below 1, whose exponent would need a
     Q_{K-1} that does not exist, and for defective approximants: singular
     fit, Q_K constant, no positive real root, or a multiple root (a root of
-    gcd(Q_K, Q_K'), or Q_K'(x*) = 0 at the rounded root).
+    gcd(Q_K, Q_K'), or Q_K'(x*) = 0 at the dyadic root).
     """
     if spec.order < 1:
         raise AnalysisError(
@@ -403,24 +406,20 @@ def singularity_estimate(
         last_n = len(coeffs) - 1
     q_polys, _ = differential_approximant(coeffs, spec, last_n)
     k = spec.order
-    with mpmath.workdps(30):
-        qk = _integer_row(q_polys[k])
-        while qk and qk[-1] == 0:
-            qk.pop()
-        if len(qk) < 2:
-            raise AnalysisError("Q_K is constant; no singularity")
-        found = _smallest_positive_root(qk, mpmath.mp.prec + 20)
-        if found is None:
-            raise AnalysisError("no positive real root of Q_K")
-        root, multiple = found
-        # the denominator is a power of two: one rounding, of the numerator
-        x_star = mpmath.mpf(root.numerator) / root.denominator
-        dqk = _poly_derivative(q_polys[k])
-        denom = x_star * _poly_eval(dqk, x_star)
-        if multiple or denom == 0:
-            raise AnalysisError("multiple root of Q_K")
-        lam = _poly_eval(q_polys[k - 1], x_star) / denom - k + 1
-        return SingularityEstimate(float(x_star), float(lam), spec, last_n)
+    qk = _integer_row(q_polys[k])
+    while qk and qk[-1] == 0:
+        qk.pop()
+    if len(qk) < 2:
+        raise AnalysisError("Q_K is constant; no singularity")
+    found = _smallest_positive_root(qk, ROOT_BITS)
+    if found is None:
+        raise AnalysisError("no positive real root of Q_K")
+    root, multiple = found
+    denom = root * _poly_eval(_poly_derivative(q_polys[k]), root)
+    if multiple or denom == 0:
+        raise AnalysisError("multiple root of Q_K")
+    lam = _poly_eval(q_polys[k - 1], root) / denom - k + 1
+    return SingularityEstimate(float(root), float(lam), spec, last_n)
 
 
 def balanced_spec(order: int, pdegree: int, n_terms: int) -> DASpec:
@@ -449,7 +448,8 @@ def da_scan(
     Homogeneous windows (``pdegree`` -1) have no P part and are always
     tried.  An order below 1, a P degree below -1 or a ``min_last_n`` past
     the series' end raises AnalysisError before any window is fitted.  Each
-    estimate is computed at 30 digits (see :func:`singularity_estimate`).
+    estimate's x_c and exponent are rounded to floats only once (see
+    :func:`singularity_estimate`).
     """
     for order in orders:
         if order < 1:
@@ -551,9 +551,9 @@ class AmplitudeFit(NamedTuple):
         return self.a[0]
 
 
-def _a_power(i: int) -> Fraction:
+def _a_power(i: int) -> Decimal:
     # 0, -1, -3/2, -2, -5/2, ...: analytic plus half-integer corrections
-    return Fraction(0) if i == 0 else -Fraction(i + 1, 2)
+    return Decimal(0) if i == 0 else Decimal(-(i + 1)) / 2
 
 
 def _check_fit_args(mu: float, k: int, m: int) -> None:
@@ -575,8 +575,9 @@ def amplitude_fit(
     """Fit ``k`` leading-part and ``m`` alternating-part amplitudes.
 
     Solves the square linear system matching c_n exactly at the ``k + m``
-    indices ending at ``last_n``; 40 significant digits cover the wild
-    dynamic range of mu^n.
+    indices ending at ``last_n``.  Its entries, each power of n as exp(p ln n),
+    are computed to 40 significant digits with ``decimal``, which cover the
+    wild dynamic range of mu^n; the system is then solved exactly.
     """
     if last_n is None:
         last_n = len(coeffs) - 1
@@ -584,30 +585,25 @@ def amplitude_fit(
     size = k + m
     if last_n + 1 < size or last_n - size + 1 < 1:
         raise AnalysisError("not enough coefficients for this fit")
-    with mpmath.workdps(40):
-        mu_ = mpmath.mpf(mu)
-        e1_ = mpmath.mpf(e1.numerator) / e1.denominator \
-            if isinstance(e1, Fraction) else mpmath.mpf(e1)
-        e2_ = mpmath.mpf(e2.numerator) / e2.denominator \
-            if isinstance(e2, Fraction) else mpmath.mpf(e2)
+    with localcontext() as ctx:
+        ctx.prec = 40
+        mu_ = Decimal(mu)
+        e1_, e2_ = (Decimal(e.numerator) / e.denominator
+                    if isinstance(e, Fraction) else Decimal(e)
+                    for e in (e1, e2))
+        powers = [*map(_a_power, range(k))] + [e2_ - e1_ - j for j in range(m)]
         rows = []
         rhs = []
         for n in range(last_n - size + 1, last_n + 1):
-            nn = mpmath.mpf(n)
-            sign = -1 if n % 2 else 1
-            row = [
-                nn ** (mpmath.mpf(_a_power(i).numerator)
-                       / _a_power(i).denominator)
-                for i in range(k)
-            ]
-            row += [sign * nn ** (e2_ - e1_ - j) for j in range(m)]
-            rows.append(row)
-            rhs.append(mpmath.mpf(coeffs[n]) / (mu_**n * nn**e1_))
-        try:
-            sol = mpmath.lu_solve(mpmath.matrix(rows), mpmath.matrix(rhs))
-        except ZeroDivisionError as exc:
-            raise AnalysisError("singular amplitude fit") from exc
-        vals = [float(v) for v in sol]
+            ln_n = Decimal(n).ln()
+            row = [Fraction((p * ln_n).exp()) for p in powers]
+            rows.append(row[:k] + [(-1) ** n * v for v in row[k:]])
+            rhs.append(Fraction(Decimal(coeffs[n])
+                                / (mu_**n * (e1_ * ln_n).exp())))
+    sol = _solve_exact(rows, rhs)
+    if sol is None:
+        raise AnalysisError("singular amplitude fit")
+    vals = [float(v) for v in sol]
     return AmplitudeFit(vals[:k], vals[k:], float(e1_), float(e2_),
                         float(mu), last_n)
 

@@ -30,7 +30,7 @@ The shared library is built on first use with the C compiler named by ``CC``
 module's bytecode, keyed by the CRC-32 and length of the source (see
 :func:`_lib_path`); a build removes the libraries of other sources there.
 :func:`available` reports whether a compiler is there to build it; a build
-that fails raises.
+that fails raises an ``OSError`` with the compiler's stderr.
 """
 
 from __future__ import annotations
@@ -107,10 +107,13 @@ def _build(lib_path: Path) -> None:
     fd, tmp = tempfile.mkstemp(suffix=".so", dir=lib_path.parent)
     os.close(fd)
     try:
-        subprocess.run(
+        proc = subprocess.run(
             [cc, "-O3", "-shared", "-fPIC", "-o", tmp, str(SOURCE)],
-            check=True, capture_output=True,
+            capture_output=True, text=True, errors="replace",
         )
+        if proc.returncode:
+            raise OSError(f"{cc} failed to build the kernel (exit status "
+                          f"{proc.returncode}): {proc.stderr.strip()}")
         os.replace(tmp, lib_path)
     finally:
         if os.path.exists(tmp):

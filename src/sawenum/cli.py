@@ -24,7 +24,7 @@ from .modseries import (
 
 
 class CliError(Exception):
-    """User-facing error: bad input file or unusable parameters."""
+    """User-facing error: unusable parameters or input."""
 
 
 def _parse_ints(text: str, option: str) -> tuple[int, ...]:
@@ -32,13 +32,6 @@ def _parse_ints(text: str, option: str) -> tuple[int, ...]:
         return tuple(int(v) for v in text.split(","))
     except ValueError as exc:
         raise CliError(f"bad {option} value {text!r}: {exc}") from exc
-
-
-def _load_series(path) -> SeriesTable:
-    try:
-        return read_series(path)
-    except OSError as exc:
-        raise CliError(f"cannot read {path}: {exc.strerror}") from exc
 
 
 def _base_meta(args_desc: str) -> dict:
@@ -109,8 +102,8 @@ def _cmd_box(args) -> int:
 
 
 def _cmd_verify(args) -> int:
-    a = _load_series(args.file_a).to_exact()
-    b = _load_series(args.file_b).to_exact()
+    a = read_series(args.file_a).to_exact()
+    b = read_series(args.file_b).to_exact()
     overlap = min(len(a), len(b))
     if overlap < 2:
         # c_0 = 1 by convention, so agreeing on it alone checks nothing
@@ -128,7 +121,7 @@ def _cmd_verify(args) -> int:
 
 
 def _cmd_crt(args) -> int:
-    table = _load_series(args.series)
+    table = read_series(args.series)
     if table.is_exact:
         print("series already exact; copying through", file=sys.stderr)
     table = table.to_exact()
@@ -140,7 +133,7 @@ def _cmd_crt(args) -> int:
 def _cmd_analyze(args) -> int:
     from . import analysis
 
-    table = _load_series(args.series).to_exact()
+    table = read_series(args.series).to_exact()
     min_last_n = args.min_terms - 1 if args.min_terms else None
     pdegrees = _parse_ints(args.inhomog, "--inhomog")
     estimates = analysis.da_scan(
@@ -174,7 +167,7 @@ def _cmd_fit(args) -> int:
         raise CliError(f"unknown model {args.model!r} (choose from "
                        f"{', '.join(sorted(analysis.MODEL_EXPONENTS))})")
     e1, e2 = analysis.MODEL_EXPONENTS[args.model]
-    table = _load_series(args.series).to_exact()
+    table = read_series(args.series).to_exact()
     fits = analysis.amplitude_trajectory(
         table.values, args.mu, e1, e2, args.k, args.m)
     if not fits:
@@ -304,7 +297,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (CliError, ValueError, OverflowError) as exc:
+    except (CliError, ValueError, OverflowError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

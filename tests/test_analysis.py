@@ -1,5 +1,6 @@
 """Differential approximants, amplitude fits and universal ratios."""
 
+import hashlib
 import math
 from fractions import Fraction
 from pathlib import Path
@@ -455,13 +456,44 @@ DA_SCAN_N43_ORDERS23 = [
 ]
 
 
+def digest(results) -> str:
+    """SHA-256 of the reprs of ``results``, one per line, as
+    ``scripts/bench.py`` records them."""
+    return hashlib.sha256("\n".join(map(repr, results)).encode()).hexdigest()
+
+
 def test_da_scan_orders_2_3_on_committed_series_is_unchanged():
     coeffs = read_series(DATA / "saw_counts_n43.series").values
-    got = [repr((e.x, e.exponent, e.spec, e.last_n))
-           for e in da_scan(coeffs, orders=(2, 3))]
+    estimates = da_scan(coeffs, orders=(2, 3))
+    got = [repr((e.x, e.exponent, e.spec, e.last_n)) for e in estimates]
     want = [repr((x, lam, DASpec(q, p), n))
             for x, lam, q, p, n in DA_SCAN_N43_ORDERS23]
     assert got == want
+    assert digest(estimates) == (
+        "96a4df3d611b9f89d0203247355688857fbef4d6b4c0c7bb6e4f28c208dd1adc")
+
+
+def test_an_exponent_near_zero_is_rounded_once_from_its_exact_value():
+    """An order-1 window of the 44-term series whose exponent cancels to
+    about 1e-30, where a 30-digit evaluation keeps about one correct digit.
+    The estimate must be the exponent at the dyadic root, evaluated here
+    at 100 digits, rounded once."""
+    coeffs = read_series(DATA / "saw_counts_n43.series").values
+    spec = DASpec((18, 18))
+    got = singularity_estimate(coeffs, spec, 36)
+    (q0, q1), _ = differential_approximant(coeffs, spec, 36)
+    root, _ = _smallest_positive_root(analysis._integer_row(q1),
+                                      analysis.ROOT_BITS)
+    with mpmath.workdps(100):
+        x = mpmath.mpf(root.numerator) / root.denominator
+
+        def value(poly):
+            return mpmath.polyval([mpmath.mpf(c.numerator) / c.denominator
+                                   for c in reversed(poly)], x)
+
+        want = value(q0) / (x * value([j * c for j, c in enumerate(q1)][1:]))
+        assert abs(want) < 1e-29
+        assert (got.x, got.exponent) == (float(x), float(want))
 
 
 def poly_product(factors):
@@ -621,6 +653,14 @@ class TestAmplitudeFit:
         for got, want in zip(fit.a, a):
             assert abs(got - want) < 1e-9
         assert abs(fit.b[0] - b[0]) < 1e-9
+
+    def test_count_trajectory_on_committed_series_is_unchanged(self):
+        coeffs = read_series(DATA / "saw_counts_n43.series").values
+        fits = amplitude_trajectory(coeffs, 1 / 0.379052277752,
+                                    *MODEL_EXPONENTS["count"], 3, 1)
+        assert len(fits) == 16
+        assert digest(fits) == (
+            "61d340c80270821a8b6ee930075321fe8f82f547c04c962ef3ab0888335b12fa")
 
     def test_trajectory_is_indexed_by_last_n(self):
         mu = 2.0

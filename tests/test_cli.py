@@ -342,6 +342,37 @@ class TestErrorHandling:
         assert f"error: amplitude {name} must be finite" in captured.err
         assert captured.out == ""
 
+    @pytest.mark.parametrize("argv", [
+        ["enumerate", "--wmax", "2"],
+        ["oracle", "--nmax", "3"],
+        ["analyze", "--series", str(SERIES_N43), "--min-terms", "44",
+         "--inhomog", "2"],
+    ], ids=lambda argv: argv[0])
+    def test_an_unwritable_output_is_an_error(self, tmp_path, capsys, argv):
+        out = tmp_path / "missing" / "out"
+        assert run(*argv, "-o", str(out)) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and str(out) in err
+
+    def test_a_failed_kernel_build_is_an_error(self, tmp_path, capsys,
+                                               monkeypatch):
+        cc = tmp_path / "bad-cc"
+        cc.write_text("#!/bin/sh\necho 'ckernel.c:1: no such builtin' >&2\n"
+                      "exit 1\n")
+        cc.chmod(0o755)
+        cache = tmp_path / "cache"
+        monkeypatch.setenv("CC", str(cc))
+        monkeypatch.setattr(ckernel, "_lib", None)
+        monkeypatch.setattr(ckernel, "_lib_path",
+                            lambda src: cache / "ckernel-test.so")
+        out = tmp_path / "o.series"
+        assert run("enumerate", "--wmax", "2", "-o", str(out)) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {cc} failed to build the kernel")
+        assert "ckernel.c:1: no such builtin" in err
+        assert list(cache.iterdir()) == []  # no temporary library is left
+        assert not out.exists()
+
     def test_enumerate_refuses_a_width_past_the_key_layout_up_front(
             self, tmp_path, capsys, monkeypatch):
         def no_sweep(job):
