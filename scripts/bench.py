@@ -40,10 +40,12 @@ Measures, for each checkout, in fresh interpreters:
   for ``da_scan_2_3``), also recorded once per checkout and untimed: the
   number of estimates of each ``da_scan`` row, the SHA-256 of their reprs
   (one per line), and the elimination size, the sum of n^3 over every
-  ``analysis._solve_exact`` call of the scan on an n x n system (the child
-  wraps the solver), with ``_solves``, the number of those calls.  Equal
-  digests mean the same estimates, and the elimination size follows the
-  work of the exact solves, the larger part of a scan;
+  elimination of the scan on an n x n system, with ``_solves``, the number
+  of those eliminations.  The child wraps ``analysis._bareiss``, which every
+  elimination runs (one per approximant family, and one per approximant
+  fitted on its own), or ``analysis._solve_exact`` in a checkout without
+  it.  Equal digests mean the same estimates, and the elimination size
+  follows the work of the exact solves, the larger part of a scan;
 - ``fit_count_3_1_digest``, also once per checkout and untimed: the SHA-256
   of the reprs (one per line) of the 16 fits that
   ``analysis.amplitude_trajectory`` makes on that series with the count
@@ -172,12 +174,13 @@ import hashlib, json, sys
 from sawenum import analysis
 from sawenum.modseries import read_series
 coeffs = read_series(sys.argv[1]).values
-solve = analysis._solve_exact
+name = "_bareiss" if hasattr(analysis, "_bareiss") else "_solve_exact"
+eliminate = getattr(analysis, name)
 calls = []
-def counted(matrix, rhs):
-    calls.append(len(matrix))
-    return solve(matrix, rhs)
-analysis._solve_exact = counted
+def counted(rows, *args):
+    calls.append(len(rows))
+    return eliminate(rows, *args)
+setattr(analysis, name, counted)
 out = []
 for arg in sys.argv[2:]:
     calls.clear()

@@ -14,19 +14,27 @@ inhomogeneous window ``da_scan`` fits, P's columns are -I on the first
 rows and zero below, so only the square block of Q unknowns is eliminated
 and each P coefficient follows by one integer dot product.  A singular Q
 block makes the whole system singular, and such a fit falls back to
-eliminating the whole system, whose particular solution differs.  On the
-benchmark's 28-term series the sum of n^3 over the solved n x n systems
-drops from 241,472 to 115,292 (0.48x) per 16-window scan.  Singularities
-of F are estimated by the roots of Q_K; the critical exponent at a root x*
-of multiplicity one is
+eliminating the whole system, whose particular solution differs.
+``da_scan`` eliminates once per family: the windows of one order whose Q
+blocks start at the same equation have nested blocks, each the leading
+block of the next once the columns are ordered by generation, so one
+elimination of the largest serves them all.  A window that elimination
+cannot solve as its own would (a pivot from a later row, a singular block,
+or a zero in q) is fitted on its own.  On the benchmark's 28-term series
+the sum of n^3 over the eliminated n x n systems drops from 241,472 to
+115,292 by the block solve and to 59,736 by the shared elimination per
+16-window scan.  Singularities of F are estimated by the roots of Q_K; the
+critical exponent at a root x* of multiplicity one is
 
     lambda = Q_{K-1}(x*) / (x* Q_K'(x*)) - K + 1.
 
 The physical singularity x_c is the smallest positive root of Q_K, located
 exactly on Q_K's integer coefficients: a Sturm chain of pseudo-remainders
-isolates it by bisection on dyadic points, and sign bisection on Q_K's
-squarefree part refines it to ``ROOT_BITS`` bits.  The exponent is exact at
-that dyadic root, and each of the two is rounded to a float only once.
+isolates it by bisection on dyadic points, and exact Newton steps on Q_K's
+squarefree part, each cell they jump to certified by two signs, refine it
+to the dyadic that sign bisection to ``ROOT_BITS`` bits gives.  The
+exponent is exact at that dyadic root, and each of the two is rounded to a
+float only once.
 
 Amplitude fits solve for the leading amplitudes of the standard asymptotic
 form with analytic and half-integer correction terms plus an antiferromagnetic
@@ -93,29 +101,25 @@ def _integer_row(values) -> list[int]:
     return [v.numerator * (scale // v.denominator) for v in values]
 
 
-def _solve_exact(matrix, rhs):
-    """Exact solution of a square rational system; None if inconsistent.
+def _bareiss(a) -> list[int | None]:
+    """Reduce the integer rows ``a`` to row echelon form in place.
 
-    Each augmented row is scaled once to integers, then reduced to row
-    echelon form by Bareiss's fraction-free elimination (Math. Comp. 22
-    (1968) 565): every update ``(p*a - f*b) // prev`` is an exact integer
-    division, because every entry stays a minor of the scaled matrix.
-    Columns are scanned in order and the first nonzero row at or below the
-    current one is the pivot; a column without one is free and leaves
-    ``prev`` as it is.  Rank-deficient but consistent systems (the series
-    satisfies a smaller exact ODE, so the fit has spare freedom) get the
-    particular solution with every free variable set to zero, which is
-    unique, so the result does not depend on the elimination method.
-    Back-substitution stays in integers by solving for ``d * x``, where
-    ``d``, the last pivot, is the determinant of the pivot block up to sign.
+    ``a`` has n rows of at least n + 1 entries; the first n columns are
+    eliminated by Bareiss's fraction-free elimination (Math. Comp. 22 (1968)
+    565): every update ``(p*a - f*b) // prev`` is an exact integer division,
+    because every entry stays a minor of the rows.  Columns are scanned in
+    order and the first nonzero row at or below the current one is the
+    pivot; a column without one is free and leaves ``prev`` as it is.
+    Returns, for each column, the row its pivot was taken from (before the
+    swap), or None for a free column.
     """
-    n = len(matrix)
-    a = [_integer_row([*row, b]) for row, b in zip(matrix, rhs)]
-    pivot_cols: list[int] = []
+    n = len(a)
+    pivots: list[int | None] = []
     prow = 0
     prev = 1
     for col in range(n):
         pivot = next((r for r in range(prow, n) if a[r][col]), None)
+        pivots.append(pivot)
         if pivot is None:
             continue  # free column
         a[prow], a[pivot] = a[pivot], a[prow]
@@ -126,21 +130,77 @@ def _solve_exact(matrix, rhs):
             f = row[col]
             row[col:] = [(p * v - f * w) // prev
                          for v, w in zip(row[col:], top)]
-        pivot_cols.append(col)
         prev = p
         prow += 1
-    for r in range(prow, n):
-        if a[r][n]:
-            return None  # inconsistent
-    scaled = [0] * n  # prev * solution
-    for r in reversed(range(prow)):
+    return pivots
+
+
+def _back_substitute(a, cols, size: int, rhs: int) -> list[Fraction]:
+    """The ``size`` unknowns of the echelon rows ``a``, free ones zero.
+
+    Row r of ``a`` has its pivot in column ``cols[r]`` and its right-hand
+    side in column ``rhs``.  The substitution stays in integers by solving
+    for ``d * x``, where ``d``, the last pivot, is the determinant of the
+    pivot block up to sign.
+    """
+    prev = a[len(cols) - 1][cols[-1]] if cols else 1
+    scaled = [0] * size  # prev * solution
+    for r in reversed(range(len(cols))):
         row = a[r]
-        col = pivot_cols[r]
-        acc = prev * row[n]
-        for c in pivot_cols[r + 1:]:
+        acc = prev * row[rhs]
+        for c in cols[r + 1:]:
             acc -= row[c] * scaled[c]
-        scaled[col] = acc // row[col]
+        scaled[cols[r]] = acc // row[cols[r]]
     return [Fraction(v, prev) for v in scaled]
+
+
+def _solve_exact(matrix, rhs):
+    """Exact solution of a square rational system; None if inconsistent.
+
+    Each augmented row is scaled once to integers and reduced by
+    :func:`_bareiss`.  Rank-deficient but consistent systems (the series
+    satisfies a smaller exact ODE, so the fit has spare freedom) get the
+    particular solution with every free variable set to zero, which is
+    unique, so the result does not depend on the elimination method.
+    """
+    n = len(matrix)
+    a = [_integer_row([*row, b]) for row, b in zip(matrix, rhs)]
+    cols = [c for c, r in enumerate(_bareiss(a)) if r is not None]
+    if any(row[n] for row in a[len(cols):]):
+        return None  # inconsistent
+    return _back_substitute(a, cols, n, n)
+
+
+def _leading_solves(matrix, rhs, sizes) -> dict[int, list[Fraction]]:
+    """Solutions of leading s x s blocks of a square system, one elimination.
+
+    For each s in ``sizes`` the block is the first s rows and columns of
+    ``matrix`` with the first s entries of ``rhs``.  The whole system is
+    reduced once by :func:`_bareiss`.  Rows are only updated below the
+    pivot row and each column independently, so while the first s pivots
+    all come from the first s rows, those rows (columns < s and the
+    right-hand side) are exactly what eliminating the block alone gives:
+    its echelon form, with the same pivots.  Each such block is nonsingular
+    and is solved by back-substitution.  A block whose elimination would
+    differ (a pivot from a row at or past s, or a free column, which makes
+    it singular) is left out, and so is a solution that holds a zero, which
+    is how ``_solve_exact`` marks a pivotless unknown: the caller solves
+    those blocks on their own.
+    """
+    n = len(matrix)
+    a = [_integer_row([*row, b]) for row, b in zip(matrix, rhs)]
+    reach = []  # reach[c]: the last row among the pivots of columns 0..c
+    last = -1
+    for r in _bareiss(a):
+        last = n if r is None else max(last, r)
+        reach.append(last)
+    out = {}
+    for s in sizes:
+        if reach[s - 1] < s:
+            x = _back_substitute(a, range(s), s, n)
+            if all(x):
+                out[s] = x
+    return out
 
 
 def differential_approximant(coeffs, spec: DASpec, last_n: int | None = None):
@@ -322,6 +382,81 @@ def _variations(chain, num: int, k: int) -> int:
     return _sign_changes(_sign_at(c, num, k) for c in chain)
 
 
+def _value_and_slope(poly, num: int, k: int) -> tuple[int, int]:
+    """``p(x) * 2**(k * d)`` and ``p'(x) * 2**(k * (d - 1))`` at
+    x = ``num / 2**k``, for the integer polynomial ``poly`` of degree d, in
+    one Horner pass."""
+    d = len(poly) - 1
+    value, slope = poly[d], 0
+    for i in range(d - 1, -1, -1):
+        slope = slope * num + value
+        value = value * num + (poly[i] << (k * (d - i)))
+    return value, slope
+
+
+#: A Newton step from within e of a simple root lands within about
+#: M e^2 of it (M = |p''/2p'| there); the cell it jumps to is
+#: 2**NEWTON_GUARD e^2 wide.  A step that misses its cell costs two signs.
+NEWTON_GUARD = 4
+
+
+def _refine(p, lo: int, hi: int, k: int, bits: int) -> Fraction:
+    """The dyadic that bisection of (lo/2**k, hi/2**k] to ``bits`` bits
+    returns for the one root x of the integer polynomial ``p`` in it.
+
+    x is a simple root, lo is not a root, and neither is hi.  Bisection
+    halves the cell holding x, keeping its width W = hi - lo on a finer grid
+    at each level, until ``(hi - lo) << bits <= hi``, and returns the cell's
+    midpoint, or x itself when x is the midpoint it tests.  Cells are
+    aligned: at level j the cells are (t W, (t + 1) W] / 2**j, so this
+    dyadic is fixed by x alone.
+
+    Here each step still halves the cell by the sign of p at its midpoint,
+    but the same Horner pass gives p' there, and a Newton step from it
+    predicts x far more finely.  The cell of that prediction a few levels
+    down (never past the last level, which follows from the cell's index) is
+    certified by the signs of p at its two ends and then replaces the half
+    cell.  So the loop always holds the cell bisection would hold at its
+    level, and every cell it skips would not have ended bisection.  A zero
+    sign at a midpoint or at a predicted cell's end is x, on the grid of a
+    level at or above the last one, where bisection lands on it too.
+    """
+    sign_lo = _sign_at(p, lo, k)
+    w = (hi - lo).bit_length() - 1  # W = 2**w
+    last = (1 << bits) - 1  # the cell with index t is the last once t >= last
+    while (hi - lo) << bits > hi:
+        lo, hi, k = 2 * lo, 2 * hi, k + 1
+        mid = (lo + hi) // 2
+        value, slope = _value_and_slope(p, mid, k)
+        if value == 0:
+            return Fraction(mid, 1 << k)
+        if (value > 0) == (sign_lo > 0):
+            lo = mid
+        else:
+            hi = mid
+        if not slope:
+            continue
+        y = ((mid * slope - value) << k) // slope  # Newton step, scale 2**-2k
+        if not lo << k < y <= hi << k:
+            continue
+        # the cell holding y at the deepest level the step is trusted to
+        level = 2 * k - w - NEWTON_GUARD
+        t = (y - 1) >> (2 * w + NEWTON_GUARD)
+        if t >= last:  # back up to the first level whose cell is the last
+            up = t.bit_length() - bits - (t >> (t.bit_length() - bits) != last)
+            level -= up
+            t >>= up
+        if level <= k:
+            continue
+        s_lo = _sign_at(p, t << w, level)
+        s_hi = _sign_at(p, (t + 1) << w, level)
+        if s_lo == 0 or s_hi == 0:
+            return Fraction((t + (s_lo != 0)) << w, 1 << level)
+        if s_lo == sign_lo != s_hi:
+            lo, hi, k = t << w, (t + 1) << w, level
+    return Fraction(lo + hi, 1 << (k + 1))
+
+
 def _smallest_positive_root(p, bits: int) -> tuple[Fraction, bool] | None:
     """Smallest positive real root of the integer polynomial ``p``, or None.
 
@@ -335,7 +470,7 @@ def _smallest_positive_root(p, bits: int) -> tuple[Fraction, bool] | None:
     the chain: the bracket (lo, hi] doubles from (0, 1] until it holds a root,
     then halves until it holds exactly one.  That root is multiple in p
     exactly when g has a root in the bracket too.  It is simple in s, so s
-    changes sign across it, and sign bisection on s refines it.
+    changes sign across it, and :func:`_refine` refines it.
     """
     while p[0] == 0:
         p = p[1:]
@@ -372,18 +507,7 @@ def _smallest_positive_root(p, bits: int) -> tuple[Fraction, bool] | None:
         multiple = _variations(g_chain, lo, k) > _variations(g_chain, hi, k)
     if _sign_at(p, hi, k) == 0:
         return Fraction(hi, 1 << k), multiple
-    sign_lo = _sign_at(p, lo, k)
-    while (hi - lo) << bits > hi:
-        lo, hi, k = 2 * lo, 2 * hi, k + 1
-        mid = (lo + hi) // 2
-        s = _sign_at(p, mid, k)
-        if s == 0:
-            return Fraction(mid, 1 << k), multiple
-        if s == sign_lo:
-            lo = mid
-        else:
-            hi = mid
-    return Fraction(lo + hi, 1 << (k + 1)), multiple
+    return _refine(p, lo, hi, k, bits), multiple
 
 
 def singularity_estimate(
@@ -405,6 +529,11 @@ def singularity_estimate(
     if last_n is None:
         last_n = len(coeffs) - 1
     q_polys, _ = differential_approximant(coeffs, spec, last_n)
+    return _estimate(q_polys, spec, last_n)
+
+
+def _estimate(q_polys, spec: DASpec, last_n: int) -> SingularityEstimate:
+    """The estimate of a fitted approximant, given its Q polynomials."""
     k = spec.order
     qk = _integer_row(q_polys[k])
     while qk and qk[-1] == 0:
@@ -466,20 +595,68 @@ def da_scan(
         raise AnalysisError(
             f"the series has {n_max + 1} terms, fewer than the "
             f"{min_last_n + 1} asked for")
-    out = []
+    windows = []
     for last_n in range(min_last_n, n_max + 1):
         for order in orders:
             for pdeg in pdegrees:
                 try:
                     spec = balanced_spec(order, pdeg, last_n + 1)
-                    if pdeg >= 0 and spec.unknowns < last_n + 1:
-                        continue  # P's low coefficients have no equation
-                    out.append(
-                        singularity_estimate(coeffs, spec, last_n)
-                    )
                 except AnalysisError:
                     continue
+                if pdeg >= 0 and spec.unknowns < last_n + 1:
+                    continue  # P's low coefficients have no equation
+                windows.append((spec, last_n))
+    fits = _family_fits(coeffs, windows)
+    out = []
+    for spec, last_n in windows:
+        q_polys = fits.get((spec, last_n))
+        try:
+            if q_polys is None:
+                out.append(singularity_estimate(coeffs, spec, last_n))
+            else:
+                out.append(_estimate(q_polys, spec, last_n))
+        except AnalysisError:
+            continue
     return out
+
+
+def _family_fits(coeffs, windows) -> dict:
+    """Q polynomials of the windows ``(spec, last_n)`` that one elimination
+    per family fits, keyed by window.
+
+    A window's Q block has one column per Q unknown q_{i,j} (j <= d, the
+    balanced Q degree, without q_{K,0}) and one row per equation x^m from
+    its first Q equation m0 (P's degree + 1, or the first equation of a
+    homogeneous window) to last_n.  Its entry (m - j)^i c_{m-j} and
+    right-hand side -m^K c_m do not depend on d.  So in a family, the
+    windows of one order and one m0, with the columns ordered by j first,
+    each block is the leading block of the largest one, which
+    :func:`_leading_solves` eliminates once for all.  A window it leaves out
+    is not in the result and is fitted on its own.
+    """
+    families: dict[tuple[int, int], list] = {}
+    for spec, last_n in windows:
+        size = spec.unknowns - spec.pdegree - 1
+        families.setdefault((spec.order, last_n + 1 - size), []).append(
+            (spec, last_n, size))
+    fits = {}
+    for (k, m0), members in families.items():
+        top = max(spec.qdegrees[0] for spec, _, _ in members)
+        cols = [(i, j) for j in range(top + 1) for i in range(k + 1)
+                if (i, j) != (k, 0)]
+        rows = range(m0, m0 + len(cols))
+        solved = _leading_solves(
+            [[(m - j) ** i * coeffs[m - j] if m >= j else 0 for i, j in cols]
+             for m in rows],
+            [-(m**k) * coeffs[m] for m in rows],
+            {size for _, _, size in members})
+        for spec, last_n, size in members:
+            if size in solved:
+                q_polys = [[] for _ in range(k)] + [[Fraction(1)]]
+                for (i, _), v in zip(cols, solved[size]):
+                    q_polys[i].append(v)
+                fits[spec, last_n] = q_polys
+    return fits
 
 
 #: Estimates whose x_c lies further than this many standard deviations from

@@ -9,7 +9,9 @@ byte-identical files regardless of worker count.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import math
+import os
 import sys
 
 from . import __version__, flm
@@ -44,6 +46,25 @@ def _write_csv(path, header_meta: dict, columns: tuple[str, ...], rows) -> None:
     lines.extend(",".join(str(v) for v in row) for row in rows)
     with open(path, "w", encoding="utf-8") as fh:
         fh.write("\n".join(lines) + "\n")
+
+
+@contextlib.contextmanager
+def _claimed_output(path):
+    """Check that ``path`` can be written before the work that fills it.
+
+    The file is opened for appending, which creates a missing file and
+    keeps what an existing one holds, so an unwritable path fails at once.
+    If the work then fails, a file created here is removed again.
+    """
+    created = not os.path.exists(path)
+    with open(path, "a", encoding="utf-8"):
+        pass
+    try:
+        yield
+    except BaseException:
+        if created:
+            os.remove(path)
+        raise
 
 
 def _cmd_enumerate(args) -> int:
@@ -136,14 +157,15 @@ def _cmd_analyze(args) -> int:
     table = read_series(args.series).to_exact()
     min_last_n = args.min_terms - 1 if args.min_terms else None
     pdegrees = _parse_ints(args.inhomog, "--inhomog")
-    estimates = analysis.da_scan(
-        table.values,
-        orders=(args.order,),
-        pdegrees=pdegrees,
-        min_last_n=min_last_n,
-    )
-    if not estimates:
-        raise CliError("no surviving approximants (all defective)")
+    with _claimed_output(args.output):
+        estimates = analysis.da_scan(
+            table.values,
+            orders=(args.order,),
+            pdegrees=pdegrees,
+            min_last_n=min_last_n,
+        )
+        if not estimates:
+            raise CliError("no surviving approximants (all defective)")
     meta = _base_meta(f"analyze --order {args.order} --inhomog "
                       + ",".join(str(d) for d in pdegrees))
     meta["series"] = str(args.series)
@@ -168,10 +190,11 @@ def _cmd_fit(args) -> int:
                        f"{', '.join(sorted(analysis.MODEL_EXPONENTS))})")
     e1, e2 = analysis.MODEL_EXPONENTS[args.model]
     table = read_series(args.series).to_exact()
-    fits = analysis.amplitude_trajectory(
-        table.values, args.mu, e1, e2, args.k, args.m)
-    if not fits:
-        raise CliError("no solvable fit windows")
+    with _claimed_output(args.output):
+        fits = analysis.amplitude_trajectory(
+            table.values, args.mu, e1, e2, args.k, args.m)
+        if not fits:
+            raise CliError("no solvable fit windows")
     meta = _base_meta(
         f"fit --model {args.model} --k {args.k} --m {args.m}")
     meta["series"] = str(args.series)

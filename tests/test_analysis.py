@@ -2,6 +2,7 @@
 
 import hashlib
 import math
+import random
 from fractions import Fraction
 from pathlib import Path
 
@@ -10,12 +11,14 @@ import mpmath
 from hypothesis import assume, given
 from hypothesis import strategies as st
 
+import bisection
 from sawenum import analysis
 from sawenum.analysis import (
     MODEL_EXPONENTS,
     AnalysisError,
     DASpec,
     SingularityEstimate,
+    _leading_solves,
     _smallest_positive_root,
     _solve_exact,
     amplitude_fit,
@@ -136,11 +139,12 @@ class TestDaScan:
         # a window whose equations start above x^0 leaves p_0 without one
         tried = []
 
-        def spy(coeffs, spec, last_n):
+        def spy(q_polys, spec, last_n):
             tried.append((spec, last_n))
             raise AnalysisError("not solved here")
 
-        monkeypatch.setattr(analysis, "singularity_estimate", spy)
+        # every fitted window, shared elimination or not, is estimated here
+        monkeypatch.setattr(analysis, "_estimate", spy)
         coeffs = read_series(DATA / "saw_counts_n43.series").values
         pdegrees = (-1, 0, 2, 4)
         assert da_scan(coeffs, orders=(2, 3), pdegrees=pdegrees) == []
@@ -365,6 +369,114 @@ class TestBlockSolve:
             assert want is None
         else:
             assert flatten(got, spec) == want
+
+
+def leading(matrix, rhs, s):
+    """The leading s x s block of a system."""
+    return [row[:s] for row in matrix[:s]], rhs[:s]
+
+
+def per_window_scan(coeffs, orders, pdegrees, min_last_n):
+    """``da_scan`` with one ``singularity_estimate`` per window."""
+    out = []
+    for last_n in range(min_last_n, len(coeffs)):
+        for order in orders:
+            for pdeg in pdegrees:
+                try:
+                    spec = balanced_spec(order, pdeg, last_n + 1)
+                    if pdeg >= 0 and spec.unknowns < last_n + 1:
+                        continue
+                    out.append(singularity_estimate(coeffs, spec, last_n))
+                except AnalysisError:
+                    continue
+    return out
+
+
+@pytest.fixture
+def fitted_alone(monkeypatch):
+    """The windows ``da_scan`` hands to ``singularity_estimate``."""
+    windows = []
+    estimate = analysis.singularity_estimate
+
+    def spy(coeffs, spec, last_n):
+        windows.append((spec, last_n))
+        return estimate(coeffs, spec, last_n)
+
+    monkeypatch.setattr(analysis, "singularity_estimate", spy)
+    return windows
+
+
+class TestSharedElimination:
+    """One elimination of a family's largest system solves every leading
+    block as ``_solve_exact`` solves that block alone; the blocks it cannot
+    solve so go to the per-window fit."""
+
+    def test_leading_blocks_match_solve_exact(self):
+        rng = random.Random(2024)
+        for _ in range(300):
+            n = rng.randint(1, 12)
+            bound = rng.choice([1, 2, 1000])  # small entries: singular blocks
+            matrix = [[rng.randint(-bound, bound) for _ in range(n)]
+                      for _ in range(n)]
+            rhs = [rng.randint(-bound, bound) for _ in range(n)]
+            got = _leading_solves(matrix, rhs, range(1, n + 1))
+            diagonal = True  # every leading block so far is nonsingular
+            for s in range(1, n + 1):
+                block, b = leading(matrix, rhs, s)
+                want = _solve_exact(block, b)
+                diagonal = diagonal and len(reference_solve(block, b)[1]) == s
+                if s in got:
+                    assert got[s] == want
+                elif diagonal:  # pivots on the diagonal: only a zero stops it
+                    assert not all(want)
+
+    def test_a_singular_prefix_is_left_out(self):
+        rng = random.Random(7)
+        swapped = 0
+        for _ in range(100):
+            n = rng.randint(3, 10)
+            s0 = rng.randint(2, n - 1)
+            matrix = [[rng.randint(-50, 50) for _ in range(n)]
+                      for _ in range(n)]
+            matrix[s0 - 1][:s0] = matrix[0][:s0]  # block s0 is singular
+            rhs = [rng.randint(-50, 50) for _ in range(n)]
+            got = _leading_solves(matrix, rhs, range(1, n + 1))
+            assert s0 not in got
+            for s, x in got.items():
+                assert x == _solve_exact(*leading(matrix, rhs, s))
+            swapped += any(s > s0 for s in got)
+        assert swapped  # larger blocks, pivoted past row s0 - 1, still solved
+
+    def test_a_solution_with_a_zero_is_left_out(self):
+        matrix = [[2, 1, 0], [1, 3, 1], [0, 1, 4]]
+        rhs = [2, 3, 8]  # the solution is (1, 0, 2)
+        assert _solve_exact(matrix, rhs) == [1, 0, 2]
+        got = _leading_solves(matrix, rhs, [1, 2, 3])
+        assert got == {1: [1], 2: [Fraction(3, 5), Fraction(4, 5)]}
+
+    def test_scan_equals_one_fit_per_window(self, fitted_alone):
+        rng = random.Random(11)
+        for _ in range(30):
+            n = rng.randint(10, 22)
+            coeffs = [rng.randint(-2, 2) for _ in range(n)]
+            args = ((1, 2), (-1, 0, 1, 2), n // 2)
+            assert da_scan(coeffs, *args) == per_window_scan(coeffs, *args)
+        assert fitted_alone  # some windows took the per-window fit
+
+    def test_a_singular_q_block_takes_the_whole_system_solve(self,
+                                                             fitted_alone):
+        coeffs = power_law_series(2, Fraction(1), 30)
+        coeffs[0] += 7
+        coeffs[3] += 5
+        spec = balanced_spec(1, 4, 30)
+        got = da_scan(coeffs, orders=(1,), pdegrees=(4,), min_last_n=29)
+        assert fitted_alone == [(spec, 29)]
+        assert got == [singularity_estimate(coeffs, spec, 29)]
+
+    def test_the_committed_scan_needs_no_per_window_fit(self, fitted_alone):
+        coeffs = read_series(DATA / "saw_counts_n43.series").values
+        assert len(da_scan(coeffs, orders=(2, 3))) == 42
+        assert fitted_alone == []
 
 
 #: (x, exponent, Q degrees, P degree, last_n) of every estimate of
@@ -627,6 +739,69 @@ class TestSmallestPositiveRoot:
         got, multiple = _smallest_positive_root(poly_product(close), 123)
         assert abs(got - Fraction(a, scale)) < Fraction(1, scale) / 4
         assert not multiple
+
+
+def assert_bisection_root(p, bits):
+    got = _smallest_positive_root(p, bits)
+    assert got == bisection.smallest_positive_root(p, bits)
+    return got
+
+
+@st.composite
+def dyadic_factors(draw):
+    """s * (2^j x - m): a dyadic root m / 2^j, possibly on a fine grid."""
+    j, s = draw(st.integers(0, 130)), draw(SIGNS)
+    return [-s * draw(st.integers(-3, 3 << j)), s << j]
+
+
+class TestNewtonRefinement:
+    """Newton refinement lands on the dyadic that bisection returns."""
+
+    @given(st.lists(st.integers(-60, 60), min_size=2, max_size=10)
+           .filter(lambda p: p[-1]), st.sampled_from([4, 40, 123, 200]))
+    def test_random_integer_polynomials(self, p, bits):
+        assert_bisection_root(p, bits)
+
+    @given(st.lists(st.one_of(dyadic_factors(), linear_factors(),
+                              irreducible_quadratics()), min_size=1,
+                    max_size=4), st.sampled_from([4, 40, 123, 200]))
+    def test_products_with_dyadic_roots(self, factors, bits):
+        assert_bisection_root(poly_product(factors), bits)
+
+    def test_dyadic_roots_on_every_level(self):
+        # m / 2^j for j up to past the last level: hit at a midpoint, at the
+        # end of a predicted cell, or too fine to be hit
+        for j in range(0, 135, 3):
+            for m in (1, 3, (1 << j) - 1, 5 << max(0, j - 4)):
+                for extra in ([[1, 0, 1]], [[-7, 3]], [[-1, 0, 7]]):
+                    for bits in (4, 123):
+                        assert_bisection_root(
+                            poly_product([[-m, 1 << j]] + extra), bits)
+
+    def test_exact_dyadic_root(self):
+        assert assert_bisection_root([-3, 8], 123) == (Fraction(3, 8), False)
+
+    def test_smallest_root_above_one(self):
+        # (x - 3)(x - 5): the bracket doubles to (2, 4]
+        got = assert_bisection_root(poly_product([[-3, 1], [-5, 1]]), 123)
+        assert got == (Fraction(3), False)
+        assert_bisection_root(poly_product([[-7, 2], [-5, 1]]), 123)
+        assert_bisection_root(poly_product([[-3, 0, 1], [-9, 1]]), 123)
+
+    def test_zero_slope_at_a_midpoint(self):
+        # 125 (2x - 3)^3 - 1: p'(3/2) = 0 at the first midpoint of (1, 2]
+        p = [v * 125 for v in poly_product([[-3, 2]] * 3)]
+        p[0] -= 1
+        root, _ = assert_bisection_root(p, 123)
+        assert abs(root - Fraction(8, 5)) < Fraction(1, 1 << 122)
+
+    def test_multiple_root(self):
+        root, multiple = assert_bisection_root(
+            poly_product([[-2, 0, 1], [-2, 0, 1], [-3, 1]]), 123)
+        assert multiple and abs(root**2 - 2) < Fraction(1, 1 << 120)
+        root, multiple = assert_bisection_root(
+            poly_product([[-1, 3], [-1, 3], [-2, 1]]), 123)
+        assert multiple and abs(root - Fraction(1, 3)) < Fraction(1, 1 << 124)
 
 
 class TestAmplitudeFit:

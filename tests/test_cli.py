@@ -4,7 +4,7 @@ from pathlib import Path
 
 import pytest
 
-from sawenum import ckernel, flm, oracle
+from sawenum import analysis, ckernel, flm, oracle
 from sawenum.cli import main
 from sawenum.modseries import (DEFAULT_MODULI, SeriesTable, read_series,
                                write_series)
@@ -384,3 +384,36 @@ class TestErrorHandling:
         assert "error: width 29 overflows the packed key layout" in (
             capsys.readouterr().err)
         assert not out.exists()
+
+    @pytest.mark.parametrize("argv, work", [
+        (["analyze", "--series", str(SERIES_N43), "--inhomog", "0,2"],
+         "da_scan"),
+        (["fit", "--series", str(SERIES_N43), "--model", "count", "--k", "2",
+          "--m", "1"], "amplitude_trajectory"),
+    ], ids=lambda v: v[0] if isinstance(v, list) else v)
+    def test_an_unwritable_output_fails_before_the_work(self, tmp_path, capsys,
+                                                        monkeypatch, argv,
+                                                        work):
+        def no_work(*args, **kwargs):
+            raise AssertionError(f"{work} ran")
+
+        monkeypatch.setattr(analysis, work, no_work)
+        out = tmp_path / "missing" / "out.csv"
+        assert run(*argv, "-o", str(out)) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and str(out) in err
+
+    def test_a_failed_scan_leaves_the_output_as_it_was(self, tmp_path,
+                                                       capsys):
+        series = tmp_path / "s.series"
+        write_series(SeriesTable([1] + [0] * 29), series)  # all defective
+        fresh = tmp_path / "fresh.csv"
+        kept = tmp_path / "kept.csv"
+        kept.write_text("an earlier result\n")
+        for csv in (fresh, kept):
+            assert run("analyze", "--series", str(series), "-o",
+                       str(csv)) == 2
+            assert "error: no surviving approximants" in (
+                capsys.readouterr().err)
+        assert not fresh.exists()
+        assert kept.read_text() == "an earlier result\n"
