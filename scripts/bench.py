@@ -37,7 +37,9 @@ Measures, for each checkout, in fresh interpreters:
   Python engine (about a second).  Equal digests mean both sweeps still
   write the same bytes;
 - ``da_scan_2_estimates``, ``_digest`` and ``_elimination`` (and the same
-  for ``da_scan_2_3``), also recorded once per checkout and untimed: the
+  for ``da_scan_2_3``, and for ``da_scan_2_3_homogeneous``, the (2, 3)
+  scan with ``pdegrees=(-1,)``, where each window from x^0 holds a zero in
+  its unique solution), also recorded once per checkout and untimed: the
   number of estimates of each ``da_scan`` row, the SHA-256 of their reprs
   (one per line), and the elimination size, the sum of n^3 over every
   elimination of the scan on an n x n system, with ``_solves``, the number
@@ -104,6 +106,10 @@ from run import scaled  # noqa: E402
 SERIES = Path("data") / "saw_counts_n43.series"
 #: the da_scan rows: metric prefix and the ``orders`` argument
 DA_SCANS = (("da_scan_2", "2"), ("da_scan_2_3", "2,3"))
+#: the untimed da_scan count rows: those of DA_SCANS, and the homogeneous
+#: windows alone as ``orders:pdegrees``, where each window from x^0 holds a
+#: zero in q (its c_0 row forces q_{0,0} = 0)
+DA_COUNT_SCANS = DA_SCANS + (("da_scan_2_3_homogeneous", "2,3:-1"),)
 #: the enumerate runs timed, the first also warming up the kernel build
 WMAXES = (13, 15)
 #: interleaved rounds per checkout; ten pairs before a median is quoted
@@ -168,7 +174,8 @@ print(json.dumps({"state_rows": sum(s["state_rows"] for s in stats),
 
 #: run in the measured checkout: the estimates and the elimination size of
 #: ``da_scan`` on the series ``sys.argv[1]`` with each ``orders`` argument
-#: ``sys.argv[2:]``, untimed
+#: ``sys.argv[2:]``, followed by ``:`` and a ``pdegrees`` argument where
+#: the default is not used, untimed
 DA_COUNTS = """
 import hashlib, json, sys
 from sawenum import analysis
@@ -184,8 +191,11 @@ setattr(analysis, name, counted)
 out = []
 for arg in sys.argv[2:]:
     calls.clear()
-    orders = tuple(int(x) for x in arg.split(","))
-    estimates = analysis.da_scan(coeffs, orders=orders)
+    orders, _, pdegrees = arg.partition(":")
+    args = {"orders": tuple(int(x) for x in orders.split(","))}
+    if pdegrees:
+        args["pdegrees"] = tuple(int(x) for x in pdegrees.split(","))
+    estimates = analysis.da_scan(coeffs, **args)
     text = "\\n".join(map(repr, estimates))
     out.append({"estimates": len(estimates),
                 "digest": hashlib.sha256(text.encode()).hexdigest(),
@@ -325,8 +335,8 @@ def counts(checkout: Path) -> dict:
     row[f"enumerate_w{ENGINE_WMAX}_engine_sha256"] = output_digest(
         ENGINE_WMAX, checkout, dict(env, CC=NO_COMPILER))
     scans = child(DA_COUNTS, [str(checkout / SERIES)]
-                  + [orders for _, orders in DA_SCANS], checkout, env)
-    for (prefix, _), scan in zip(DA_SCANS, scans):
+                  + [orders for _, orders in DA_COUNT_SCANS], checkout, env)
+    for (prefix, _), scan in zip(DA_COUNT_SCANS, scans):
         row.update({f"{prefix}_{key}": value for key, value in scan.items()})
     row["fit_count_3_1_digest"] = child(FIT_DIGEST, [str(checkout / SERIES)],
                                         checkout, env)

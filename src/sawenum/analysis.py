@@ -9,22 +9,17 @@ whose polynomial coefficients are fitted exactly to the highest available
 series coefficients.  The fit is one square linear system, solved in
 integers by fraction-free (Bareiss) elimination: each row is scaled once to
 integers, every elimination step divides exactly, and only the solution is
-formed as Fractions.  When the equations start at x^0, as in every
-inhomogeneous window ``da_scan`` fits, P's columns are -I on the first
-rows and zero below, so only the square block of Q unknowns is eliminated
-and each P coefficient follows by one integer dot product.  A singular Q
-block makes the whole system singular, and such a fit falls back to
-eliminating the whole system, whose particular solution differs.
-``da_scan`` eliminates once per family: the windows of one order whose Q
-blocks start at the same equation have nested blocks, each the leading
-block of the next once the columns are ordered by generation, so one
-elimination of the largest serves them all.  A window that elimination
-cannot solve as its own would (a pivot from a later row, a singular block,
-or a zero in q) is fitted on its own.  On the benchmark's 28-term series
+formed as Fractions.  ``da_scan`` eliminates once per family: the windows of
+one order whose Q blocks start at the same equation have nested blocks,
+each the leading block of the next once the columns are ordered by
+generation, so one elimination of the largest solves every nonsingular one.
+A window's whole system is nonsingular exactly when its Q block is, and then
+both have the same unique solution.  A window with a singular block is
+fitted on its own, from its whole system.  On the benchmark's 28-term series
 the sum of n^3 over the eliminated n x n systems drops from 241,472 to
-115,292 by the block solve and to 59,736 by the shared elimination per
-16-window scan.  Singularities of F are estimated by the roots of Q_K; the
-critical exponent at a root x* of multiplicity one is
+59,736 per 16-window scan by the shared elimination.  Singularities of F
+are estimated by the roots of Q_K; the critical exponent at a root x* of
+multiplicity one is
 
     lambda = Q_{K-1}(x*) / (x* Q_K'(x*)) - K + 1.
 
@@ -160,8 +155,11 @@ def _solve_exact(matrix, rhs):
     Each augmented row is scaled once to integers and reduced by
     :func:`_bareiss`.  Rank-deficient but consistent systems (the series
     satisfies a smaller exact ODE, so the fit has spare freedom) get the
-    particular solution with every free variable set to zero, which is
-    unique, so the result does not depend on the elimination method.
+    particular solution with every free unknown set to zero.  The columns
+    are scanned in order, and a column is free when it depends on the
+    columns before it, so which unknowns are free, and so that solution,
+    depends on the column order; for a given order it is unique, whatever
+    the elimination method.
     """
     n = len(matrix)
     a = [_integer_row([*row, b]) for row, b in zip(matrix, rhs)]
@@ -172,20 +170,17 @@ def _solve_exact(matrix, rhs):
 
 
 def _leading_solves(matrix, rhs, sizes) -> dict[int, list[Fraction]]:
-    """Solutions of leading s x s blocks of a square system, one elimination.
+    """Solutions of the nonsingular leading s x s blocks of a square system.
 
     For each s in ``sizes`` the block is the first s rows and columns of
     ``matrix`` with the first s entries of ``rhs``.  The whole system is
-    reduced once by :func:`_bareiss`.  Rows are only updated below the
-    pivot row and each column independently, so while the first s pivots
-    all come from the first s rows, those rows (columns < s and the
-    right-hand side) are exactly what eliminating the block alone gives:
-    its echelon form, with the same pivots.  Each such block is nonsingular
-    and is solved by back-substitution.  A block whose elimination would
-    differ (a pivot from a row at or past s, or a free column, which makes
-    it singular) is left out, and so is a solution that holds a zero, which
-    is how ``_solve_exact`` marks a pivotless unknown: the caller solves
-    those blocks on their own.
+    reduced once by :func:`_bareiss`.  Every entry it forms is a minor of
+    the rows, so a nonsingular block always finds its first s pivots among
+    its own first s rows, and a singular one never does.  Rows are only
+    updated below the pivot row and each column independently, so then
+    those rows (columns < s and the right-hand side) are exactly what
+    eliminating the block alone gives, and back-substitution solves it.
+    A singular block is left out.
     """
     n = len(matrix)
     a = [_integer_row([*row, b]) for row, b in zip(matrix, rhs)]
@@ -194,13 +189,27 @@ def _leading_solves(matrix, rhs, sizes) -> dict[int, list[Fraction]]:
     for r in _bareiss(a):
         last = n if r is None else max(last, r)
         reach.append(last)
-    out = {}
-    for s in sizes:
-        if reach[s - 1] < s:
-            x = _back_substitute(a, range(s), s, n)
-            if all(x):
-                out[s] = x
-    return out
+    return {s: _back_substitute(a, range(s), s, n)
+            for s in sizes if reach[s - 1] < s}
+
+
+def _equations(coeffs, k: int, cols, rows):
+    """The Q part of the equations of x^m for m in ``rows``, as (matrix,
+    rhs): the coefficient (m - j)^i c_{m-j} of each Q unknown q_{i,j},
+    (i, j) in ``cols``, and the normalized term q_{K,0} = 1 of order ``k``
+    moved to the right-hand side, -m^K c_m."""
+    matrix = [[(m - j) ** i * coeffs[m - j] if m >= j else 0
+               for i, j in cols] for m in rows]
+    return matrix, [-(m**k) * coeffs[m] for m in rows]
+
+
+def _q_polys(k: int, cols, values):
+    """Q_0..Q_K from the ``values`` of the Q unknowns ``cols``, each
+    polynomial's (i, j) listed in increasing j, with q_{K,0} = 1."""
+    q_polys = [[] for _ in range(k)] + [[Fraction(1)]]
+    for (i, _), v in zip(cols, values):
+        q_polys[i].append(v)
+    return q_polys
 
 
 def differential_approximant(coeffs, spec: DASpec, last_n: int | None = None):
@@ -210,20 +219,12 @@ def differential_approximant(coeffs, spec: DASpec, last_n: int | None = None):
     ``spec.unknowns`` equations match the coefficients of x^m for the highest
     usable m ending at ``last_n`` (default: the last coefficient).
 
-    The equation of x^m reads ``Q(m) . q - p_m = r_m``: ``Q(m)`` holds the
-    coefficients of the Q unknowns, ``r_m`` is the normalized term
-    q_{K,0} = 1 moved to the right-hand side, and p_m is absent above P's
-    degree M.  When P is present and the equations start at x^0, P's
-    columns are -I on the rows m <= M and zero below, so
-    det(full) = +-det(Q block): the Q block (rows M+1..last_n, one per Q
-    unknown) alone fixes q, and each p_m = Q(m) . q - r_m follows.  The
-    full system is consistent exactly when the block is.  A block with a
-    pivotless column leaves the full system singular too; the full system
-    is then solved instead, so a rank-deficient fit keeps the particular
-    solution of the whole system.  ``_solve_exact`` sets a pivotless
-    column's unknown to zero, so any zero in q sends the fit to the full
-    solve (a nonsingular block whose unique q holds a zero only pays for a
-    redundant second solve).
+    The equation of x^m reads ``Q(m) . q - p_m = r_m`` (see
+    :func:`_equations`), with p_m absent above P's degree.  The unknowns
+    are ordered q_{i,j} by i, then j, then p_0..p_M, and the whole system
+    is solved by :func:`_solve_exact`.  A rank-deficient fit gets the
+    particular solution whose free unknowns, picked in that order, are
+    zero.
     """
     if last_n is None:
         last_n = len(coeffs) - 1
@@ -235,62 +236,16 @@ def differential_approximant(coeffs, spec: DASpec, last_n: int | None = None):
         raise AnalysisError(
             f"need {n_eq} coefficients, have {last_n + 1}"
         )
-    first = last_n - n_eq + 1
-
-    # unknown layout: q_{i,j} for all (i, j) except (K, 0), then p_0..p_M
-    cols: list[tuple[int, int]] = []
-    for i, d in enumerate(spec.qdegrees):
-        for j in range(d + 1):
-            if not (i == k and j == 0):
-                cols.append((i, j))
-    npq = len(cols)
-
-    def equation(m):
-        """``(Q(m), r_m)`` of the equation of x^m."""
-        row = [(m - j) ** i * coeffs[m - j] if m >= j else 0
-               for i, j in cols]
-        return row, -(m**k) * coeffs[m]
-
-    sol = None
-    if spec.pdegree >= 0 and first == 0:
-        block = [equation(m) for m in range(spec.pdegree + 1, last_n + 1)]
-        q = _solve_exact([row for row, _ in block], [r for _, r in block])
-        if q is None:
-            raise AnalysisError(
-                "singular fitting system (defective approximant)")
-        if all(q):
-            d = math.lcm(*(v.denominator for v in q))
-            qd = [v.numerator * (d // v.denominator) for v in q]
-            sol = q + [Fraction(sum(a * v for a, v in zip(row, qd)) - r * d, d)
-                       for row, r in map(equation, range(spec.pdegree + 1))]
+    rows = range(last_n - n_eq + 1, last_n + 1)
+    cols = [(i, j) for i, d in enumerate(spec.qdegrees) for j in range(d + 1)
+            if (i, j) != (k, 0)]
+    matrix, rhs = _equations(coeffs, k, cols, rows)
+    for m, row in zip(rows, matrix):
+        row += [-1 if p == m else 0 for p in range(spec.pdegree + 1)]
+    sol = _solve_exact(matrix, rhs)
     if sol is None:
-        matrix = []
-        rhs = []
-        for m in range(first, last_n + 1):
-            row, r = equation(m)
-            row += [0] * (spec.pdegree + 1)
-            if m <= spec.pdegree:
-                row[npq + m] = -1
-            matrix.append(row)
-            rhs.append(r)
-        sol = _solve_exact(matrix, rhs)
-        if sol is None:
-            raise AnalysisError(
-                "singular fitting system (defective approximant)")
-
-    q_polys = []
-    pos = 0
-    for i, d in enumerate(spec.qdegrees):
-        poly = []
-        for j in range(d + 1):
-            if i == k and j == 0:
-                poly.append(Fraction(1))
-            else:
-                poly.append(sol[pos])
-                pos += 1
-        q_polys.append(poly)
-    p_poly = list(sol[npq:]) if spec.pdegree >= 0 else []
-    return q_polys, p_poly
+        raise AnalysisError("singular fitting system (defective approximant)")
+    return _q_polys(k, cols, sol), sol[len(cols):]
 
 
 def _poly_eval(poly, x: Fraction) -> Fraction:
@@ -575,8 +530,11 @@ def da_scan(
     equations than effective unknowns: a generic series makes it singular,
     and only an exactly D-finite one makes it consistent, but ill-posed.
     Homogeneous windows (``pdegree`` -1) have no P part and are always
-    tried.  An order below 1, a P degree below -1 or a ``min_last_n`` past
-    the series' end raises AnalysisError before any window is fitted.  Each
+    tried.  Every window whose Q block is nonsingular is fitted by the
+    shared elimination of :func:`_family_fits`; the rest go through
+    :func:`singularity_estimate`, which solves the whole system.  An order
+    below 1, a P degree below -1 or a ``min_last_n`` below 0 or past the
+    series' end raises AnalysisError before any window is fitted.  Each
     estimate's x_c and exponent are rounded to floats only once (see
     :func:`singularity_estimate`).
     """
@@ -591,6 +549,9 @@ def da_scan(
     n_max = len(coeffs) - 1
     if min_last_n is None:
         min_last_n = (3 * n_max) // 4
+    if min_last_n < 0:
+        raise AnalysisError(
+            f"a window needs at least 1 term, not {min_last_n + 1}")
     if min_last_n > n_max:
         raise AnalysisError(
             f"the series has {n_max + 1} terms, fewer than the "
@@ -621,18 +582,19 @@ def da_scan(
 
 
 def _family_fits(coeffs, windows) -> dict:
-    """Q polynomials of the windows ``(spec, last_n)`` that one elimination
-    per family fits, keyed by window.
+    """Q polynomials of the windows ``(spec, last_n)`` whose Q block is
+    nonsingular, one elimination per family, keyed by window.
 
     A window's Q block has one column per Q unknown q_{i,j} (j <= d, the
     balanced Q degree, without q_{K,0}) and one row per equation x^m from
     its first Q equation m0 (P's degree + 1, or the first equation of a
-    homogeneous window) to last_n.  Its entry (m - j)^i c_{m-j} and
-    right-hand side -m^K c_m do not depend on d.  So in a family, the
-    windows of one order and one m0, with the columns ordered by j first,
-    each block is the leading block of the largest one, which
-    :func:`_leading_solves` eliminates once for all.  A window it leaves out
-    is not in the result and is fitted on its own.
+    homogeneous window) to last_n.  Its entries and right-hand side (see
+    :func:`_equations`) do not depend on d.  So in a family, the windows of
+    one order and one m0, with the columns ordered by j first, each block is
+    the leading block of the largest one, which :func:`_leading_solves`
+    eliminates once for all.  A nonsingular block's solution is unique, so
+    it is the q of the window's whole system in any column order.  A window
+    with a singular block is not in the result.
     """
     families: dict[tuple[int, int], list] = {}
     for spec, last_n in windows:
@@ -644,18 +606,12 @@ def _family_fits(coeffs, windows) -> dict:
         top = max(spec.qdegrees[0] for spec, _, _ in members)
         cols = [(i, j) for j in range(top + 1) for i in range(k + 1)
                 if (i, j) != (k, 0)]
-        rows = range(m0, m0 + len(cols))
         solved = _leading_solves(
-            [[(m - j) ** i * coeffs[m - j] if m >= j else 0 for i, j in cols]
-             for m in rows],
-            [-(m**k) * coeffs[m] for m in rows],
+            *_equations(coeffs, k, cols, range(m0, m0 + len(cols))),
             {size for _, _, size in members})
         for spec, last_n, size in members:
             if size in solved:
-                q_polys = [[] for _ in range(k)] + [[Fraction(1)]]
-                for (i, _), v in zip(cols, solved[size]):
-                    q_polys[i].append(v)
-                fits[spec, last_n] = q_polys
+                fits[spec, last_n] = _q_polys(k, cols, solved[size])
     return fits
 
 

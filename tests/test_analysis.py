@@ -166,6 +166,12 @@ class TestDaScan:
         with pytest.raises(AnalysisError, match="must be at least -1"):
             da_scan(coeffs, orders=(2,), pdegrees=pdegrees)
 
+    @pytest.mark.parametrize("min_last_n", [-1, -6])
+    def test_a_negative_first_window_is_refused(self, min_last_n):
+        coeffs = power_law_series(3, Fraction(3, 2), 30)
+        with pytest.raises(AnalysisError, match="at least 1 term, not"):
+            da_scan(coeffs, orders=(2,), pdegrees=(0,), min_last_n=min_last_n)
+
     def test_identical_estimates_keep_zero_spread(self):
         e = SingularityEstimate(0.25, 1.5, DASpec((3, 3)), 12)
         assert consistent_estimates([e] * 6) == [e] * 6
@@ -337,8 +343,9 @@ def flatten(fit, spec):
 
 
 class TestBlockSolve:
-    """An inhomogeneous fit from x^0 solves its Q block alone, unless that
-    block is singular; either way it returns the whole system's solution."""
+    """An inhomogeneous fit from x^0 returns the whole system's solution,
+    also when its Q block is singular and has another particular solution
+    of its own."""
 
     def test_singular_q_block_falls_back_to_the_whole_system(self):
         coeffs = power_law_series(2, Fraction(1), 30)
@@ -407,9 +414,9 @@ def fitted_alone(monkeypatch):
 
 
 class TestSharedElimination:
-    """One elimination of a family's largest system solves every leading
-    block as ``_solve_exact`` solves that block alone; the blocks it cannot
-    solve so go to the per-window fit."""
+    """One elimination of a family's largest system solves every nonsingular
+    leading block as ``_solve_exact`` solves that block alone; a window with
+    a singular block goes to the whole-system fit."""
 
     def test_leading_blocks_match_solve_exact(self):
         rng = random.Random(2024)
@@ -420,15 +427,12 @@ class TestSharedElimination:
                       for _ in range(n)]
             rhs = [rng.randint(-bound, bound) for _ in range(n)]
             got = _leading_solves(matrix, rhs, range(1, n + 1))
-            diagonal = True  # every leading block so far is nonsingular
             for s in range(1, n + 1):
                 block, b = leading(matrix, rhs, s)
-                want = _solve_exact(block, b)
-                diagonal = diagonal and len(reference_solve(block, b)[1]) == s
+                # solved exactly when the block is nonsingular
+                assert (s in got) == (len(reference_solve(block, b)[1]) == s)
                 if s in got:
-                    assert got[s] == want
-                elif diagonal:  # pivots on the diagonal: only a zero stops it
-                    assert not all(want)
+                    assert got[s] == _solve_exact(block, b)
 
     def test_a_singular_prefix_is_left_out(self):
         rng = random.Random(7)
@@ -447,12 +451,13 @@ class TestSharedElimination:
             swapped += any(s > s0 for s in got)
         assert swapped  # larger blocks, pivoted past row s0 - 1, still solved
 
-    def test_a_solution_with_a_zero_is_left_out(self):
+    def test_a_solution_with_a_zero_is_kept(self):
         matrix = [[2, 1, 0], [1, 3, 1], [0, 1, 4]]
         rhs = [2, 3, 8]  # the solution is (1, 0, 2)
         assert _solve_exact(matrix, rhs) == [1, 0, 2]
         got = _leading_solves(matrix, rhs, [1, 2, 3])
-        assert got == {1: [1], 2: [Fraction(3, 5), Fraction(4, 5)]}
+        assert got == {1: [1], 2: [Fraction(3, 5), Fraction(4, 5)],
+                       3: [1, 0, 2]}
 
     def test_scan_equals_one_fit_per_window(self, fitted_alone):
         rng = random.Random(11)
@@ -476,6 +481,11 @@ class TestSharedElimination:
     def test_the_committed_scan_needs_no_per_window_fit(self, fitted_alone):
         coeffs = read_series(DATA / "saw_counts_n43.series").values
         assert len(da_scan(coeffs, orders=(2, 3))) == 42
+        # homogeneous windows from x^0 included: their c_0 row forces
+        # q_{0,0} = 0, a zero in the unique solution of a nonsingular block
+        pdegrees = (-1, 0, 2, 4, 6, 8, 10)
+        for orders, count in (((1,), 48), ((2, 3), 66), ((2, 3, 4), 92)):
+            assert len(da_scan(coeffs, orders, pdegrees)) == count
         assert fitted_alone == []
 
 

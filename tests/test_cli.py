@@ -250,6 +250,14 @@ class TestAnalyzeFitRatios:
             capsys.readouterr().err)
         assert not csv.exists()
 
+    def test_analyze_refuses_a_negative_term_count(self, tmp_path, capsys):
+        csv = tmp_path / "da.csv"
+        assert run("analyze", "--series", str(SERIES_N43), "--min-terms",
+                   "-5", "-o", str(csv)) == 2
+        assert "error: a window needs at least 1 term, not -5" in (
+            capsys.readouterr().err)
+        assert not csv.exists()
+
     def test_fit_refuses_an_unknown_model(self, tmp_path, capsys):
         csv = tmp_path / "fit.csv"
         assert run("fit", "--series", str(SERIES_N43), "--model", "nope",
