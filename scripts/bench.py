@@ -5,7 +5,8 @@ Measures, for each checkout, in fresh interpreters:
 
 - ``da_scan_2_s``, ``da_scan_2_3_s``: ``analysis.da_scan`` with orders (2,)
   and (2, 3) on the checkout's 44-term ``data/saw_counts_n43.series``
-  (the call alone, not the import);
+  (the call alone, not the import), and ``da_scan_1_s``, with order 1 and
+  ``pdegrees=(-1, 0, 2, 4, 6, 8, 10)``, whose Q_1 has degree about 20;
 - ``run_analysis_s``: ``scripts/run_analysis.py`` on a copy of that series;
 - ``enumerate_w13_s`` and ``enumerate_w13_rss_mb``: wall time and peak
   RSS of ``sawenum enumerate --wmax 13`` (the first call of a checkout also
@@ -37,9 +38,10 @@ Measures, for each checkout, in fresh interpreters:
   Python engine (about a second).  Equal digests mean both sweeps still
   write the same bytes;
 - ``da_scan_2_estimates``, ``_digest`` and ``_elimination`` (and the same
-  for ``da_scan_2_3``, and for ``da_scan_2_3_homogeneous``, the (2, 3)
-  scan with ``pdegrees=(-1,)``, where each window from x^0 holds a zero in
-  its unique solution), also recorded once per checkout and untimed: the
+  for ``da_scan_2_3``, ``da_scan_1`` and ``da_scan_2_3_homogeneous``, the
+  (2, 3) scan with ``pdegrees=(-1,)``, where each window from x^0 holds a
+  zero in its unique solution), also recorded once per checkout and
+  untimed: the
   number of estimates of each ``da_scan`` row, the SHA-256 of their reprs
   (one per line), and the elimination size, the sum of n^3 over every
   elimination of the scan on an n x n system, with ``_solves``, the number
@@ -104,8 +106,10 @@ sys.path.insert(0, str(BENCH))
 from run import scaled  # noqa: E402
 
 SERIES = Path("data") / "saw_counts_n43.series"
-#: the da_scan rows: metric prefix and the ``orders`` argument
-DA_SCANS = (("da_scan_2", "2"), ("da_scan_2_3", "2,3"))
+#: the da_scan rows: metric prefix and the ``orders`` argument, followed by
+#: ``:`` and a ``pdegrees`` argument where the default is not used
+DA_SCANS = (("da_scan_2", "2"), ("da_scan_2_3", "2,3"),
+            ("da_scan_1", "1:-1,0,2,4,6,8,10"))
 #: the untimed da_scan count rows: those of DA_SCANS, and the homogeneous
 #: windows alone as ``orders:pdegrees``, where each window from x^0 holds a
 #: zero in q (its c_0 row forces q_{0,0} = 0)
@@ -142,14 +146,24 @@ print(json.dumps({"s": s, "ref_s": math.sqrt(ref * calibrate.reference_s()),
                   **result}))
 """
 
+#: the ``da_scan`` arguments of a DA_SCANS row ``sys.argv[2]``
+SCAN_ARGS = """
+def scan_args(arg):
+    orders, _, pdegrees = arg.partition(":")
+    args = {"orders": tuple(int(x) for x in orders.split(","))}
+    if pdegrees:
+        args["pdegrees"] = tuple(int(x) for x in pdegrees.split(","))
+    return args
+"""
+
 #: run in the measured checkout: time one da_scan call
-DA_SCAN = IMPORTS + """
+DA_SCAN = IMPORTS + SCAN_ARGS + """
 from sawenum import analysis
 from sawenum.modseries import read_series
 coeffs = read_series(sys.argv[1]).values
-orders = tuple(int(x) for x in sys.argv[2].split(","))
+args = scan_args(sys.argv[2])
 """ + BEGIN + """
-analysis.da_scan(coeffs, orders=orders)
+analysis.da_scan(coeffs, **args)
 result = {}
 """ + END
 
@@ -176,7 +190,7 @@ print(json.dumps({"state_rows": sum(s["state_rows"] for s in stats),
 #: ``da_scan`` on the series ``sys.argv[1]`` with each ``orders`` argument
 #: ``sys.argv[2:]``, followed by ``:`` and a ``pdegrees`` argument where
 #: the default is not used, untimed
-DA_COUNTS = """
+DA_COUNTS = SCAN_ARGS + """
 import hashlib, json, sys
 from sawenum import analysis
 from sawenum.modseries import read_series
@@ -191,11 +205,7 @@ setattr(analysis, name, counted)
 out = []
 for arg in sys.argv[2:]:
     calls.clear()
-    orders, _, pdegrees = arg.partition(":")
-    args = {"orders": tuple(int(x) for x in orders.split(","))}
-    if pdegrees:
-        args["pdegrees"] = tuple(int(x) for x in pdegrees.split(","))
-    estimates = analysis.da_scan(coeffs, **args)
+    estimates = analysis.da_scan(coeffs, **scan_args(arg))
     text = "\\n".join(map(repr, estimates))
     out.append({"estimates": len(estimates),
                 "digest": hashlib.sha256(text.encode()).hexdigest(),

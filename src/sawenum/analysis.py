@@ -8,8 +8,10 @@ of an inhomogeneous linear ODE
 whose polynomial coefficients are fitted exactly to the highest available
 series coefficients.  The fit is one square linear system, solved in
 integers by fraction-free (Bareiss) elimination: each row is scaled once to
-integers, every elimination step divides exactly, and only the solution is
-formed as Fractions.  ``da_scan`` eliminates once per family: the windows of
+integers, every elimination step divides exactly, and back-substitution
+gives the solution as integers over one common denominator, the last pivot.
+The estimates use it as it is; only ``differential_approximant`` forms
+Fractions.  ``da_scan`` eliminates once per family: the windows of
 one order whose Q blocks start at the same equation have nested blocks,
 each the leading block of the next once the columns are ordered by
 generation, so one elimination of the largest solves every nonsingular one.
@@ -24,12 +26,13 @@ multiplicity one is
     lambda = Q_{K-1}(x*) / (x* Q_K'(x*)) - K + 1.
 
 The physical singularity x_c is the smallest positive root of Q_K, located
-exactly on Q_K's integer coefficients: a Sturm chain of pseudo-remainders
-isolates it by bisection on dyadic points, and exact Newton steps on Q_K's
-squarefree part, each cell they jump to certified by two signs, refine it
-to the dyadic that sign bisection to ``ROOT_BITS`` bits gives.  The
-exponent is exact at that dyadic root, and each of the two is rounded to a
-float only once.
+exactly on Q_K's integer coefficients.  A gcd taken modulo a prime almost
+always proves Q_K squarefree; Descartes' rule of signs, on Taylor shifts
+and halvings of Q_K, isolates the root in a dyadic cell; exact Newton
+steps, each cell they jump to certified by two signs, refine it to the
+dyadic that sign bisection to ``ROOT_BITS`` bits gives.  The exponent is
+evaluated there by integer Horner passes as one exact Fraction, and each of
+the two is rounded to a float only once.
 
 Amplitude fits solve for the leading amplitudes of the standard asymptotic
 form with analytic and half-integer correction terms plus an antiferromagnetic
@@ -91,7 +94,10 @@ class SingularityEstimate(NamedTuple):
 
 
 def _integer_row(values) -> list[int]:
-    """``values`` (ints or Fractions) scaled by the lcm of their denominators."""
+    """``values`` (ints or Fractions) scaled by the lcm of their denominators;
+    a row of ints is returned as it is."""
+    if all(type(v) is int for v in values):
+        return values
     scale = math.lcm(*(v.denominator for v in values))
     return [v.numerator * (scale // v.denominator) for v in values]
 
@@ -130,8 +136,9 @@ def _bareiss(a) -> list[int | None]:
     return pivots
 
 
-def _back_substitute(a, cols, size: int, rhs: int) -> list[Fraction]:
-    """The ``size`` unknowns of the echelon rows ``a``, free ones zero.
+def _back_substitute(a, cols, size: int, rhs: int) -> tuple[list[int], int]:
+    """The ``size`` unknowns x of the echelon rows ``a``, free ones zero, as
+    the integers ``d * x`` and their common denominator ``d``.
 
     Row r of ``a`` has its pivot in column ``cols[r]`` and its right-hand
     side in column ``rhs``.  The substitution stays in integers by solving
@@ -146,7 +153,7 @@ def _back_substitute(a, cols, size: int, rhs: int) -> list[Fraction]:
         for c in cols[r + 1:]:
             acc -= row[c] * scaled[c]
         scaled[cols[r]] = acc // row[cols[r]]
-    return [Fraction(v, prev) for v in scaled]
+    return scaled, prev
 
 
 def _solve_exact(matrix, rhs):
@@ -166,11 +173,14 @@ def _solve_exact(matrix, rhs):
     cols = [c for c, r in enumerate(_bareiss(a)) if r is not None]
     if any(row[n] for row in a[len(cols):]):
         return None  # inconsistent
-    return _back_substitute(a, cols, n, n)
+    scaled, d = _back_substitute(a, cols, n, n)
+    return [Fraction(v, d) for v in scaled]
 
 
-def _leading_solves(matrix, rhs, sizes) -> dict[int, list[Fraction]]:
-    """Solutions of the nonsingular leading s x s blocks of a square system.
+def _leading_solves(matrix, rhs, sizes) -> dict[int, tuple[list[int], int]]:
+    """Solutions of the nonsingular leading s x s blocks of a square system,
+    each as :func:`_back_substitute` gives it: integers over a common
+    denominator.
 
     For each s in ``sizes`` the block is the first s rows and columns of
     ``matrix`` with the first s entries of ``rhs``.  The whole system is
@@ -203,10 +213,11 @@ def _equations(coeffs, k: int, cols, rows):
     return matrix, [-(m**k) * coeffs[m] for m in rows]
 
 
-def _q_polys(k: int, cols, values):
+def _q_polys(k: int, cols, values, one):
     """Q_0..Q_K from the ``values`` of the Q unknowns ``cols``, each
-    polynomial's (i, j) listed in increasing j, with q_{K,0} = 1."""
-    q_polys = [[] for _ in range(k)] + [[Fraction(1)]]
+    polynomial's (i, j) listed in increasing j, with q_{K,0} = ``one``, the
+    scale of ``values``."""
+    q_polys = [[] for _ in range(k)] + [[one]]
     for (i, _), v in zip(cols, values):
         q_polys[i].append(v)
     return q_polys
@@ -245,14 +256,7 @@ def differential_approximant(coeffs, spec: DASpec, last_n: int | None = None):
     sol = _solve_exact(matrix, rhs)
     if sol is None:
         raise AnalysisError("singular fitting system (defective approximant)")
-    return _q_polys(k, cols, sol), sol[len(cols):]
-
-
-def _poly_eval(poly, x: Fraction) -> Fraction:
-    acc = Fraction(0)
-    for c in reversed(poly):
-        acc = acc * x + c
-    return acc
+    return _q_polys(k, cols, sol, Fraction(1)), sol[len(cols):]
 
 
 def _poly_derivative(poly):
@@ -300,25 +304,103 @@ def _pseudo_remainder(a, b):
     return r
 
 
-def _sturm_chain(p):
-    """p, p', then negated pseudo-remainders, each divided by its content.
+def _primitive(p):
+    """``p`` divided by its content, with a positive leading coefficient."""
+    g = math.gcd(*p)
+    if p and p[-1] < 0:
+        g = -g
+    return [v // g for v in p]
 
-    The content's sign cancels the sign of the pseudo-remainder's factor
-    ``lc**delta``, so each member is a positive multiple of the classical
-    Sturm remainder and sign changes count distinct real roots.  The last
-    member is gcd(p, p') up to a constant factor.
+
+def _primitive_gcd(a, b):
+    """gcd(a, b) of integer polynomials, primitive, by the primitive
+    pseudo-remainder sequence."""
+    while b:
+        a, b = b, _primitive(_pseudo_remainder(a, b))
+    return _primitive(a)
+
+
+#: The prime of the squarefree certificate, 2**61 - 1.
+CERTIFICATE_PRIME = (1 << 61) - 1
+
+
+def _squarefree_certified(p) -> bool:
+    """True when gcd(p, p') mod ``CERTIFICATE_PRIME`` is constant.
+
+    The prime does not divide lc(p) (else the answer is False), so a
+    nonconstant common factor of p and p' in Z[x] would keep its degree mod
+    the prime and divide both there: true proves p squarefree.  False
+    proves nothing.
     """
-    chain = [p, _poly_derivative(p)]
-    while len(chain[-1]) > 1:
-        a, b = chain[-2], chain[-1]
-        r = _pseudo_remainder(a, b)
-        if not r:
-            break
-        g = math.gcd(*r)
-        if b[-1] < 0 and (len(a) - len(b)) % 2 == 0:  # odd delta
-            g = -g
-        chain.append([-v // g for v in r])
-    return chain
+    q = CERTIFICATE_PRIME
+    if p[-1] % q == 0:
+        return False
+    a = [v % q for v in p]
+    b = [j * v % q for j, v in enumerate(p)][1:]
+    while len(b) > 1:  # Euclid mod q: a, b = b, a mod b
+        inv = pow(b[-1], -1, q)
+        db = len(b) - 1
+        while len(a) > db:
+            f = a.pop() * inv % q
+            shift = len(a) - db
+            for j in range(db):
+                a[shift + j] = (a[shift + j] - f * b[j]) % q
+        while a and a[-1] == 0:
+            a.pop()
+        a, b = b, a
+    return len(b) == 1
+
+
+def _taylor_shift(p):
+    """Coefficients of p(x + 1)."""
+    a = list(p)
+    for i in range(len(a) - 1):
+        for j in range(len(a) - 2, i - 1, -1):
+            a[j] += a[j + 1]
+    return a
+
+
+def _isolate(s) -> tuple[int, int, int, bool] | None:
+    """The cell (lo/2**k, hi/2**k] of the smallest positive root of the
+    squarefree integer polynomial ``s``, with a flag that is true when the
+    root is hi itself and false when it lies inside; None without one.
+
+    Descartes' rule bounds the roots of s in (lo, hi) by the sign changes of
+    the coefficients of (x + 1)**d P(1/(x + 1)), where P(x) = s(lo + (hi -
+    lo) x) maps the cell to (0, 1]; the two counts have the same parity, and
+    the constant coefficient is P(1).  The top cells are (0, 1], (1, 2],
+    (2, 4], ...; each is searched left half first, a half's P being
+    2**d P(x/2), shifted by 1 for the right half.  A cell with no sign
+    change has no root inside, so only its right end can be one, and a cell
+    with one sign change and no root at its right end holds exactly one
+    root.  The top cells stop once s(lo + x) has no sign change, so no root
+    lies past lo; that happens by the time lo passes the real part of every
+    root, within a Cauchy bound.
+    """
+    # top is P of the top cell (lo, 2 lo], or (0, 1]; scaled is s(lo x)
+    top, lo, scaled = s, 0, s
+    while _sign_changes(top):
+        cells = [(top, lo, 2 * lo or 1, 0)]
+        while cells:
+            poly, a, b, k = cells.pop()
+            counts = _taylor_shift(poly[::-1])
+            changes = _sign_changes(counts)
+            at_hi = counts[0] == 0
+            if changes == 0:
+                if at_hi:
+                    return a, b, k, True
+                continue
+            if changes == 1 and not at_hi:
+                return a, b, k, False
+            d = len(poly) - 1
+            left = [c << (d - i) for i, c in enumerate(poly)]
+            a, b = 2 * a, 2 * b
+            cells.append((_taylor_shift(left), (a + b) // 2, b, k + 1))
+            cells.append((left, a, (a + b) // 2, k + 1))
+        if lo:
+            scaled = [c << i for i, c in enumerate(scaled)]
+        top, lo = _taylor_shift(scaled), 2 * lo or 1
+    return None
 
 
 def _exact_quotient(a, b):
@@ -330,11 +412,6 @@ def _exact_quotient(a, b):
         for j, c in enumerate(b):
             r[i + j] -= q[i] * c
     return q
-
-
-def _variations(chain, num: int, k: int) -> int:
-    """Sign changes along the Sturm ``chain`` at ``num / 2**k``."""
-    return _sign_changes(_sign_at(c, num, k) for c in chain)
 
 
 def _value_and_slope(poly, num: int, k: int) -> tuple[int, int]:
@@ -419,50 +496,49 @@ def _smallest_positive_root(p, bits: int) -> tuple[Fraction, bool] | None:
     coefficient.  The root is returned as a dyadic rational within a relative
     ``2**-bits`` of it (exactly the root when bisection lands on it), with a
     flag that is true when the root is a multiple root of ``p``.  Roots at 0
-    are not positive and are divided out first.  Counting runs on the Sturm
-    chain of the squarefree part s = p / g, g = gcd(p, p'), where the number
-    of distinct roots in (a, b] is V(a) - V(b), V counting sign changes along
-    the chain: the bracket (lo, hi] doubles from (0, 1] until it holds a root,
-    then halves until it holds exactly one.  That root is multiple in p
-    exactly when g has a root in the bracket too.  It is simple in s, so s
-    changes sign across it, and :func:`_refine` refines it.
+    are not positive and are divided out first.  Isolation runs on the
+    squarefree part s = p / g, g = gcd(p, p'): almost always the modular
+    certificate shows g constant, and only when it fails is g computed
+    exactly.  :func:`_isolate` finds the root's cell by Descartes' rule and
+    :func:`_refine` refines it.  The roots of r = gcd(s, g) are those of p
+    of multiplicity above one, each simple, so the root is multiple exactly
+    when r vanishes at the cell's right end or changes sign across it.
+
+    The returned dyadic depends on the root and ``bits`` alone: the
+    bisection :func:`_refine` stands for stops at the first aligned cell
+    where ``(hi - lo) << bits <= hi``, and a cell isolated below that level
+    is replaced by its ancestor there, whose midpoint is then the answer
+    unless the root is that ancestor's right end.
     """
     while p[0] == 0:
         p = p[1:]
     if len(p) < 2:
         return None
-    chain = _sturm_chain(p)
-    g = chain[-1]
+    g = [1] if _squarefree_certified(p) else _primitive_gcd(
+        p, _poly_derivative(p))
+    s, r = p, None
     if len(g) > 1:  # repeated roots: go to the squarefree part
-        content = math.gcd(*g)
-        p = _exact_quotient(p, [v // content for v in g])
-        chain = _sturm_chain(p)
-
-    v_lo = _sign_changes(c[0] for c in chain)
-    if v_lo == _sign_changes(c[-1] for c in chain):
+        s = _exact_quotient(p, g)
+        r = _primitive_gcd(s, g)
+    cell = _isolate(s)
+    if cell is None:
         return None
-    lo, hi, k = 0, 1, 0
-    v_hi = _variations(chain, hi, k)
-    while v_lo == v_hi:
-        lo, v_lo = hi, v_hi
-        hi *= 2
-        v_hi = _variations(chain, hi, k)
-    while v_lo - v_hi > 1:
-        lo, hi, k = 2 * lo, 2 * hi, k + 1
-        mid = (lo + hi) // 2
-        v_mid = _variations(chain, mid, k)
-        if v_mid < v_lo:
-            hi, v_hi = mid, v_mid
-        else:
-            lo, v_lo = mid, v_mid
-    # (lo, hi] holds one root and lo is not a root
-    multiple = False
-    if len(g) > 1:
-        g_chain = _sturm_chain(g)
-        multiple = _variations(g_chain, lo, k) > _variations(g_chain, hi, k)
-    if _sign_at(p, hi, k) == 0:
+    lo, hi, k, at_hi = cell
+    multiple = r is not None and (
+        _sign_at(r, hi, k) == 0 or _sign_at(r, lo, k) != _sign_at(r, hi, k))
+    # cells are (t W, (t + 1) W] / 2**k, W = hi - lo, and bisection stops at
+    # the first level where t >= 2**bits - 1; climb to it
+    w, t, up = hi - lo, lo // (hi - lo), 0
+    while up < k and t >> (up + 1) >= (1 << bits) - 1:
+        up += 1
+    if up:
+        top = ((t >> up) + 1) * w  # the ancestor's right end, at level k - up
+        if at_hi and hi == top << up:
+            return Fraction(top, 1 << (k - up)), multiple
+        return Fraction(2 * top - w, 1 << (k - up + 1)), multiple
+    if at_hi:
         return Fraction(hi, 1 << k), multiple
-    return _refine(p, lo, hi, k, bits), multiple
+    return _refine(s, lo, hi, k, bits), multiple
 
 
 def singularity_estimate(
@@ -484,25 +560,47 @@ def singularity_estimate(
     if last_n is None:
         last_n = len(coeffs) - 1
     q_polys, _ = differential_approximant(coeffs, spec, last_n)
-    return _estimate(q_polys, spec, last_n)
+    scale = math.lcm(*(v.denominator for poly in q_polys for v in poly))
+    return _estimate([[v.numerator * (scale // v.denominator) for v in poly]
+                      for poly in q_polys], spec, last_n)
 
 
 def _estimate(q_polys, spec: DASpec, last_n: int) -> SingularityEstimate:
-    """The estimate of a fitted approximant, given its Q polynomials."""
+    """The estimate of a fitted approximant, given its Q polynomials as
+    integers on one scale.
+
+    Q_K is divided by its content c for the root x* = num / 2**e.  Two
+    Horner passes on integers give Q_{K-1}(x*) and Q_K'(x*), each times a
+    power of two, so the exponent is formed as one exact Fraction.
+    """
     k = spec.order
-    qk = _integer_row(q_polys[k])
+    qk = list(q_polys[k])
     while qk and qk[-1] == 0:
         qk.pop()
     if len(qk) < 2:
         raise AnalysisError("Q_K is constant; no singularity")
+    content = math.gcd(*qk)
+    qk = [v // content for v in qk]
     found = _smallest_positive_root(qk, ROOT_BITS)
     if found is None:
         raise AnalysisError("no positive real root of Q_K")
     root, multiple = found
-    denom = root * _poly_eval(_poly_derivative(q_polys[k]), root)
-    if multiple or denom == 0:
+    num, e = root.numerator, root.denominator.bit_length() - 1
+    _, slope = _value_and_slope(qk, num, e)
+    if multiple or slope == 0:
         raise AnalysisError("multiple root of Q_K")
-    lam = _poly_eval(q_polys[k - 1], root) / denom - k + 1
+    prev = q_polys[k - 1]
+    value, _ = _value_and_slope(prev, num, e)
+    # with the scale s of q_polys, value = s Q_{K-1}(x*) 2**(e deg Q_{K-1})
+    # and c slope = s Q_K'(x*) 2**(e (deg Q_K - 1)), so lambda + K - 1 =
+    # value 2**(e (deg Q_K - deg Q_{K-1})) / (num c slope)
+    den = num * content * slope
+    shift = e * (len(qk) - len(prev))
+    if shift < 0:
+        den <<= -shift
+    else:
+        value <<= shift
+    lam = Fraction(value - (k - 1) * den, den)
     return SingularityEstimate(float(root), float(lam), spec, last_n)
 
 
@@ -583,7 +681,9 @@ def da_scan(
 
 def _family_fits(coeffs, windows) -> dict:
     """Q polynomials of the windows ``(spec, last_n)`` whose Q block is
-    nonsingular, one elimination per family, keyed by window.
+    nonsingular, one elimination per family, keyed by window.  Each
+    window's are integers on one scale, q_{K,0} being the common
+    denominator of its solution.
 
     A window's Q block has one column per Q unknown q_{i,j} (j <= d, the
     balanced Q degree, without q_{K,0}) and one row per equation x^m from
@@ -611,7 +711,8 @@ def _family_fits(coeffs, windows) -> dict:
             {size for _, _, size in members})
         for spec, last_n, size in members:
             if size in solved:
-                fits[spec, last_n] = _q_polys(k, cols, solved[size])
+                scaled, d = solved[size]
+                fits[spec, last_n] = _q_polys(k, cols, scaled, d)
     return fits
 
 

@@ -378,6 +378,13 @@ class TestBlockSolve:
             assert flatten(got, spec) == want
 
 
+def fractions(solution):
+    """A solution of ``_leading_solves``, integers over a common
+    denominator, as Fractions."""
+    scaled, d = solution
+    return [Fraction(v, d) for v in scaled]
+
+
 def leading(matrix, rhs, s):
     """The leading s x s block of a system."""
     return [row[:s] for row in matrix[:s]], rhs[:s]
@@ -432,7 +439,7 @@ class TestSharedElimination:
                 # solved exactly when the block is nonsingular
                 assert (s in got) == (len(reference_solve(block, b)[1]) == s)
                 if s in got:
-                    assert got[s] == _solve_exact(block, b)
+                    assert fractions(got[s]) == _solve_exact(block, b)
 
     def test_a_singular_prefix_is_left_out(self):
         rng = random.Random(7)
@@ -447,7 +454,7 @@ class TestSharedElimination:
             got = _leading_solves(matrix, rhs, range(1, n + 1))
             assert s0 not in got
             for s, x in got.items():
-                assert x == _solve_exact(*leading(matrix, rhs, s))
+                assert fractions(x) == _solve_exact(*leading(matrix, rhs, s))
             swapped += any(s > s0 for s in got)
         assert swapped  # larger blocks, pivoted past row s0 - 1, still solved
 
@@ -456,8 +463,8 @@ class TestSharedElimination:
         rhs = [2, 3, 8]  # the solution is (1, 0, 2)
         assert _solve_exact(matrix, rhs) == [1, 0, 2]
         got = _leading_solves(matrix, rhs, [1, 2, 3])
-        assert got == {1: [1], 2: [Fraction(3, 5), Fraction(4, 5)],
-                       3: [1, 0, 2]}
+        assert {s: fractions(x) for s, x in got.items()} == {
+            1: [1], 2: [Fraction(3, 5), Fraction(4, 5)], 3: [1, 0, 2]}
 
     def test_scan_equals_one_fit_per_window(self, fitted_alone):
         rng = random.Random(11)
@@ -595,6 +602,16 @@ def test_da_scan_orders_2_3_on_committed_series_is_unchanged():
         "96a4df3d611b9f89d0203247355688857fbef4d6b4c0c7bb6e4f28c208dd1adc")
 
 
+def test_da_scan_order_1_on_committed_series_is_unchanged():
+    """Order-1 approximants, whose Q_1 has degree about 20, as recorded
+    when x_c was isolated by a Sturm chain."""
+    coeffs = read_series(DATA / "saw_counts_n43.series").values
+    estimates = da_scan(coeffs, orders=(1,), pdegrees=(-1, 0, 2, 4, 6, 8, 10))
+    assert len(estimates) == 48
+    assert digest(estimates) == (
+        "1b51d4dcfd5aa2c098e135e3651d2489dcc2777058fc4ebf39528144ae46fba1")
+
+
 def test_an_exponent_near_zero_is_rounded_once_from_its_exact_value():
     """An order-1 window of the 44-term series whose exponent cancels to
     about 1e-30, where a 30-digit evaluation keeps about one correct digit.
@@ -636,7 +653,7 @@ def reference_smallest_positive_root(factors, dps=50):
 
     Each factor has simple roots, and mpmath.polyroots finds its roots at
     ``dps`` digits; a root whose imaginary part is below 1e-20 counts as
-    real.  Complex roots of the factors below have imaginary parts of 0.05
+    real.  Complex roots of the factors below have imaginary parts of 1e-7
     or more, and distinct real roots lie more than 1e-30 apart, so the
     multiplicity is the number of factors with a root within 1e-40.
     """
@@ -687,6 +704,13 @@ def irreducible_quadratics(draw):
     disc = b * b - 4 * a * c
     assume(disc < 0 or math.isqrt(disc) ** 2 != disc)
     return [s * c, s * b, s * a]
+
+
+def near_pair(num, den, scale):
+    """(den x - num)^2 + (den / scale)^2 times scale^2: the complex pair
+    num / den +- i / scale."""
+    return [num * num * scale**2 + den**2, -2 * num * den * scale**2,
+            den * den * scale**2]
 
 
 FACTORS = st.lists(st.one_of(linear_factors(), irreducible_quadratics()),
@@ -750,6 +774,54 @@ class TestSmallestPositiveRoot:
         assert abs(got - Fraction(a, scale)) < Fraction(1, scale) / 4
         assert not multiple
 
+    def test_a_root_at_the_right_end_of_a_cell_with_one_inside(self):
+        # (0, 1] holds 7/10 and ends at the root 1; (1/4, 1/2] holds 9/20
+        # and ends at the root 1/2; a double root at the end is not the
+        # root inside
+        for factors in ([[-1, 1], [-7, 10]], [[-1, 1], [-7, 10], [1, 1, 1]],
+                        [[-1, 2], [-9, 20]], [[-9, 20], [-1, 2], [-1, 1]],
+                        [[-1, 1], [-1, 1], [-7, 10]]):
+            for bits in (4, 123):
+                assert_root_matches(factors, bits)
+        root, multiple = _smallest_positive_root(
+            poly_product([[-1, 1], [-7, 10]]), 123)
+        assert abs(root - Fraction(7, 10)) < Fraction(1, 2 ** 122)
+        assert not multiple
+
+    def test_smallest_root_past_the_cell_2_to_4(self):
+        for factors in ([[-11, 1], [-13, 1]], [[-23, 2], [-13, 1], [1, 0, 1]],
+                        [[-1000, 7], [3, 1]], [[-5, 1], [21, -1, 1]]):
+            assert_root_matches(factors, 123)
+        assert _smallest_positive_root([-5, 1], 123) == (5, False)
+
+    def test_triple_root(self):
+        # g = (3x - 1)^2 keeps its sign across 1/3; r = 3x - 1 changes it
+        assert_root_matches([[-1, 3]] * 3 + [[-2, 1]], 123)
+        assert_root_matches([[-2, 0, 1]] * 3 + [[-5, 1], [1, 1, 1]], 123)
+        root, multiple = _smallest_positive_root(
+            poly_product([[-1, 3]] * 3 + [[-2, 1]]), 40)
+        assert multiple and abs(root - Fraction(1, 3)) < Fraction(1, 2 ** 41)
+
+    def test_complex_pair_within_1e_6_of_the_smallest_root(self):
+        for factors in ([[-1, 3], near_pair(1, 3, 10**6)],
+                        [[-1, 3], near_pair(10**6 - 3, 3 * 10**6, 10**7)],
+                        [[-3, 8], near_pair(3 * 10**6 - 8, 8 * 10**6, 10**6)],
+                        [near_pair(1, 3, 10**6), [-1, 3], [-1, 3]]):
+            for bits in (4, 40, 123):
+                assert_root_matches(factors, bits)
+
+    def test_a_leading_coefficient_the_certificate_prime_divides(self):
+        prime = analysis.CERTIFICATE_PRIME
+        for factors, multiple in (([[-2, 1], [1, 0, prime]], False),
+                                  ([[-1, 3], [-1, 3], [-2 * prime, prime]],
+                                   True),
+                                  ([[prime], [-1, 3], [-2, 1]], False)):
+            p = poly_product(factors)
+            assert not analysis._squarefree_certified(p)
+            assert_root_matches(factors, 123)
+            assert _smallest_positive_root(p, 123)[1] == multiple
+        assert analysis._squarefree_certified(poly_product([[-1, 3], [-2, 1]]))
+
 
 def assert_bisection_root(p, bits):
     got = _smallest_positive_root(p, bits)
@@ -804,6 +876,20 @@ class TestNewtonRefinement:
         p[0] -= 1
         root, _ = assert_bisection_root(p, 123)
         assert abs(root - Fraction(8, 5)) < Fraction(1, 1 << 122)
+
+    def test_isolated_below_the_last_level(self):
+        # a complex pair within 1e-6 of the root makes Descartes' rule split
+        # the cells far below where bisection to 4 bits stops
+        x = (3 << 17) + 1  # x / 2^20 is not the right end of that cell
+        for factors in ([[-1, 3], near_pair(1, 3, 10**6)],
+                        [[-3, 8], near_pair(3 * 10**6 - 8, 8 * 10**6, 10**6)],
+                        [[-x, 1 << 20], near_pair(x - 1, 1 << 20, 10**7)],
+                        [[-1, 2], near_pair(10**6 - 2, 2 * 10**6, 10**6)]):
+            for bits in (4, 40, 123, 200):
+                assert_bisection_root(poly_product(factors), bits)
+        got, _ = assert_bisection_root(
+            poly_product([[-x, 1 << 20], near_pair(x - 1, 1 << 20, 10**7)]), 4)
+        assert got == Fraction(49, 128)  # the midpoint of (24/64, 25/64]
 
     def test_multiple_root(self):
         root, multiple = assert_bisection_root(
