@@ -740,6 +740,10 @@ class TestSmallestPositiveRoot:
         assert_root_matches([[-1, 3], [-1, 3], [-2, 1]], 123)
         assert_root_matches([[5, -7], [-5, 7], [-7, 1, 2], [1, 1]], 123)
         assert_root_matches([[2, -5]] * 3 + [[-1, 0, 1]] * 2, 123)
+        # triple roots: g = (3x - 1)^2 keeps its sign across 1/3, and
+        # r = gcd(p / g, g) = 3x - 1 changes it
+        assert_root_matches([[-1, 3]] * 3 + [[-2, 1]], 123)
+        assert_root_matches([[-2, 0, 1]] * 3 + [[-5, 1], [1, 1, 1]], 40)
 
     def test_only_a_larger_root_is_repeated(self):
         # gcd(p, p') = 3x - 2 vanishes above the smallest root 1/2
@@ -793,14 +797,6 @@ class TestSmallestPositiveRoot:
                         [[-1000, 7], [3, 1]], [[-5, 1], [21, -1, 1]]):
             assert_root_matches(factors, 123)
         assert _smallest_positive_root([-5, 1], 123) == (5, False)
-
-    def test_triple_root(self):
-        # g = (3x - 1)^2 keeps its sign across 1/3; r = 3x - 1 changes it
-        assert_root_matches([[-1, 3]] * 3 + [[-2, 1]], 123)
-        assert_root_matches([[-2, 0, 1]] * 3 + [[-5, 1], [1, 1, 1]], 123)
-        root, multiple = _smallest_positive_root(
-            poly_product([[-1, 3]] * 3 + [[-2, 1]]), 40)
-        assert multiple and abs(root - Fraction(1, 3)) < Fraction(1, 2 ** 41)
 
     def test_complex_pair_within_1e_6_of_the_smallest_root(self):
         for factors in ([[-1, 3], near_pair(1, 3, 10**6)],
