@@ -19,8 +19,8 @@ Measures, for each checkout, in fresh interpreters:
   (width 12 of ``enumerate --wmax 16``, after the warm-up build), a
   production-scale width that the small runs above do not reach, with the
   sweep's exact work counts ``kernel_w12_wmax16_peak_states``,
-  ``_state_rows``, ``_regrows``, ``_merged`` and ``_peak_bytes`` (see
-  ``ckernel.sweep``);
+  ``_state_rows``, ``_regrows``, ``_merged``, ``_peak_bytes`` and
+  ``_wide_rows`` (see ``ckernel.sweep``);
 - ``tier1_s``: the tier-1 suite, with its summary line, timed once per
   checkout after the rounds: no perf change targets it, and it would take
   most of every round.  ``tier1_slowest`` holds pytest's ``--durations``

@@ -22,8 +22,9 @@ after the header lines.  A cached ledger whose headers do not match the run
 or whose body does not match its digest is refused.  Each
 child also writes ``<ledger>.stats.json`` (seconds and peak RSS, and from
 the kernel peak live states, state rows, the most bytes its state maps had
-in use, how many states moved to a wider block and how many states a state
-and its mirror image were summed into); the assembly ignores it.
+in use, how many states moved to a wider block, how many rows it swept
+with 128-bit counts and how many states a state and its mirror image were
+summed into); the assembly ignores it.
 
 Usage:
     python3 scripts/generate_series.py --wmax 21 -o data/saw_counts_n43.series

@@ -4,11 +4,13 @@
  * (pruning.additional_steps_mid, after each row and, at row -1, at column
  * boundaries), the boundary shift and the mirror merge port the Python engine
  * and give the same results.  A generating function keeps each degree's
- * count as one unsigned 128-bit integer.  Every count is a sum of
- * nonnegative terms, so the sweep's counts are exact unless an addition
- * carries out of 128 bits; each addition ORs its carry into a flag, and a
- * sweep that carried fails with error 5 instead of returning a wrapped
- * ledger.
+ * count as one unsigned 64-bit word.  Every count is a sum of nonnegative
+ * terms, so a count is exact unless an addition carries, and each addition
+ * ORs its carry into a flag.  A row in which a state's sum passed 2**64 is
+ * swept again with every count widened to an unsigned 128-bit integer, and
+ * the rest of the sweep keeps 128 bits (``wide_rows`` counts those rows);
+ * the ledger always has 128 bits.  A sweep that carried out of 128 bits
+ * fails with error 5 instead of returning a wrapped ledger.
  *
  * At a column boundary a state and its mirror image (the reflection y ->
  * W - y, see mirror_key) have the same future completions, so the top row
@@ -62,6 +64,7 @@ typedef unsigned __int128 u128;
 /* ------------------------------------------------------------------------
  * State map: insertion-ordered entries behind an open-addressing index.  An
  * entry's counts live in a block of ``cap`` degrees of the map's arena,
+ * ``elem`` bytes each (a u64, or a u128 once the sweep widened them),
  * starting at degree ``base``, and are zero outside [lo, hi] (the entry is
  * empty when lo > hi).  The arena is a bump allocator, reset with the map
  * once per row: an entry's first sum is copied into a block just as wide as
@@ -88,9 +91,9 @@ typedef struct {
 /* index slots hold an entry number + 1, 0 = empty slot */
 typedef struct {
     Entry *e;
-    u128 *arena;
+    void *arena; /* u64 counts, or u128 when elem is 16 */
     uint32_t *index;
-    size_t count, cap, used, arena_cap, index_size;
+    size_t count, cap, used, arena_cap, index_size, elem;
 } Map;
 
 static u64 hash_key(u64 k)
@@ -109,8 +112,9 @@ static int map_init(Map *m)
     m->cap = MAP_START;
     m->arena_cap = 2 * MAP_START;
     m->index_size = 2 * MAP_START;
+    m->elem = sizeof(u64);
     m->e = malloc(m->cap * sizeof(Entry));
-    m->arena = malloc(m->arena_cap * sizeof(u128));
+    m->arena = malloc(m->arena_cap * m->elem);
     m->index = calloc(m->index_size, sizeof(uint32_t));
     return m->e && m->arena && m->index ? 0 : 3;
 }
@@ -130,11 +134,34 @@ static void map_clear(Map *m)
     memset(m->index, 0, m->index_size * sizeof(uint32_t));
 }
 
+/* Address of count ``off`` of the map's arena. */
+static inline void *at(const Map *m, size_t off)
+{
+    return (char *)m->arena + off * m->elem;
+}
+
+/* Gives the map's counts 16 bytes each from now on: the ``used`` counts are
+ * copied, widened, into a new arena (malloc aligns it for a u128), so every
+ * block keeps its offset. */
+static int map_widen(Map *m)
+{
+    u128 *wide = malloc(m->arena_cap * sizeof(u128));
+    if (!wide)
+        return 3;
+    const u64 *v = m->arena;
+    for (size_t k = 0; k < m->used; k++)
+        wide[k] = v[k];
+    free(m->arena);
+    m->arena = wide;
+    m->elem = sizeof(u128);
+    return 0;
+}
+
 /* Bytes the map has in use: its entries, the arena counts handed out and
  * its hash index. */
 static size_t map_bytes(const Map *m)
 {
-    return m->count * sizeof(Entry) + m->used * sizeof(u128)
+    return m->count * sizeof(Entry) + m->used * m->elem
            + m->index_size * sizeof(uint32_t);
 }
 
@@ -238,7 +265,7 @@ static int arena_alloc(Map *m, size_t degrees, uint32_t *block)
         size_t cap = m->arena_cap + m->arena_cap / 2;
         if (cap < m->used + degrees)
             cap = m->used + degrees;
-        if (grow((void **)&m->arena, cap * sizeof(u128)))
+        if (grow(&m->arena, cap * m->elem))
             return 3;
         m->arena_cap = cap;
     }
@@ -252,7 +279,7 @@ static int arena_alloc(Map *m, size_t degrees, uint32_t *block)
  * no wider than the n = n_max + 1 degrees any entry can span), with every
  * degree past the span zeroed.  Returns where the caller writes the span's
  * counts, or NULL when out of memory. */
-static u128 *new_block(Map *m, size_t j, int lo, int hi, int n)
+static void *new_block(Map *m, size_t j, int lo, int hi, int n)
 {
     int len = hi - lo + 1;
     int cap = MIN_SPAN < n ? MIN_SPAN : n;
@@ -261,14 +288,13 @@ static u128 *new_block(Map *m, size_t j, int lo, int hi, int n)
     uint32_t block;
     if (arena_alloc(m, cap, &block))
         return NULL;
-    u128 *v = m->arena + block;
-    memset(v + len, 0, (size_t)(cap - len) * sizeof(u128));
+    memset(at(m, block + len), 0, (size_t)(cap - len) * m->elem);
     Entry *e = &m->e[j];
     e->block = block;
     e->cap = cap;
     e->base = e->lo = lo;
     e->hi = hi;
-    return v;
+    return at(m, block);
 }
 
 /* Widen nonempty entry j's degree range to cover lo..hi as well, when that
@@ -292,20 +318,19 @@ static int widen(Map *m, size_t j, int lo, int hi, int n, u64 *regrows)
         uint32_t block;
         if (arena_alloc(m, cap, &block))
             return 3;
-        memcpy(m->arena + block + (e->lo - lo), m->arena + from,
-               (size_t)len * sizeof(u128));
+        memcpy(at(m, block + (e->lo - lo)), at(m, from), (size_t)len * m->elem);
         ++*regrows;
         e->block = block;
         e->cap = (uint32_t)cap;
     } else {
-        memmove(m->arena + e->block + (e->lo - lo), m->arena + from,
-                (size_t)len * sizeof(u128));
+        memmove(at(m, e->block + (e->lo - lo)), at(m, from),
+                (size_t)len * m->elem);
     }
     /* zero the block around the live degrees' new place */
-    u128 *v = m->arena + e->block;
     int to = e->lo - lo;
-    memset(v, 0, (size_t)to * sizeof(u128));
-    memset(v + to + len, 0, (size_t)(e->cap - to - len) * sizeof(u128));
+    memset(at(m, e->block), 0, (size_t)to * m->elem);
+    memset(at(m, e->block + to + len), 0,
+           (size_t)(e->cap - to - len) * m->elem);
     e->base = lo;
     e->lo = lo;
     e->hi = hi;
@@ -317,11 +342,19 @@ static int widen(Map *m, size_t j, int lo, int hi, int n, u64 *regrows)
 static int trim(Map *m, size_t i)
 {
     Entry *e = &m->e[i];
-    const u128 *v = m->arena + e->block;
-    while (e->lo <= e->hi && !v[e->lo - e->base])
-        e->lo++;
-    while (e->hi >= e->lo && !v[e->hi - e->base])
-        e->hi--;
+    if (m->elem == sizeof(u64)) {
+        const u64 *v = at(m, e->block);
+        while (e->lo <= e->hi && !v[e->lo - e->base])
+            e->lo++;
+        while (e->hi >= e->lo && !v[e->hi - e->base])
+            e->hi--;
+    } else {
+        const u128 *v = at(m, e->block);
+        while (e->lo <= e->hi && !v[e->lo - e->base])
+            e->lo++;
+        while (e->hi >= e->lo && !v[e->hi - e->base])
+            e->hi--;
+    }
     return e->lo <= e->hi;
 }
 
@@ -335,17 +368,17 @@ static int first_sum(Map *dst, size_t j, const Map *src, size_t i, int k,
     int lo = s->lo + k, hi = s->hi + k;
     if (hi > dst->e[j].top)
         hi = dst->e[j].top;
-    u128 *dv = new_block(dst, j, lo, hi, n);
+    void *dv = new_block(dst, j, lo, hi, n);
     if (!dv)
         return 3;
-    memcpy(dv, src->arena + s->block + (s->lo - s->base),
-           (size_t)(hi - lo + 1) * sizeof(u128));
+    memcpy(dv, at(src, s->block + (s->lo - s->base)),
+           (size_t)(hi - lo + 1) * dst->elem);
     return 0;
 }
 
 /* Entry j of ``dst`` (nonempty) += x**k * entry i of ``src``, truncated at
  * dst's degree cap; in place when the sum fits the entry's block.  A carry
- * out of 128 bits sets *carried. */
+ * out of the maps' counts (64 or 128 bits) sets *carried. */
 static int add_shifted(Map *dst, size_t j, const Map *src, size_t i, int k,
                        int n, u64 *regrows, int *carried)
 {
@@ -365,10 +398,20 @@ static int add_shifted(Map *dst, size_t j, const Map *src, size_t i, int k,
         if (hi > d->hi)
             d->hi = hi;
     }
-    u128 *dv = dst->arena + d->block + (lo - d->base);
-    const u128 *sv = src->arena + s->block + (s->lo - s->base);
-    for (int t = 0; t <= hi - lo; t++)
-        *carried |= __builtin_add_overflow(dv[t], sv[t], &dv[t]);
+    size_t to = d->block + (lo - d->base), from = s->block + (s->lo - s->base);
+    int c = 0;
+    if (dst->elem == sizeof(u64)) {
+        u64 *dv = at(dst, to);
+        const u64 *sv = at(src, from);
+        for (int t = 0; t <= hi - lo; t++)
+            c |= __builtin_add_overflow(dv[t], sv[t], &dv[t]);
+    } else {
+        u128 *dv = at(dst, to);
+        const u128 *sv = at(src, from);
+        for (int t = 0; t <= hi - lo; t++)
+            c |= __builtin_add_overflow(dv[t], sv[t], &dv[t]);
+    }
+    *carried |= c;
     return 0;
 }
 
@@ -377,9 +420,18 @@ static int add_shifted(Map *dst, size_t j, const Map *src, size_t i, int k,
 static void add_full(u128 *dst, const Map *src, size_t i, int *carried)
 {
     const Entry *e = &src->e[i];
-    const u128 *v = src->arena + e->block + (e->lo - e->base);
-    for (int d = e->lo; d <= e->hi; d++, v++)
-        *carried |= __builtin_add_overflow(dst[d], *v, &dst[d]);
+    size_t from = e->block + (e->lo - e->base);
+    int c = 0;
+    if (src->elem == sizeof(u64)) {
+        const u64 *v = at(src, from);
+        for (int d = e->lo; d <= e->hi; d++, v++)
+            c |= __builtin_add_overflow(dst[d], *v, &dst[d]);
+    } else {
+        const u128 *v = at(src, from);
+        for (int d = e->lo; d <= e->hi; d++, v++)
+            c |= __builtin_add_overflow(dst[d], *v, &dst[d]);
+    }
+    *carried |= c;
 }
 
 /* ------------------------------------------------------------------------
@@ -744,6 +796,65 @@ static void expand(const Geometry *g, u64 key, int r, int first_col,
     }
 }
 
+/* Row r of column c: the targets of every live state of ``cur`` summed
+ * into ``nxt`` (cleared first), and the completions of the states into
+ * ledger column ``comp``.  *live = the live states entering the row. */
+static int sweep_row(const Geometry *g, Map *cur, Map *nxt, int r, int c,
+                     u128 *comp, size_t *live, u64 *regrows, int *carried)
+{
+    int n = g->n_max + 1;
+    Emitter ems[2];
+    size_t j, h;
+    map_clear(nxt);
+    *live = 0;
+    /* Software pipeline, one live source deep: entry i is expanded into
+     * ``ahead`` (its targets' index slots prefetched) before the targets of
+     * ``src``, the live entry before it, are applied.  Targets are applied
+     * in the same order as without it. */
+    Emitter *ahead = &ems[0], *due = &ems[1];
+    size_t src = NO_ENTRY; /* the entry whose targets are due */
+    for (size_t i = 0; i <= cur->count; i++) {
+        if (i < cur->count) {
+            if (!trim(cur, i))
+                continue;
+            expand(g, cur->e[i].key, r, c == 0, ahead, nxt);
+        }
+        Emitter *em = due;
+        size_t s = src;
+        due = ahead;
+        ahead = em;
+        src = i;
+        if (s == NO_ENTRY)
+            continue;
+        ++*live;
+        if (em->completes < 0)
+            return 1;
+        if (em->completes && (!g->prune || c >= g->width))
+            add_full(comp, cur, s, carried);
+        /* s's index slots were prefetched one source ago */
+        for (int t = 0; t < em->n; t++)
+            prefetch_entry(nxt, em->t[t].hash);
+        for (int t = 0; t < em->n; t++) {
+            const Target *tg = &em->t[t];
+            if ((j = map_find(nxt, tg->key, tg->hash, &h)) != NO_ENTRY) {
+                if (add_shifted(nxt, j, cur, s, tg->k, n, regrows, carried))
+                    return 3;
+                if (cur->e[s].lo + tg->k <= nxt->e[j].top)
+                    nxt->e[j].seen |= 1u << tg->mirrored;
+                continue;
+            }
+            int top = degree_cap(g, tg->key, r, c);
+            if (cur->e[s].lo + tg->k > top)
+                continue; /* nothing that could still complete */
+            if ((j = map_insert(nxt, tg->key, h, top)) == NO_ENTRY
+                || first_sum(nxt, j, cur, s, tg->k, n))
+                return 3;
+            nxt->e[j].seen = 1u << tg->mirrored;
+        }
+    }
+    return 0;
+}
+
 /* out: (l_max + 1) * (n_max + 1) counts, column by column, each an unsigned
  * 128-bit integer in the machine's byte order (columns < width stay zero
  * when pruning); written only when the sweep succeeds.  stats[0] = peak
@@ -751,7 +862,8 @@ static void expand(const Geometry *g, u64 key, int r, int first_col,
  * rows, stats[2] = most bytes both state maps had in use at the end of a
  * row (map_bytes), stats[3] = entries moved to a wider block, stats[4] =
  * live states at column boundaries that both a key and its distinct mirror
- * image added something to below the degree cap. */
+ * image added something to below the degree cap, stats[5] = rows swept
+ * with 128-bit counts. */
 int sawenum_sweep(int width, int l_max, int n_max, int prune, void *out,
                   u64 *stats)
 {
@@ -763,11 +875,11 @@ int sawenum_sweep(int width, int l_max, int n_max, int prune, void *out,
     size_t ledger_bytes = (size_t)(l_max + 1) * n * sizeof(u128);
     Geometry geo = {width, fb, prune, n_max, (1ULL << fb) - 1, 3ULL << fb};
     Map cur, nxt;
-    Emitter ems[2];
     int err = 0, carried = 0;
-    size_t j, h = 0;
-    u64 regrows = 0, merged = 0;
-    u128 *ledger = calloc(1, ledger_bytes);
+    size_t j, live;
+    u64 regrows = 0, merged = 0, wide_rows = 0;
+    /* one more column: a row's ledger column as it was before the row */
+    u128 *ledger = calloc(l_max + 2, (size_t)n * sizeof(u128)), *saved;
 
     stats[0] = stats[1] = stats[2] = 0;
     err = map_init(&cur);
@@ -775,12 +887,14 @@ int sawenum_sweep(int width, int l_max, int n_max, int prune, void *out,
         err = 3;
         goto done;
     }
+    saved = ledger + (size_t)(l_max + 1) * n;
     /* the seed, the empty state of weight 1, unless the boundary prune
-     * already rules out every walk */
+     * already rules out every walk; the map is empty, so the key's own
+     * index slot is free */
     if (!prune || steps_mid(0, -1, width, 0, 0, 0) <= n_max) {
-        u128 *v;
-        map_find(&cur, 0, hash_key(0), &h);
-        if ((j = map_insert(&cur, 0, h, n_max)) == NO_ENTRY
+        u64 *v;
+        if ((j = map_insert(&cur, 0, hash_key(0) & (cur.index_size - 1),
+                            n_max)) == NO_ENTRY
             || !(v = new_block(&cur, j, 0, 0, n))) {
             err = 3;
             goto done;
@@ -791,59 +905,27 @@ int sawenum_sweep(int width, int l_max, int n_max, int prune, void *out,
     for (int c = 0; c <= l_max; c++) {
         u128 *comp = ledger + (size_t)c * n;
         for (int r = 0; r <= width; r++) {
-            map_clear(&nxt);
-            size_t live = 0;
-            /* Software pipeline, one live source deep: entry i is expanded
-             * into ``ahead`` (its targets' index slots prefetched) before
-             * the targets of ``src``, the live entry before it, are applied.
-             * Targets are applied in the same order as without it. */
-            Emitter *ahead = &ems[0], *due = &ems[1];
-            size_t src = NO_ENTRY; /* the entry whose targets are due */
-            for (size_t i = 0; i <= cur.count; i++) {
-                if (i < cur.count) {
-                    if (!trim(&cur, i))
-                        continue;
-                    expand(&geo, cur.e[i].key, r, c == 0, ahead, &nxt);
-                }
-                Emitter *em = due;
-                size_t s = src;
-                due = ahead;
-                ahead = em;
-                src = i;
-                if (s == NO_ENTRY)
-                    continue;
-                live++;
-                if (em->completes < 0) {
-                    err = 1;
+            int narrow = cur.elem == sizeof(u64);
+            u64 regrows_before = regrows;
+            if (narrow)
+                memcpy(saved, comp, (size_t)n * sizeof(u128));
+            if ((err = sweep_row(&geo, &cur, &nxt, r, c, comp, &live,
+                                 &regrows, &carried)))
+                goto done;
+            if (narrow && carried) {
+                /* a sum passed 2**64 (or the ledger's 2**128, which the
+                 * row repeats): undo the row and sweep it again, and the
+                 * rest of the sweep, with 128-bit counts */
+                memcpy(comp, saved, (size_t)n * sizeof(u128));
+                regrows = regrows_before;
+                carried = 0;
+                map_clear(&nxt);
+                if ((err = map_widen(&cur)) || (err = map_widen(&nxt))
+                    || (err = sweep_row(&geo, &cur, &nxt, r, c, comp, &live,
+                                        &regrows, &carried)))
                     goto done;
-                }
-                if (em->completes && (!prune || c >= width))
-                    add_full(comp, &cur, s, &carried);
-                /* s's index slots were prefetched one source ago */
-                for (int t = 0; t < em->n; t++)
-                    prefetch_entry(&nxt, em->t[t].hash);
-                for (int t = 0; t < em->n; t++) {
-                    const Target *tg = &em->t[t];
-                    if ((j = map_find(&nxt, tg->key, tg->hash, &h))
-                        != NO_ENTRY) {
-                        if ((err = add_shifted(&nxt, j, &cur, s, tg->k, n,
-                                               &regrows, &carried)))
-                            goto done;
-                        if (cur.e[s].lo + tg->k <= nxt.e[j].top)
-                            nxt.e[j].seen |= 1u << tg->mirrored;
-                        continue;
-                    }
-                    int top = degree_cap(&geo, tg->key, r, c);
-                    if (cur.e[s].lo + tg->k > top)
-                        continue; /* nothing that could still complete */
-                    if ((j = map_insert(&nxt, tg->key, h, top)) == NO_ENTRY
-                        || first_sum(&nxt, j, &cur, s, tg->k, n)) {
-                        err = 3;
-                        goto done;
-                    }
-                    nxt.e[j].seen = 1u << tg->mirrored;
-                }
             }
+            wide_rows += cur.elem == sizeof(u128);
             stats[1] += live;
             if (live > stats[0])
                 stats[0] = live;
@@ -881,6 +963,7 @@ int sawenum_sweep(int width, int l_max, int n_max, int prune, void *out,
 done:
     stats[3] = regrows;
     stats[4] = merged;
+    stats[5] = wide_rows;
     map_free(&cur);
     map_free(&nxt);
     free(ledger);

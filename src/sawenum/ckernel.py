@@ -1,10 +1,12 @@
 """Compiled sweep kernel: ``engine.sweep`` for one width, written in C.
 
 ``ckernel.c`` ports the engine's kink move, prune bound, boundary shift and
-mirror merge, and counts each degree of a generating function as one
-unsigned 128-bit integer, so it returns ``engine.sweep``'s exact ledger.  A
-sweep whose counts would pass 2**128 raises instead (c_79, the longest
-published walk count, is about 2**113).  Like the engine it sums each state
+mirror merge, and returns ``engine.sweep``'s exact ledger.  It counts each
+degree of a generating function in one 64-bit word, and from the first row
+in which a state's count passes 2**64 on in an unsigned 128-bit integer (it
+sweeps that row again); the ledger always has 128 bits.  A sweep whose
+counts would pass 2**128 raises instead (c_79, the longest published walk
+count, is about 2**113).  Like the engine it sums each state
 and its mirror image under one key at column boundaries, which about halves
 the states it carries, and with pruning on it leaves columns < W of the
 ledger empty.
@@ -132,20 +134,22 @@ def sweep(width: int, l_max: int, n_max: int,
     ``peak_states`` (most live states entering one row), ``state_rows``
     (live states summed over all rows), ``peak_bytes`` (most bytes the
     kernel's two state maps had in use at the end of a row: 32 per entry,
-    16 per degree handed out by the arenas, plus both hash indexes;
-    allocated but unused capacity is not counted),
+    8 per degree handed out by the arenas (16 once the counts widened),
+    plus both hash indexes; allocated but unused capacity is not counted),
     ``regrows`` (how often a state's counts outgrew their block and
-    moved to a wider one) and ``merged`` (states at column boundaries that a
-    state and its distinct mirror image were summed into, see
-    ``signatures.mirror``).  Raises OverflowError when a count of the sweep
-    does not fit 128 bits.
+    moved to a wider one), ``wide_rows`` (the rows swept with 128-bit
+    counts: 0 when every count of the sweep fit 64 bits, else the rows
+    from the first one in which a state's count passed 2**64 on) and
+    ``merged`` (states at column boundaries that a state and its distinct
+    mirror image were summed into, see ``signatures.mirror``).  Raises
+    OverflowError when a count of the sweep does not fit 128 bits.
     """
     import ctypes
 
     lib = _load()
     n = n_max + 1
     out = ctypes.create_string_buffer(16 * (l_max + 1) * n)
-    stats = (ctypes.c_uint64 * 5)()
+    stats = (ctypes.c_uint64 * 6)()
     err = lib.sawenum_sweep(width, l_max, n_max, int(prune), out, stats)
     if err == OVERFLOW:
         raise OverflowError(
@@ -161,4 +165,4 @@ def sweep(width: int, l_max: int, n_max: int,
     ledger = [counts[c * n:(c + 1) * n] for c in range(l_max + 1)]
     return ledger, {"peak_states": stats[0], "state_rows": stats[1],
                     "peak_bytes": stats[2], "regrows": stats[3],
-                    "merged": stats[4]}
+                    "merged": stats[4], "wide_rows": stats[5]}

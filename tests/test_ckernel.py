@@ -33,6 +33,14 @@ def test_a_build_removes_the_libraries_of_other_sources(tmp_path):
     assert [p.name for p in tmp_path.iterdir()] == [lib_path.name]
 
 
+def test_the_kernel_compiles_without_warnings(tmp_path):
+    proc = subprocess.run(
+        [ckernel._compiler(), "-O3", "-Wall", "-Wextra", "-Werror", "-c",
+         "-o", str(tmp_path / "ckernel.o"), str(ckernel.SOURCE)],
+        capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+
+
 def test_a_sweep_does_not_load_openssl():
     ckernel._load()  # built here, so that the child only loads it
     code = (

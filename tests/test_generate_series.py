@@ -203,6 +203,29 @@ class TestCompiledKernel:
         _, stats = ckernel.sweep(6, 10, 36)
         assert (stats["peak_states"], stats["state_rows"], stats["regrows"],
                 stats["merged"]) == (2748, 127187, 11657, 7400)
+        assert stats["wide_rows"] == 0
+
+    @pytest.mark.parametrize("width,l_max,n_max", [
+        (3, 30, 100), (2, 72, 216), (1, 100, 300), (2, 60, 200),
+        (4, 20, 90), (5, 15, 80),
+        # only the sweep's last row passes 2**64
+        (1, 65, 196)])
+    def test_counts_past_64_bits_are_widened(self, width, l_max, n_max):
+        # unpruned sweeps whose counts pass 2**64 but not 2**128
+        got, stats = ckernel.sweep(width, l_max, n_max, prune=False)
+        assert stats["wide_rows"] > 0
+        assert got == engine.sweep(width, l_max, n_max, prune=False)
+
+    def test_the_row_that_widens_counts_once(self):
+        # the row in which a sum first passes 2**64 credits completions and
+        # moves states to wider blocks before it is swept again: its ledger
+        # column is added to once, and the work counts are those of one
+        # sweep of each row
+        got, stats = ckernel.sweep(3, 30, 100, prune=False)
+        assert got == engine.sweep(3, 30, 100, prune=False)
+        assert (stats["peak_states"], stats["state_rows"], stats["regrows"],
+                stats["merged"], stats["wide_rows"]) == (104, 8838, 1506,
+                                                         741, 25)
 
     def test_counts_are_exact_up_to_128_bits(self):
         # the largest count of this unpruned sweep has 126 bits
