@@ -5,7 +5,7 @@ Each width's sweep runs in a fresh child process whose memory is returned to
 the OS when it exits.  The child writes the width's completion ledger as a
 text file into a cache directory, so an interrupted run resumes where it
 stopped.  One child runs per CPU this process may use, so peak memory is up
-to that many times one width's peak (about 150 MB of RSS for width 14 or 15
+to that many times one width's peak (about 115 MB of RSS for width 14 or 15
 at wmax 21 on the compiled kernel, far more on the Python engine); to hold it
 lower, compute widths one at a time with ``--width``.  When every width is
 cached the ledgers are assembled into the final series file.

@@ -2,14 +2,13 @@
 
 ``ckernel.c`` ports the engine's kink move, prune bound, boundary shift and
 mirror merge, and returns ``engine.sweep``'s exact ledger.  It counts each
-degree of a generating function in one 64-bit word, and from the first row
-in which a state's count passes 2**64 on in an unsigned 128-bit integer (it
-sweeps that row again); the ledger always has 128 bits.  A sweep whose
+degree of a generating function in one 64-bit word.  When a state's count
+passes 2**64 it sweeps that row again, and the rest of the sweep, with
+unsigned 128-bit counts; the ledger always has 128 bits.  A sweep whose
 counts would pass 2**128 raises instead (c_79, the longest published walk
-count, is about 2**113).  Like the engine it sums each state
-and its mirror image under one key at column boundaries, which about halves
-the states it carries, and with pruning on it leaves columns < W of the
-ledger empty.
+count, is about 2**113).  Like the engine it sums each state and its mirror
+image under one key at column boundaries, which about halves the states it
+carries, and with pruning on it leaves columns < W of the ledger empty.
 Its work per state follows the state's occupied slots rather than the
 width.  Each state stores only the span of degrees its counts occupy, in a
 block of a per-row arena that is replaced by a wider one when a sum outgrows
@@ -138,8 +137,8 @@ def sweep(width: int, l_max: int, n_max: int,
     plus both hash indexes; allocated but unused capacity is not counted),
     ``regrows`` (how often a state's counts outgrew their block and
     moved to a wider one), ``wide_rows`` (the rows swept with 128-bit
-    counts: 0 when every count of the sweep fit 64 bits, else the rows
-    from the first one in which a state's count passed 2**64 on) and
+    counts, from the first row in which a state's count passed 2**64 to
+    the last; 0 when every count of the sweep fit 64 bits) and
     ``merged`` (states at column boundaries that a state and its distinct
     mirror image were summed into, see ``signatures.mirror``).  Raises
     OverflowError when a count of the sweep does not fit 128 bits.

@@ -129,10 +129,12 @@ class TestSweepChoice:
 
     @needs_compiler
     def test_kernel_adds_safely_near_two_to_the_64(self):
-        # counts of this sweep reach 2**79, so the kernel's sums carry from
-        # the low 64-bit word of its 128-bit counts into the high one
+        # counts of this sweep reach 2**79, so the kernel widens its state
+        # counts to 128 bits, whose sums carry from the low word into the
+        # high one
         ledger, stats = flm._sweep(3, 30, 100)
         assert stats["kernel"] == "c"
+        assert stats["wide_rows"] > 0
         want = engine.sweep(3, 30, 100)
         assert max(max(col) for col in want) > 2**64
         assert ledger == want

@@ -217,12 +217,11 @@ class TestCompiledKernel:
         assert got == engine.sweep(width, l_max, n_max, prune=False)
 
     def test_the_row_that_widens_counts_once(self):
-        # the row in which a sum first passes 2**64 credits completions and
-        # moves states to wider blocks before it is swept again: its ledger
-        # column is added to once, and the work counts are those of one
-        # sweep of each row
-        got, stats = ckernel.sweep(3, 30, 100, prune=False)
-        assert got == engine.sweep(3, 30, 100, prune=False)
+        # the row in which a sum first passes 2**64 credits completions
+        # (the (3, 30, 100) case above fails if its ledger column is added
+        # to twice) and moves states to wider blocks before it is swept
+        # again: the work counts are those of one sweep of each row
+        _, stats = ckernel.sweep(3, 30, 100, prune=False)
         assert (stats["peak_states"], stats["state_rows"], stats["regrows"],
                 stats["merged"], stats["wide_rows"]) == (104, 8838, 1506,
                                                          741, 25)
