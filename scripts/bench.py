@@ -21,6 +21,10 @@ Measures, for each checkout, in fresh interpreters:
   sweep's exact work counts ``kernel_w12_wmax16_peak_states``,
   ``_state_rows``, ``_regrows``, ``_merged``, ``_peak_bytes`` and
   ``_wide_rows`` (see ``ckernel.sweep``);
+- ``kernel_widen_s``: ``ckernel.sweep(3, 30, 100, prune=False)`` alone,
+  with the same work counts (``kernel_widen_peak_states`` and so on).  Its
+  counts pass 2**64, so its last 25 rows run with 128-bit counts
+  (``kernel_widen_wide_rows``): no other row times the widening;
 - ``tier1_s``: the tier-1 suite, with its summary line, timed once per
   checkout after the rounds: no perf change targets it, and it would take
   most of every round.  ``tier1_slowest`` holds pytest's ``--durations``
@@ -167,12 +171,17 @@ analysis.da_scan(coeffs, **args)
 result = {}
 """ + END
 
-#: run in the measured checkout: time one kernel sweep, with its stats
+#: run in the measured checkout: time one kernel sweep, with its stats; its
+#: arguments ``sys.argv[1:]`` are width, l_max, n_max and prune (0 or 1)
 KERNEL = IMPORTS + """
 from sawenum import ckernel
+width, l_max, n_max, prune = map(int, sys.argv[1:])
 """ + BEGIN + """
-_, result = ckernel.sweep(12, 21, 33)
+_, result = ckernel.sweep(width, l_max, n_max, bool(prune))
 """ + END
+#: the timed kernel sweeps: metric prefix and KERNEL's arguments
+KERNELS = (("kernel_w12_wmax16", ("12", "21", "33", "1")),
+           ("kernel_widen", ("3", "30", "100", "0")))
 
 #: run in the measured checkout: the work counts of the enumerate --wmax
 #: ``sys.argv[1]`` sweeps, untimed
@@ -314,11 +323,12 @@ def measure(checkout: Path) -> dict:
                            checkout, env)
             put(row, f"enumerate_w{wmax}", result)
             row[f"enumerate_w{wmax}_rss_mb"] = result["peak_rss_mb"]
-        result = child(KERNEL, [], checkout, env)
-        put(row, "kernel_w12_wmax16", result)
-        for key, value in result.items():
-            if key not in ("s", "ref_s"):
-                row[f"kernel_w12_wmax16_{key}"] = value
+        for name, args in KERNELS:
+            result = child(KERNEL, args, checkout, env)
+            put(row, name, result)
+            for key, value in result.items():
+                if key not in ("s", "ref_s"):
+                    row[f"{name}_{key}"] = value
         put(row, "box_3x40",
             timed(cli + ["box", "--width", "3", "--length", "40"] + dest,
                   checkout, env))

@@ -6,11 +6,12 @@
  * and give the same results.  A generating function keeps each degree's
  * count as one unsigned 64-bit word.  Every count is a sum of nonnegative
  * terms, so a count is exact unless an addition carries, and each addition
- * ORs its carry into a flag.  A row in which a state's sum passed 2**64 is
- * swept again with every count widened to an unsigned 128-bit integer, and
- * the rest of the sweep keeps 128 bits (``wide_rows`` counts those rows);
- * the ledger always has 128 bits.  A sweep that carried out of 128 bits
- * fails with error 5 instead of returning a wrapped ledger.
+ * ORs its carry into a flag.  The first sum of a state that passes 2**64
+ * widens every count to an unsigned 128-bit integer and is mended there; the
+ * row goes on, and the rest of the sweep keeps 128 bits (``wide_rows`` counts
+ * those rows), so no row is swept twice.  The ledger always has 128 bits.  A
+ * sweep that carried out of 128 bits fails with error 5 instead of returning
+ * a wrapped ledger.
  *
  * At a column boundary a state and its mirror image (the reflection y ->
  * W - y, see mirror_key) have the same future completions, so the top row
@@ -377,9 +378,12 @@ static int first_sum(Map *dst, size_t j, const Map *src, size_t i, int k,
 }
 
 /* Entry j of ``dst`` (nonempty) += x**k * entry i of ``src``, truncated at
- * dst's degree cap; in place when the sum fits the entry's block.  A carry
- * out of the maps' counts (64 or 128 bits) sets *carried. */
-static int add_shifted(Map *dst, size_t j, const Map *src, size_t i, int k,
+ * dst's degree cap; in place when the sum fits the entry's block.  When a
+ * 64-bit sum carries, both maps widen to 128 bits (the source with the
+ * destination, as the maps' counts always share a size) and each degree
+ * whose wrapped sum fell below its addend gains the lost 2**64.  A carry out
+ * of 128 bits sets *carried. */
+static int add_shifted(Map *dst, size_t j, Map *src, size_t i, int k,
                        int n, u64 *regrows, int *carried)
 {
     const Entry *s = &src->e[i];
@@ -405,12 +409,21 @@ static int add_shifted(Map *dst, size_t j, const Map *src, size_t i, int k,
         const u64 *sv = at(src, from);
         for (int t = 0; t <= hi - lo; t++)
             c |= __builtin_add_overflow(dv[t], sv[t], &dv[t]);
-    } else {
-        u128 *dv = at(dst, to);
-        const u128 *sv = at(src, from);
+        if (!c)
+            return 0;
+        if (map_widen(dst) || map_widen(src))
+            return 3;
+        u128 *wd = at(dst, to);
+        const u128 *ws = at(src, from);
         for (int t = 0; t <= hi - lo; t++)
-            c |= __builtin_add_overflow(dv[t], sv[t], &dv[t]);
+            if (wd[t] < ws[t])
+                wd[t] += (u128)1 << 64;
+        return 0;
     }
+    u128 *dv = at(dst, to);
+    const u128 *sv = at(src, from);
+    for (int t = 0; t <= hi - lo; t++)
+        c |= __builtin_add_overflow(dv[t], sv[t], &dv[t]);
     *carried |= c;
     return 0;
 }
@@ -878,8 +891,7 @@ int sawenum_sweep(int width, int l_max, int n_max, int prune, void *out,
     int err = 0, carried = 0;
     size_t j, live;
     u64 regrows = 0, merged = 0, wide_rows = 0;
-    /* one more column: a row's ledger column as it was before the row */
-    u128 *ledger = calloc(l_max + 2, (size_t)n * sizeof(u128)), *saved;
+    u128 *ledger = calloc(l_max + 1, (size_t)n * sizeof(u128));
 
     stats[0] = stats[1] = stats[2] = 0;
     err = map_init(&cur);
@@ -887,7 +899,6 @@ int sawenum_sweep(int width, int l_max, int n_max, int prune, void *out,
         err = 3;
         goto done;
     }
-    saved = ledger + (size_t)(l_max + 1) * n;
     /* the seed, the empty state of weight 1, unless the boundary prune
      * already rules out every walk; the map is empty, so the key's own
      * index slot is free */
@@ -905,26 +916,9 @@ int sawenum_sweep(int width, int l_max, int n_max, int prune, void *out,
     for (int c = 0; c <= l_max; c++) {
         u128 *comp = ledger + (size_t)c * n;
         for (int r = 0; r <= width; r++) {
-            int narrow = cur.elem == sizeof(u64);
-            u64 regrows_before = regrows;
-            if (narrow)
-                memcpy(saved, comp, (size_t)n * sizeof(u128));
             if ((err = sweep_row(&geo, &cur, &nxt, r, c, comp, &live,
                                  &regrows, &carried)))
                 goto done;
-            if (narrow && carried) {
-                /* a sum passed 2**64 (or the ledger's 2**128, which the
-                 * row repeats): undo the row and sweep it again, and the
-                 * rest of the sweep, with 128-bit counts */
-                memcpy(comp, saved, (size_t)n * sizeof(u128));
-                regrows = regrows_before;
-                carried = 0;
-                map_clear(&nxt);
-                if ((err = map_widen(&cur)) || (err = map_widen(&nxt))
-                    || (err = sweep_row(&geo, &cur, &nxt, r, c, comp, &live,
-                                        &regrows, &carried)))
-                    goto done;
-            }
             wide_rows += cur.elem == sizeof(u128);
             stats[1] += live;
             if (live > stats[0])

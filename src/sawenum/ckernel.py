@@ -2,9 +2,10 @@
 
 ``ckernel.c`` ports the engine's kink move, prune bound, boundary shift and
 mirror merge, and returns ``engine.sweep``'s exact ledger.  It counts each
-degree of a generating function in one 64-bit word.  When a state's count
-passes 2**64 it sweeps that row again, and the rest of the sweep, with
-unsigned 128-bit counts; the ledger always has 128 bits.  A sweep whose
+degree of a generating function in one 64-bit word.  The first sum of a
+state that passes 2**64 widens every count to an unsigned 128-bit integer
+and is finished there, and the rest of the sweep keeps 128 bits, so no row
+is swept twice; the ledger always has 128 bits.  A sweep whose
 counts would pass 2**128 raises instead (c_79, the longest published walk
 count, is about 2**113).  Like the engine it sums each state and its mirror
 image under one key at column boundaries, which about halves the states it

@@ -76,7 +76,8 @@ def _cmd_enumerate(args) -> int:
         workers=args.workers,
         prune=not args.no_prune,
     )
-    table = flm.enumerate_series(plan)
+    with _claimed_output(args.output):
+        table = flm.enumerate_series(plan)
     if args.residues is not None:
         poly = TruncatedPolynomial.from_integers(moduli, plan.n_max,
                                                  table.values)
@@ -91,7 +92,8 @@ def _cmd_enumerate(args) -> int:
 def _cmd_oracle(args) -> int:
     from . import oracle
 
-    table = oracle.count_walks(args.nmax)
+    with _claimed_output(args.output):
+        table = oracle.count_walks(args.nmax)
     table.metadata.update(_base_meta(f"oracle --nmax {args.nmax}"))
     write_series(table, args.output)
     if args.metrics:
@@ -104,18 +106,19 @@ def _cmd_oracle(args) -> int:
 
 def _cmd_box(args) -> int:
     nmax = args.nmax if args.nmax is not None else args.width + 3 * args.length
-    if args.oracle:
-        from . import oracle
+    with _claimed_output(args.output):
+        if args.oracle:
+            from . import oracle
 
-        table = oracle.box_spanning_counts(args.width, args.length, nmax)
-    else:
-        table = SeriesTable(
-            flm.box_counts(args.width, args.length, nmax),
-            None,
-            {"lattice": "square", "quantity": "box_count",
-             "width": str(args.width), "length": str(args.length),
-             "nmax": str(nmax), "method": "transfer-matrix"},
-        )
+            table = oracle.box_spanning_counts(args.width, args.length, nmax)
+        else:
+            table = SeriesTable(
+                flm.box_counts(args.width, args.length, nmax),
+                None,
+                {"lattice": "square", "quantity": "box_count",
+                 "width": str(args.width), "length": str(args.length),
+                 "nmax": str(nmax), "method": "transfer-matrix"},
+            )
     table.metadata.update(
         _base_meta(f"box --width {args.width} --length {args.length}"))
     write_series(table, args.output)

@@ -90,7 +90,9 @@ def enumerate_series(plan: RunPlan) -> SeriesTable:
     if plan.workers > 1 and len(jobs) > 1:
         import multiprocessing
 
-        with multiprocessing.get_context("fork").Pool(plan.workers) as pool:
+        # no more processes than widths, whatever --workers asks for
+        workers = min(plan.workers, len(jobs))
+        with multiprocessing.get_context("fork").Pool(workers) as pool:
             ledgers = pool.map(_sweep_job, jobs)
     else:
         ledgers = [_sweep_job(j) for j in jobs]
@@ -101,19 +103,34 @@ def assemble(ledgers, plan: RunPlan) -> SeriesTable:
     """Combine per-width completion ledgers into the full series.
 
     ``ledgers[w]`` must be the exact ledger ``[column][degree]`` of width
-    ``w`` truncated at the plan's N; exposed separately so long runs can
-    compute widths one process at a time and assemble from cached ledgers.
+    ``w`` for columns 0..N - w and degrees 0..N at least; exposed separately
+    so long runs can compute widths one process at a time and assemble from
+    cached ledgers.  Columns past N - w and degrees past N are ignored: a
+    walk spanning a box w high and L long takes at least w + L steps.
+    Raises ValueError when a width, column or degree is missing, which
+    would otherwise leave its counts out of the series.
     """
     n_max = plan.n_max
+    if len(ledgers) < plan.w_max + 1:
+        raise ValueError(f"{len(ledgers)} ledgers for the {plan.w_max + 1} "
+                         f"widths 0..{plan.w_max}")
     acc = [0] * (n_max + 1)
-    for w, ledger in zip(range(plan.w_max + 1), ledgers):
-        for col in range(w, len(ledger)):
+    for w in range(plan.w_max + 1):
+        ledger = ledgers[w]
+        if len(ledger) < n_max - w + 1:
+            raise ValueError(f"the width-{w} ledger has {len(ledger)} "
+                             f"columns, not {n_max - w + 1}")
+        for col in range(w, n_max - w + 1):
+            column = ledger[col]
+            if len(column) < n_max + 1:
+                raise ValueError(f"column {col} of the width-{w} ledger has "
+                                 f"{len(column)} degrees, not {n_max + 1}")
             # symmetry factor for the transposed rectangle, times the
             # direction factor (the sweep builds each walk once as an edge
             # set; c_n counts both traversal directions)
             factor = 2 * (1 if col == w else 2)
-            for d, v in enumerate(ledger[col][: n_max + 1]):
-                acc[d] += factor * v
+            for d in range(n_max + 1):
+                acc[d] += factor * column[d]
     acc[0] = 1
     meta = {
         "lattice": "square",

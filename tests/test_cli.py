@@ -393,19 +393,28 @@ class TestErrorHandling:
             capsys.readouterr().err)
         assert not out.exists()
 
-    @pytest.mark.parametrize("argv, work", [
+    BEFORE_THE_WORK = [
         (["analyze", "--series", str(SERIES_N43), "--inhomog", "0,2"],
-         "da_scan"),
+         analysis, "da_scan"),
         (["fit", "--series", str(SERIES_N43), "--model", "count", "--k", "2",
-          "--m", "1"], "amplitude_trajectory"),
-    ], ids=lambda v: v[0] if isinstance(v, list) else v)
+          "--m", "1"], analysis, "amplitude_trajectory"),
+        (["enumerate", "--wmax", "9"], flm, "enumerate_series"),
+        (["box", "--width", "2", "--length", "3"], flm, "box_counts"),
+        (["box", "--width", "2", "--length", "3", "--oracle"], oracle,
+         "box_spanning_counts"),
+        (["oracle", "--nmax", "5"], oracle, "count_walks"),
+    ]
+
+    @pytest.mark.parametrize("argv, module, work", BEFORE_THE_WORK,
+                             ids=[f"{argv[0]}-{work}"
+                                  for argv, _, work in BEFORE_THE_WORK])
     def test_an_unwritable_output_fails_before_the_work(self, tmp_path, capsys,
                                                         monkeypatch, argv,
-                                                        work):
+                                                        module, work):
         def no_work(*args, **kwargs):
             raise AssertionError(f"{work} ran")
 
-        monkeypatch.setattr(analysis, work, no_work)
+        monkeypatch.setattr(module, work, no_work)
         out = tmp_path / "missing" / "out.csv"
         assert run(*argv, "-o", str(out)) == 2
         err = capsys.readouterr().err

@@ -67,6 +67,67 @@ class TestEnumerate:
                    for w in range(plan.w_max + 1)]
         assert assemble(ledgers, plan).values == enumerate_series(plan).values
 
+    def test_the_pool_has_no_more_workers_than_widths(self, monkeypatch):
+        # a fake pool records its size and maps in this process, so the
+        # 100,000 workers asked for are never started
+        sizes = []
+
+        class Pool:
+            def __init__(self, processes):
+                sizes.append(processes)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def map(self, fn, jobs):
+                return [fn(job) for job in jobs]
+
+        import multiprocessing
+        from types import SimpleNamespace
+
+        monkeypatch.setattr(multiprocessing, "get_context",
+                            lambda method: SimpleNamespace(Pool=Pool))
+        many = enumerate_series(RunPlan(w_max=3, workers=100_000))
+        assert sizes == [4]
+        assert many.values == enumerate_series(RunPlan(w_max=3)).values
+
+
+class TestAssemble:
+    PLAN = RunPlan(w_max=4)
+
+    @staticmethod
+    def ledgers(plan, more_columns=0, more_degrees=0):
+        return [flm._sweep(w, plan.n_max - w + more_columns,
+                           plan.n_max + more_degrees)[0]
+                for w in range(plan.w_max + 1)]
+
+    def test_longer_ledgers_are_accepted(self):
+        # columns past N - w and degrees past N hold nothing of c_0..c_N
+        got = assemble(self.ledgers(self.PLAN, 2, 3), self.PLAN).values
+        assert got == enumerate_series(self.PLAN).values
+        assert got[6:] == [780, 2172, 5916, 16268]
+
+    def test_a_missing_width_is_refused(self):
+        with pytest.raises(ValueError, match="3 ledgers for the 5 widths"):
+            assemble(self.ledgers(self.PLAN)[:3], self.PLAN)
+
+    def test_a_missing_column_is_refused(self):
+        ledgers = self.ledgers(self.PLAN)
+        ledgers[2] = ledgers[2][:-1]
+        with pytest.raises(ValueError,
+                           match="width-2 ledger has 7 columns, not 8"):
+            assemble(ledgers, self.PLAN)
+
+    def test_a_missing_degree_is_refused(self):
+        ledgers = [[column[:5] for column in ledger]
+                   for ledger in self.ledgers(self.PLAN)]
+        with pytest.raises(ValueError, match="column 0 of the width-0 ledger "
+                           "has 5 degrees, not 10"):
+            assemble(ledgers, self.PLAN)
+
 
 class TestBoxCounts:
     @pytest.mark.parametrize("width,length", [(1, 2), (2, 2), (2, 3)])
