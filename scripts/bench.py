@@ -35,6 +35,10 @@ Measures, for each checkout, in fresh interpreters:
   ``ckernel.sweep`` over the widths that ``enumerate --wmax 13``
   sweeps.  They are exact, so they still compare checkouts where the
   multi-second timings spread too widely;
+- ``prune_work_ratio_w10``, also once per checkout and untimed: the
+  ``state_rows`` of the unpruned sweeps over those of the pruned sweeps,
+  each summed over the widths of ``enumerate --wmax 10`` (about 2 s).  It
+  is the pruning's gain in work, exact, the paper's headline claim;
 - ``enumerate_w13_sha256`` and ``enumerate_w9_engine_sha256``, also once
   per checkout and untimed: the SHA-256 of the series file that
   ``sawenum enumerate --wmax 13`` writes on the compiled kernel, and of the
@@ -130,6 +134,8 @@ DURATION = re.compile(r"\d+\.\d+s (setup|call|teardown) ")
 #: no compiler, which makes ``flm`` fall back to that engine
 ENGINE_WMAX = 9
 NO_COMPILER = "sawenum-no-such-compiler"
+#: the enumerate run whose sweeps are counted with and without pruning
+PRUNE_WMAX = 10
 
 #: every timed child starts with IMPORTS; just before the call, BEGIN pins
 #: it to its CPU and times the reference there, and END prints the call's
@@ -184,12 +190,12 @@ KERNELS = (("kernel_w12_wmax16", ("12", "21", "33", "1")),
            ("kernel_widen", ("3", "30", "100", "0")))
 
 #: run in the measured checkout: the work counts of the enumerate --wmax
-#: ``sys.argv[1]`` sweeps, untimed
+#: ``sys.argv[1]`` sweeps, pruned when ``sys.argv[2]`` is 1, untimed
 COUNTS = """
 import json, sys
 from sawenum import ckernel
-wmax = int(sys.argv[1])
-stats = [ckernel.sweep(w, 2 * wmax - w + 1, 2 * wmax + 1)[1]
+wmax, prune = map(int, sys.argv[1:])
+stats = [ckernel.sweep(w, 2 * wmax - w + 1, 2 * wmax + 1, bool(prune))[1]
          for w in range(wmax + 1)]
 print(json.dumps({"state_rows": sum(s["state_rows"] for s in stats),
                   "peak_states": max(s["peak_states"] for s in stats)}))
@@ -348,9 +354,13 @@ def output_digest(wmax: int, cwd: Path, env) -> str:
 def counts(checkout: Path) -> dict:
     env = dict(os.environ, PYTHONPATH=str(checkout / "src"))
     wmax = WMAXES[0]
-    result = child(COUNTS, [str(wmax)], checkout, env)
+    result = child(COUNTS, [str(wmax), "1"], checkout, env)
     row = {f"enumerate_w{wmax}_{key}": value
            for key, value in result.items()}
+    pruned, unpruned = (
+        child(COUNTS, [str(PRUNE_WMAX), prune], checkout, env)["state_rows"]
+        for prune in ("1", "0"))
+    row[f"prune_work_ratio_w{PRUNE_WMAX}"] = unpruned / pruned
     row[f"enumerate_w{wmax}_sha256"] = output_digest(wmax, checkout, env)
     row[f"enumerate_w{ENGINE_WMAX}_engine_sha256"] = output_digest(
         ENGINE_WMAX, checkout, dict(env, CC=NO_COMPILER))

@@ -13,15 +13,16 @@
  * sweep that carried out of 128 bits fails with error 5 instead of returning
  * a wrapped ledger.
  *
- * At a column boundary a state and its mirror image (the reflection y ->
- * W - y, see mirror_key) have the same future completions, so the top row
- * sums both under one key: each of its targets is replaced by the smaller of
- * its shifted image and that image's mirror, taken back through the shift
- * (canonical_key).  This about halves the states the sweep carries.  With
- * pruning on, completions in columns < W are not credited: the prune drops
- * walks that cannot reach column W, so those columns are incomplete anyway,
- * and leaving them empty keeps the ledger independent of which states were
- * carried.
+ * The top row writes each target under the next column's key, already
+ * shifted (its top kink slot retired and a slot opened below row 0), so no
+ * pass over the map shifts keys at a column boundary.  A state and its
+ * mirror image (the reflection y -> W - y, see mirror_key) have the same
+ * future completions, so the top row sums both under one key, the smaller
+ * of the shifted image and its mirror (canonical_key).  This about halves
+ * the states the sweep carries.  With pruning on, completions in columns
+ * < W are not credited: the prune drops walks that cannot reach column W,
+ * so those columns are incomplete anyway, and leaving them empty keeps the
+ * ledger independent of which states were carried.
  *
  * The work per state follows its occupied slots, not the width: the prune
  * bound and the kink move's arc matching step from one nonzero 2-bit slot of
@@ -35,9 +36,7 @@
  * and their index slots prefetched (__builtin_prefetch); just before its own
  * targets are applied, the entries those slots name are prefetched too.
  * Targets are applied in the same order as without this pipeline, so the
- * ledgers, the live-state counts and the block moves do not change.  The
- * boundary shift rewrites the keys of the current map in place: it is
- * injective, and the next row only walks that map, never probing it.
+ * ledgers, the live-state counts and the block moves do not change.
  *
  * A state's nonzero degrees span only a few consecutive values, so each
  * state stores just its live span [lo, hi] instead of all n_max + 1 degrees,
@@ -755,69 +754,68 @@ static u64 mirror_key(const Geometry *g, u64 key)
     return x << 2 | (key >> 1 & bottom) | (key & bottom) << 1;
 }
 
-/* The key a top-row target ``key`` is summed under: of its shifted image
- * and that image's mirror, the smaller, taken back through the injective
- * shift, so that mirror partners meet in one entry.  *mirrored tells
- * whether the mirror was taken.  A key with its top slot occupied is kept
- * as it is, for the boundary shift to refuse. */
+/* The key a top-row target ``key`` is summed under: the next column's key,
+ * the smaller of its shifted image and that image's mirror, so that mirror
+ * partners meet in one entry.  *mirrored tells whether the mirror was
+ * taken. */
 static u64 canonical_key(const Geometry *g, u64 key, int *mirrored)
 {
-    *mirrored = 0;
-    if ((key >> (2 * (g->width + 1))) & 3)
-        return key;
     u64 s = shifted_key(g, key), m = mirror_key(g, s);
-    if (m >= s)
-        return key;
-    *mirrored = 1;
-    return ((m & g->edges_mask) >> 2) | (m & g->flags_mask);
+    *mirrored = m < s;
+    return *mirrored ? m : s;
 }
 
 /* Highest degree of ``key`` that can still complete, right after the kink
  * move at row r of column c.  Truncating each addend there equals the
  * engine's prune of the summed state: after the top row, where ``key`` is
- * already canonical, that is the prune at row -1 of the next column, on the
- * shifted key. */
+ * already the next column's, that is the prune at row -1 of column c + 1. */
 static int degree_cap(const Geometry *g, u64 key, int r, int c)
 {
     if (!g->prune)
         return g->n_max;
     int bottom = (key >> g->fb) & 1, top = (key >> (g->fb + 1)) & 1;
-    int n_add;
-    if (r != g->width)
-        n_add = steps_mid(key & g->edges_mask, r, g->width, bottom, top, c);
-    else
-        n_add = steps_mid(shifted_key(g, key) & g->edges_mask, -1, g->width,
-                          bottom, top, c + 1);
-    return g->n_max - n_add;
+    int next = r == g->width;
+    return g->n_max - steps_mid(key & g->edges_mask, next ? -1 : r, g->width,
+                                bottom, top, c + next);
 }
 
 /* Fills ``em`` with the targets of ``key`` (see transitions), in the top
- * row under their canonical keys, hashes each target key once and
- * prefetches the index slot its probe in ``nxt`` will start at. */
-static void expand(const Geometry *g, u64 key, int r, int first_col,
-                   Emitter *em, const Map *nxt)
+ * row under the next column's canonical keys, hashes each target key once
+ * and prefetches the index slot its probe in ``nxt`` will start at.
+ * Returns 1 on a forbidden kink, 2 on a top-row target whose slot W + 1 is
+ * occupied, else 0. */
+static int expand(const Geometry *g, u64 key, int r, int first_col,
+                  Emitter *em, const Map *nxt)
 {
-    em->completes = transitions(key, r, g->width, first_col, em);
+    if ((em->completes = transitions(key, r, g->width, first_col, em)) < 0)
+        return 1;
     for (int t = 0; t < em->n; t++) {
         Target *tg = &em->t[t];
-        if (r == g->width)
+        tg->mirrored = 0;
+        if (r == g->width) {
+            if ((tg->key >> (2 * (g->width + 1))) & 3)
+                return 2;
             tg->key = canonical_key(g, tg->key, &tg->mirrored);
-        else
-            tg->mirrored = 0;
+        }
         tg->hash = hash_key(tg->key);
         prefetch_slot(nxt, tg->hash);
     }
+    return 0;
 }
 
 /* Row r of column c: the targets of every live state of ``cur`` summed
  * into ``nxt`` (cleared first), and the completions of the states into
- * ledger column ``comp``.  *live = the live states entering the row. */
+ * ledger column ``comp``.  *live = the live states entering the row;
+ * *merged counts the top-row entries that both a key and its distinct
+ * mirror added something to below the degree cap. */
 static int sweep_row(const Geometry *g, Map *cur, Map *nxt, int r, int c,
-                     u128 *comp, size_t *live, u64 *regrows, int *carried)
+                     u128 *comp, size_t *live, u64 *regrows, u64 *merged,
+                     int *carried)
 {
     int n = g->n_max + 1;
     Emitter ems[2];
     size_t j, h;
+    int err;
     map_clear(nxt);
     *live = 0;
     /* Software pipeline, one live source deep: entry i is expanded into
@@ -830,7 +828,8 @@ static int sweep_row(const Geometry *g, Map *cur, Map *nxt, int r, int c,
         if (i < cur->count) {
             if (!trim(cur, i))
                 continue;
-            expand(g, cur->e[i].key, r, c == 0, ahead, nxt);
+            if ((err = expand(g, cur->e[i].key, r, c == 0, ahead, nxt)))
+                return err;
         }
         Emitter *em = due;
         size_t s = src;
@@ -840,8 +839,6 @@ static int sweep_row(const Geometry *g, Map *cur, Map *nxt, int r, int c,
         if (s == NO_ENTRY)
             continue;
         ++*live;
-        if (em->completes < 0)
-            return 1;
         if (em->completes && (!g->prune || c >= g->width))
             add_full(comp, cur, s, carried);
         /* s's index slots were prefetched one source ago */
@@ -852,8 +849,10 @@ static int sweep_row(const Geometry *g, Map *cur, Map *nxt, int r, int c,
             if ((j = map_find(nxt, tg->key, tg->hash, &h)) != NO_ENTRY) {
                 if (add_shifted(nxt, j, cur, s, tg->k, n, regrows, carried))
                     return 3;
-                if (cur->e[s].lo + tg->k <= nxt->e[j].top)
-                    nxt->e[j].seen |= 1u << tg->mirrored;
+                Entry *e = &nxt->e[j];
+                if (cur->e[s].lo + tg->k <= e->top && e->seen != 3
+                    && (e->seen |= 1u << tg->mirrored) == 3)
+                    ++*merged;
                 continue;
             }
             int top = degree_cap(g, tg->key, r, c);
@@ -889,7 +888,7 @@ int sawenum_sweep(int width, int l_max, int n_max, int prune, void *out,
     Geometry geo = {width, fb, prune, n_max, (1ULL << fb) - 1, 3ULL << fb};
     Map cur, nxt;
     int err = 0, carried = 0;
-    size_t j, live;
+    size_t j, h, live;
     u64 regrows = 0, merged = 0, wide_rows = 0;
     u128 *ledger = calloc(l_max + 1, (size_t)n * sizeof(u128));
 
@@ -917,7 +916,7 @@ int sawenum_sweep(int width, int l_max, int n_max, int prune, void *out,
         u128 *comp = ledger + (size_t)c * n;
         for (int r = 0; r <= width; r++) {
             if ((err = sweep_row(&geo, &cur, &nxt, r, c, comp, &live,
-                                 &regrows, &carried)))
+                                 &regrows, &merged, &carried)))
                 goto done;
             wide_rows += cur.elem == sizeof(u128);
             stats[1] += live;
@@ -928,26 +927,10 @@ int sawenum_sweep(int width, int l_max, int n_max, int prune, void *out,
             cur = nxt;
             nxt = tmp;
         }
-        /* boundary shift, in place: retire the top kink slot and open one
-         * below row 0 in every live key.  The shift is injective and the
-         * next row only walks ``cur`` in order, never looking a key up in
-         * it, so cur's index is left stale until its next map_clear.  The
-         * top row already summed mirror partners under one key. */
-        for (size_t i = 0; i < cur.count; i++) {
-            Entry *e = &cur.e[i];
-            if (c == 0 && e->key == 0) {
-                e->lo = 1; /* no more walk starts after column 0 */
-                e->hi = 0;
-                continue;
-            }
-            if (!trim(&cur, i))
-                continue;
-            if ((e->key >> (2 * (width + 1))) & 3) {
-                err = 2;
-                goto done;
-            }
-            merged += e->seen == 3;
-            e->key = shifted_key(&geo, e->key);
+        /* no more walk starts after column 0 */
+        if (c == 0 && (j = map_find(&cur, 0, hash_key(0), &h)) != NO_ENTRY) {
+            cur.e[j].lo = 1;
+            cur.e[j].hi = 0;
         }
     }
     if (carried)

@@ -1,12 +1,14 @@
 """Compiled sweep kernel: ``engine.sweep`` for one width, written in C.
 
 ``ckernel.c`` ports the engine's kink move, prune bound, boundary shift and
-mirror merge, and returns ``engine.sweep``'s exact ledger.  It counts each
-degree of a generating function in one 64-bit word.  The first sum of a
-state that passes 2**64 widens every count to an unsigned 128-bit integer
-and is finished there, and the rest of the sweep keeps 128 bits, so no row
-is swept twice; the ledger always has 128 bits.  A sweep whose
-counts would pass 2**128 raises instead (c_79, the longest published walk
+mirror merge, and returns ``engine.sweep``'s exact ledger; its top row
+writes each state under the next column's shifted key, so no separate pass
+shifts the keys at a column boundary.  It counts each degree of a
+generating function in one 64-bit word.  The first sum of a state that
+passes 2**64 widens every count to an unsigned 128-bit integer and is
+finished there, and the rest of the sweep keeps 128 bits, so no row is
+swept twice; the ledger always has 128 bits.  A sweep whose counts would
+pass 2**128 raises instead (c_79, the longest published walk
 count, is about 2**113).  Like the engine it sums each state and its mirror
 image under one key at column boundaries, which about halves the states it
 carries, and with pruning on it leaves columns < W of the ledger empty.

@@ -133,6 +133,10 @@ def _cmd_verify(args) -> int:
         # c_0 = 1 by convention, so agreeing on it alone checks nothing
         raise CliError("the files share no coefficient beyond n = 0 to compare")
     for path, table in ((args.file_a, a), (args.file_b, b)):
+        try:
+            flm.check_counts(table)
+        except ValueError as exc:
+            raise CliError(f"{path}: {exc}") from exc
         if len(table) > overlap:
             print(f"warning: {path} has nmax {len(table) - 1}, but only "
                   f"n = 0..{overlap - 1} can be compared", file=sys.stderr)
@@ -268,7 +272,9 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("verify",
                        help="compare two series files coefficient by "
-                            "coefficient over their overlap")
+                            "coefficient over their overlap; a walk count "
+                            "series that breaks a count invariant is "
+                            "refused")
     p.add_argument("file_a")
     p.add_argument("file_b")
     p.set_defaults(func=_cmd_verify)

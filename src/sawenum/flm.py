@@ -108,7 +108,8 @@ def assemble(ledgers, plan: RunPlan) -> SeriesTable:
     cached ledgers.  Columns past N - w and degrees past N are ignored: a
     walk spanning a box w high and L long takes at least w + L steps.
     Raises ValueError when a width, column or degree is missing, which
-    would otherwise leave its counts out of the series.
+    would otherwise leave its counts out of the series, and refuses a
+    series that breaks an invariant of walk counts (:func:`check_counts`).
     """
     n_max = plan.n_max
     if len(ledgers) < plan.w_max + 1:
@@ -140,7 +141,36 @@ def assemble(ledgers, plan: RunPlan) -> SeriesTable:
         "pruning": "on" if plan.prune else "off",
         "algorithm-version": ALGORITHM_VERSION,
     }
-    return SeriesTable(acc, None, meta)
+    table = SeriesTable(acc, None, meta)
+    check_counts(table)
+    return table
+
+
+def check_counts(table: SeriesTable) -> None:
+    """Refuse an exact ``quantity: count`` series that breaks an invariant
+    of square-lattice walk counts; any other series passes unchecked.
+
+    For n >= 1: c_n = 4 (mod 8), as the 8 lattice symmetries move every walk
+    but the 4 straight ones, which form one orbit; c_(n-1) < c_n;
+    c_n <= 4*3^(n-1); and c_(m+n) <= c_m*c_n, as a walk of m + n steps
+    splits into walks of m and n steps.  Raises ValueError naming the first
+    n at which one breaks.
+    """
+    if table.metadata.get("quantity") != "count":
+        return
+    c = table.values
+    for n in range(1, len(c)):
+        checks = (
+            (c[n] % 8 == 4, "c_n = 4 (mod 8)"),
+            (c[n - 1] < c[n], "c_(n-1) < c_n"),
+            (c[n] <= 4 * 3 ** (n - 1), "c_n <= 4*3^(n-1)"),
+            (all(c[n] <= c[m] * c[n - m] for m in range(1, n // 2 + 1)),
+             "c_(m+n) <= c_m*c_n"),
+        )
+        for holds, invariant in checks:
+            if not holds:
+                raise ValueError(f"not a walk count series: {invariant} "
+                                 f"fails at n = {n}")
 
 
 def box_counts(width: int, length: int, n_max: int) -> list[int]:

@@ -52,6 +52,19 @@ class TestEnumerateOracleVerify:
         assert f"warning: {b} has nmax 3" in err
         assert str(a) not in err
 
+    def test_verify_refuses_a_count_series_that_breaks_an_invariant(
+            self, tmp_path, capsys):
+        bad = tmp_path / "bad.series"
+        table = read_series(SERIES_N43)
+        table.values[30] += 1
+        write_series(table, bad)
+        assert run("verify", str(SERIES_N43), str(SERIES_N43)) == 0
+        assert run("verify", str(SERIES_N43), str(bad)) == 2
+        out, err = capsys.readouterr()
+        assert "OK: 44" in out
+        assert f"error: {bad}: not a walk count series" in err
+        assert "fails at n = 30" in err
+
     @pytest.mark.parametrize("a_values", [[1], []])
     def test_verify_refuses_an_overlap_of_n0_only(self, tmp_path, capsys,
                                                   a_values):

@@ -1,9 +1,15 @@
 """Rectangle assembly: full-plane series from per-width sweeps."""
 
+from pathlib import Path
+
 import pytest
 
 from sawenum import ckernel, engine, flm, oracle
 from sawenum.flm import RunPlan, assemble, box_counts, enumerate_series
+from sawenum.modseries import SeriesTable, read_series
+
+SERIES_N43 = Path(__file__).resolve().parent.parent / "data" / \
+    "saw_counts_n43.series"
 
 needs_compiler = pytest.mark.skipif(
     not ckernel.available(), reason="no C compiler to build the kernel")
@@ -127,6 +133,38 @@ class TestAssemble:
         with pytest.raises(ValueError, match="column 0 of the width-0 ledger "
                            "has 5 degrees, not 10"):
             assemble(ledgers, self.PLAN)
+
+    def test_a_count_off_by_one_is_refused(self):
+        # the count enters c_9 four times over, so c_9 = 0 (mod 8)
+        ledgers = self.ledgers(self.PLAN)
+        ledgers[2][4][9] += 1
+        with pytest.raises(ValueError, match=r"4 \(mod 8\) fails at n = 9"):
+            assemble(ledgers, self.PLAN)
+
+
+class TestCheckCounts:
+    def test_the_committed_series_keeps_every_invariant(self):
+        table = read_series(SERIES_N43)
+        assert len(table) == 44
+        flm.check_counts(table)
+
+    @pytest.mark.parametrize("n,value,invariant", [
+        (30, lambda c: c[30] + 1, r"c_n = 4 \(mod 8\)"),
+        (30, lambda c: c[29], r"c_\(n-1\) < c_n"),
+        (1, lambda c: 12, r"c_n <= 4\*3\^\(n-1\)"),
+        # 4*3^39 = 4 (mod 8) and exceeds c_1*c_39
+        (40, lambda c: 4 * 3 ** 39, r"c_\(m\+n\) <= c_m\*c_n")])
+    def test_a_broken_invariant_names_the_first_bad_n(self, n, value,
+                                                      invariant):
+        table = read_series(SERIES_N43)
+        table.values[n] = value(table.values)
+        with pytest.raises(ValueError, match=f"{invariant} fails at n = {n}$"):
+            flm.check_counts(table)
+
+    def test_a_series_of_another_quantity_is_not_checked(self):
+        flm.check_counts(SeriesTable([1, 4, 13]))
+        flm.check_counts(SeriesTable([1, 4, 13], metadata={
+            "quantity": "box_count"}))
 
 
 class TestBoxCounts:

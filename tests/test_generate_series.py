@@ -204,6 +204,27 @@ class TestCompiledKernel:
         assert (stats["peak_states"], stats["state_rows"], stats["regrows"],
                 stats["merged"]) == (2748, 127187, 11657, 7400)
         assert stats["wide_rows"] == 0
+        assert stats["peak_bytes"] == 838168
+
+    @pytest.mark.parametrize("width,pinned", [
+        # (peak_states, state_rows, peak_bytes, regrows, merged, wide_rows)
+        (0, (1, 20, 4264, 0, 0, 0)),
+        (1, (8, 185, 5192, 26, 19, 0)),
+        (2, (33, 886, 9464, 77, 86, 0)),
+        (3, (104, 2930, 21272, 228, 261, 0)),
+        (4, (295, 8283, 53176, 590, 642, 0)),
+        (5, (630, 18970, 96680, 937, 1269, 0)),
+        (6, (743, 28980, 102056, 942, 1668, 0)),
+        (7, (556, 27983, 80320, 607, 1272, 0)),
+        (8, (403, 16383, 44696, 228, 494, 0)),
+        (9, (101, 3321, 14344, 0, 75, 0))])
+    def test_work_done_on_enumerate_wmax9_is_pinned(self, width, pinned):
+        # the sweeps of enumerate --wmax 9; their state_rows sum to 107,941
+        # and their merged to 5,786
+        _, stats = ckernel.sweep(width, 19 - width, 19)
+        assert tuple(stats[k] for k in (
+            "peak_states", "state_rows", "peak_bytes", "regrows", "merged",
+            "wide_rows")) == pinned
 
     @pytest.mark.parametrize("width,l_max,n_max", [
         (3, 30, 100), (2, 72, 216), (1, 100, 300), (2, 60, 200),
