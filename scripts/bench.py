@@ -15,6 +15,9 @@ Measures, for each checkout, in fresh interpreters:
   whose states spread over many degrees (n_max 123);
 - ``enumerate_w15_s`` and ``enumerate_w15_rss_mb``: the same for
   ``sawenum enumerate --wmax 15``;
+- ``enumerate_w9_engine_s``: wall time of ``sawenum enumerate --wmax 9``
+  with ``CC`` naming no compiler, so on the Python engine (about a second),
+  the fallback sweep and the tests' reference;
 - ``kernel_w12_wmax16_s``: ``ckernel.sweep(12, 21, 33)`` alone
   (width 12 of ``enumerate --wmax 16``, after the warm-up build), a
   production-scale width that the small runs above do not reach, with the
@@ -55,9 +58,9 @@ Measures, for each checkout, in fresh interpreters:
   elimination of the scan on an n x n system, with ``_solves``, the number
   of those eliminations.  The child wraps ``analysis._bareiss``, which every
   elimination runs (one per approximant family, and one per approximant
-  fitted on its own), or ``analysis._solve_exact`` in a checkout without
-  it.  Equal digests mean the same estimates, and the elimination size
-  follows the work of the exact solves, the larger part of a scan;
+  fitted on its own).  Equal digests mean the same estimates, and the
+  elimination size follows the work of the exact solves, the larger part
+  of a scan;
 - ``fit_count_3_1_digest``, also once per checkout and untimed: the SHA-256
   of the reprs (one per line) of the 16 fits that
   ``analysis.amplitude_trajectory`` makes on that series with the count
@@ -130,8 +133,8 @@ ROUNDS = 10
 SLOWEST = 10
 #: a line of pytest's durations section: "<seconds>s <phase> <test id>"
 DURATION = re.compile(r"\d+\.\d+s (setup|call|teardown) ")
-#: the enumerate run digested on the Python engine, and a ``CC`` that names
-#: no compiler, which makes ``flm`` fall back to that engine
+#: the enumerate run timed and digested on the Python engine, and a ``CC``
+#: that names no compiler, which makes ``flm`` fall back to that engine
 ENGINE_WMAX = 9
 NO_COMPILER = "sawenum-no-such-compiler"
 #: the enumerate run whose sweeps are counted with and without pruning
@@ -210,13 +213,12 @@ import hashlib, json, sys
 from sawenum import analysis
 from sawenum.modseries import read_series
 coeffs = read_series(sys.argv[1]).values
-name = "_bareiss" if hasattr(analysis, "_bareiss") else "_solve_exact"
-eliminate = getattr(analysis, name)
+eliminate = analysis._bareiss
 calls = []
 def counted(rows, *args):
     calls.append(len(rows))
     return eliminate(rows, *args)
-setattr(analysis, name, counted)
+analysis._bareiss = counted
 out = []
 for arg in sys.argv[2:]:
     calls.clear()
@@ -329,6 +331,9 @@ def measure(checkout: Path) -> dict:
                            checkout, env)
             put(row, f"enumerate_w{wmax}", result)
             row[f"enumerate_w{wmax}_rss_mb"] = result["peak_rss_mb"]
+        put(row, f"enumerate_w{ENGINE_WMAX}_engine",
+            timed(cli + ["enumerate", "--wmax", str(ENGINE_WMAX)] + dest,
+                  checkout, dict(env, CC=NO_COMPILER)))
         for name, args in KERNELS:
             result = child(KERNEL, args, checkout, env)
             put(row, name, result)

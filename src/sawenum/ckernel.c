@@ -1,28 +1,33 @@
 /* Compiled twin of engine.sweep for one rectangle width.
  *
- * The state layout, the kink move (engine.transitions), the prune bound
+ * The state layout, the kink move (engine.transitions, whose top row writes
+ * the next column's keys in both sweeps), the prune bound
  * (pruning.additional_steps_mid, after each row and, at row -1, at column
- * boundaries), the boundary shift and the mirror merge port the Python engine
- * and give the same results.  A generating function keeps each degree's
- * count as one unsigned 64-bit word.  Every count is a sum of nonnegative
- * terms, so a count is exact unless an addition carries, and each addition
- * ORs its carry into a flag.  The first sum of a state that passes 2**64
- * widens every count to an unsigned 128-bit integer and is mended there; the
- * row goes on, and the rest of the sweep keeps 128 bits (``wide_rows`` counts
- * those rows), so no row is swept twice.  The ledger always has 128 bits.  A
- * sweep that carried out of 128 bits fails with error 5 instead of returning
- * a wrapped ledger.
+ * boundaries) and the mirror merge port the Python engine and give the same
+ * results; sawenum_targets and sawenum_steps_mid expose the kink move and
+ * the bound on one key, so that tests compare them key by key.
  *
- * The top row writes each target under the next column's key, already
- * shifted (its top kink slot retired and a slot opened below row 0), so no
- * pass over the map shifts keys at a column boundary.  A state and its
- * mirror image (the reflection y -> W - y, see mirror_key) have the same
- * future completions, so the top row sums both under one key, the smaller
- * of the shifted image and its mirror (canonical_key).  This about halves
- * the states the sweep carries.  With pruning on, completions in columns
- * < W are not credited: the prune drops walks that cannot reach column W,
- * so those columns are incomplete anyway, and leaving them empty keeps the
- * ledger independent of which states were carried.
+ * A generating function keeps each degree's count as one unsigned 64-bit
+ * word.  Every count is a sum of nonnegative terms, so a count is exact
+ * unless an addition carries, and each addition ORs its carry into a flag.
+ * The first sum of a state that passes 2**64 widens every count to an
+ * unsigned 128-bit integer and is mended there; the row goes on, and the
+ * rest of the sweep keeps 128 bits (``wide_rows`` counts those rows), so no
+ * row is swept twice.  The ledger always has 128 bits.  A sweep that
+ * carried out of 128 bits fails with error 5 instead of returning a wrapped
+ * ledger.
+ *
+ * The top row writes each target under the next column's key, already shifted
+ * (its top kink slot retired and a slot opened below row 0), so no pass over
+ * the map shifts keys at a column boundary; the engine's top row does the
+ * same.  A state and its mirror image (the reflection y -> W - y, see
+ * mirror_key) have the same future completions, so the top row sums both
+ * under one key, the smaller of the shifted image and its mirror
+ * (canonical_key).  This about halves the states the sweep carries.  With
+ * pruning on, completions in columns < W are not credited: the prune drops
+ * walks that cannot reach column W, so those columns are incomplete anyway,
+ * and leaving them empty keeps the ledger independent of which states were
+ * carried.
  *
  * The work per state follows its occupied slots, not the width: the prune
  * bound and the kink move's arc matching step from one nonzero 2-bit slot of
@@ -867,6 +872,17 @@ static int sweep_row(const Geometry *g, Map *cur, Map *nxt, int r, int c,
     return 0;
 }
 
+/* The sweep's geometry of a width, with pruning ``prune`` to degree n_max;
+ * returns 4 when the width's keys do not fit 62 bits. */
+static int geometry(int width, int prune, int n_max, Geometry *g)
+{
+    int nslots = width + 2, fb = 2 * nslots;
+    if (width < 0 || nslots > MAX_SLOTS || 2 * nslots + 2 > 62)
+        return 4;
+    *g = (Geometry){width, fb, prune, n_max, (1ULL << fb) - 1, 3ULL << fb};
+    return 0;
+}
+
 /* out: (l_max + 1) * (n_max + 1) counts, column by column, each an unsigned
  * 128-bit integer in the machine's byte order (columns < width stay zero
  * when pruning); written only when the sweep succeeds.  stats[0] = peak
@@ -879,13 +895,12 @@ static int sweep_row(const Geometry *g, Map *cur, Map *nxt, int r, int c,
 int sawenum_sweep(int width, int l_max, int n_max, int prune, void *out,
                   u64 *stats)
 {
-    int nslots = width + 2;
-    if (width < 0 || l_max < 0 || n_max < 0 || n_max > MAX_NMAX
-        || nslots > MAX_SLOTS || 2 * nslots + 2 > 62)
+    Geometry geo;
+    if (l_max < 0 || n_max < 0 || n_max > MAX_NMAX
+        || geometry(width, prune, n_max, &geo))
         return 4;
-    int n = n_max + 1, fb = 2 * nslots;
+    int n = n_max + 1;
     size_t ledger_bytes = (size_t)(l_max + 1) * n * sizeof(u128);
-    Geometry geo = {width, fb, prune, n_max, (1ULL << fb) - 1, 3ULL << fb};
     Map cur, nxt;
     int err = 0, carried = 0;
     size_t j, h, live;
@@ -945,4 +960,44 @@ done:
     map_free(&nxt);
     free(ledger);
     return err;
+}
+
+/* ------------------------------------------------------------------------
+ * Test entry points: the sweep's kink move and prune bound on one key. */
+
+/* The targets of ``key`` at row r of a strip of width ``width``, as expand
+ * gives them to the sweep (in the top row under the next column's canonical
+ * keys): keys[t] and ks[t] for the t-th target, in order (both hold
+ * MAX_TARGETS), and *completes.  Returns the number of targets, or -1 on a
+ * forbidden kink, -2 on a top-row target whose slot W + 1 is occupied and
+ * -4 on bad arguments. */
+int sawenum_targets(int width, int r, int first_col, u64 key, u64 *keys,
+                    int *ks, int *completes)
+{
+    Geometry geo;
+    if (geometry(width, 0, 0, &geo) || r < 0 || r > width)
+        return -4;
+    uint32_t slot = 0; /* a one-slot index, for expand's prefetch_slot */
+    Map one = {.index = &slot, .index_size = 1};
+    Emitter em;
+    int err = expand(&geo, key, r, first_col, &em, &one);
+    if (err)
+        return -err;
+    for (int t = 0; t < em.n; t++) {
+        keys[t] = em.t[t].key;
+        ks[t] = em.t[t].k;
+    }
+    *completes = em.completes;
+    return em.n;
+}
+
+/* steps_mid of ``key``'s slots (its border flags masked off, as degree_cap
+ * does), or -4 on bad arguments. */
+int sawenum_steps_mid(u64 key, int r, int width, int bottom, int top,
+                      int column)
+{
+    Geometry geo;
+    if (geometry(width, 0, 0, &geo) || r < -1 || r > width)
+        return -4;
+    return steps_mid(key & geo.edges_mask, r, width, bottom, top, column);
 }

@@ -1,9 +1,9 @@
 """Compiled sweep kernel: ``engine.sweep`` for one width, written in C.
 
-``ckernel.c`` ports the engine's kink move, prune bound, boundary shift and
-mirror merge, and returns ``engine.sweep``'s exact ledger; its top row
-writes each state under the next column's shifted key, so no separate pass
-shifts the keys at a column boundary.  It counts each degree of a
+``ckernel.c`` ports the engine's kink move, prune bound and mirror merge,
+and returns ``engine.sweep``'s exact ledger; in both sweeps the top row
+writes each state under the next column's shifted key, so no pass over the
+states shifts keys at a column boundary.  It counts each degree of a
 generating function in one 64-bit word.  The first sum of a state that
 passes 2**64 widens every count to an unsigned 128-bit integer and is
 finished there, and the rest of the sweep keeps 128 bits, so no row is

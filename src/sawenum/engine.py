@@ -22,11 +22,12 @@ the first column is built, which forces every walk to touch the left border.
 
 At a column boundary the cut-line is straight, and the reflection y -> W - y
 maps the strip to itself: a state and its mirror image (``signatures.mirror``)
-have the same future completions.  The boundary shift therefore sums the two
-under the smaller key, which about halves the states carried.  With pruning
-on, completions in columns < W are not credited: the prune drops walks that
-cannot reach column W, so those columns would be incomplete anyway, and
-leaving them empty keeps the ledger independent of the states carried.
+have the same future completions.  The top row's kink move therefore writes
+each target under the next column's key, the smaller of its shifted image and
+that image's mirror, which about halves the states carried.  With pruning on,
+completions in columns < W are not credited: the prune drops walks that cannot
+reach column W, so those columns would be incomplete anyway, and leaving them
+empty keeps the ledger independent of the states carried.
 
 States are packed integers (2 bits per slot, border flags on top) mapped to
 truncated generating functions.  The generating functions are themselves
@@ -74,7 +75,8 @@ def transitions(key: int, r: int, width: int, first_col: bool):
     Returns ``(targets, completes)`` where ``targets`` is a tuple of
     ``(new_key, k)`` pairs (k = number of newly occupied edges) and
     ``completes`` is True when the source closes into a finished spanning walk
-    (weight x^0, to be credited to the current column's ledger).
+    (weight x^0, to be credited to the current column's ledger).  At the top
+    row each ``new_key`` is the next column's key, as the kernel writes it.
     """
     fb = 2 * (width + 2)  # first flag bit
     edges_mask = (1 << fb) - 1
@@ -169,11 +171,21 @@ def transitions(key: int, r: int, width: int, first_col: bool):
                     # arc above: its lower end flips to upper
                     relab = (base & ~(3 << (2 * lo))) | (2 << (2 * lo))
                     emit(relab | (1 << shift) | (1 << (shift + 2)), 2)
+    if top_row:
+        # the next column's key: the shifted target or its mirror image
+        next_keys = []
+        for tk, k in targets:
+            if (tk >> (2 * (width + 1))) & 3:
+                raise EngineFault("occupied vertical edge above the lattice")
+            tk = ((tk << 2) & edges_mask) | (tk & ~edges_mask)
+            next_keys.append((min(tk, mirror(tk, width)), k))
+        targets = next_keys
     return tuple(targets), completes
 
 
 #: ``transitions`` depends only on its arguments and the same (key, row)
-#: pairs recur every column, so a bounded memo pays for itself quickly.
+#: pairs recur every column, so a bounded memo pays for itself quickly, and
+#: the top row's mirror images are computed once per distinct key.
 #: (The prune bound is deliberately *not* memoized: its (key, row, column)
 #: triples almost never recur, so a cache only burns memory.)
 _transitions = lru_cache(maxsize=1 << 20)(transitions)
@@ -221,17 +233,15 @@ def sweep(width: int, l_max: int, n_max: int, prune: bool = True):
     walks of ``d`` steps (``d`` <= ``n_max``) finishing with rightmost
     extent at vertex-column ``c``, i.e. the spanning-walk counts of the
     ``width`` x ``c`` box.  Columns ``0..l_max`` are processed.  With
-    ``prune``, states are pruned against ``n_max`` at every column boundary
-    and after every kink move below the top row, and columns < ``width``
-    are left empty.  The bound is looked up as the module attributes
-    ``additional_steps_packed`` (column boundary) and
-    ``additional_steps_mid`` (after a kink move), so a wrapper set on
+    ``prune``, states are pruned against ``n_max`` after every kink move,
+    after the top row at the next column's boundary (row -1), and columns
+    < ``width`` are left empty.  The bound is looked up as the module
+    attributes ``additional_steps_packed`` (column boundary) and
+    ``additional_steps_mid`` (below the top row), so a wrapper set on
     either sees each of its evaluations.
     """
     check_sweep_args(width, l_max, n_max)
     fb = 2 * (width + 2)  # first flag bit
-    edges_mask = (1 << fb) - 1
-    flags_mask = 3 << fb
     bits = field_bits(n_max)
     mask = (1 << (bits * (n_max + 1))) - 1
     # degree_masks[n_add] keeps only coefficients that can still complete
@@ -257,31 +267,19 @@ def sweep(width: int, l_max: int, n_max: int, prune: bool = True):
                 kept[key] = live
         return kept
 
-    states = seed()
+    # row -1 is the column boundary, where slot 0 is the empty kink slot;
+    # the top row's kink move writes the next column's keys
+    states = pruned(seed(), -1, 0) if prune else seed()
     ledger_packed = [0] * (l_max + 1)
     for c in range(l_max + 1):
-        # row -1 is the column boundary: the start-of-column key, whose slot
-        # 0 is the empty kink slot.  States are pruned there and right after
-        # each kink move, where they would otherwise multiply unchecked; the
-        # next column's boundary prune covers the top row's states.
-        for r in range(-1, width + 1):
-            if r >= 0:
-                states, comp = kink_update(
-                    states, width, r, c == 0, bits, mask)
-                if not prune or c >= width:
-                    ledger_packed[c] += comp
+        for r in range(width + 1):
+            states, comp = kink_update(states, width, r, c == 0, bits, mask)
+            if not prune or c >= width:
+                ledger_packed[c] += comp
             if prune and r < width:
                 states = pruned(states, r, c)
         if c == 0:
             states.pop(0, None)  # no more walk starts after column 0
-        # boundary shift: retire the top kink slot, open one below row 0,
-        # and sum each state and its mirror image under the smaller key
-        shifted: StateMap = {}
-        for key, poly in states.items():
-            if (key >> (2 * (width + 1))) & 3:
-                raise EngineFault("occupied vertical edge above the lattice")
-            key = ((key & edges_mask) << 2) & edges_mask | (key & flags_mask)
-            key = min(key, mirror(key, width))
-            shifted[key] = shifted.get(key, 0) + poly
-        states = shifted
+        if prune and c < l_max:  # the last column's states are dropped
+            states = pruned(states, -1, c + 1)
     return [unpack_coefficients(p, bits, n_max) for p in ledger_packed]

@@ -197,6 +197,27 @@ class TestCompiledKernel:
         got, _ = ckernel.sweep(width, l_max, n_max, prune)
         assert got == want
 
+    @pytest.mark.parametrize("width,l_max,n_max,prune", [
+        # the sweeps of enumerate --wmax 9, box 6x10 and an unpruned sweep
+        *((width, 19 - width, 19, True) for width in range(10)),
+        (6, 10, 36, True), (5, 8, 20, False)])
+    def test_engine_carries_the_kernels_states(self, monkeypatch, width,
+                                               l_max, n_max, prune):
+        # the states entering each of the engine's kink moves add up to the
+        # kernel's state_rows, and the most of them to its peak_states
+        kink_update = engine.kink_update
+        live = []
+
+        def counted(states, *args):
+            live.append(len(states))
+            return kink_update(states, *args)
+
+        monkeypatch.setattr(engine, "kink_update", counted)
+        engine.sweep(width, l_max, n_max, prune)
+        _, stats = ckernel.sweep(width, l_max, n_max, prune)
+        assert (sum(live), max(live)) == (stats["state_rows"],
+                                          stats["peak_states"])
+
     def test_work_done_on_a_box_is_pinned(self):
         # box --width 6 --length 10: a kernel that visits, keeps, moves or
         # merges a different number of states fails here

@@ -138,9 +138,3 @@ def replay(walk, width: int):
         after = state_key(walk, t + 1, width) if t + 1 < last_t else None
         chain.append((state_key(walk, t, width), r, c, k, after))
     return chain
-
-
-def shift_boundary(key: int, width: int) -> int:
-    """The engine's end-of-column slot renumbering, as applied to a state."""
-    em = (1 << (2 * (width + 2))) - 1
-    return (((key & em) << 2) & em) | (key & ~em)
