@@ -50,8 +50,8 @@
  * outgrows is replaced by one twice as wide, so every sweep runs once,
  * whatever the spread of its states' degrees.
  *
- * Error codes: 1 forbidden kink state, 2 occupied vertical edge above the
- * lattice, 3 out of memory, 4 bad arguments, 5 a count overflowed 128 bits.
+ * Error codes: 1 forbidden kink state, 3 out of memory, 4 bad arguments, 5 a
+ * count overflowed 128 bits.
  */
 
 #include <stdint.h>
@@ -61,7 +61,8 @@
 typedef uint64_t u64;
 typedef unsigned __int128 u128;
 
-#define MAX_SLOTS 30
+#define MAX_SLOTS 30 /* 2 bits per slot and the two border flags: 62 bits */
+_Static_assert(2 * MAX_SLOTS + 2 <= 62, "a key's slots and flags fit 62 bits");
 #define MAX_TARGETS 32
 #define MAX_NMAX (1 << 29) /* keeps degrees inside an int, spans in Entry.cap */
 #define SLOT_LOW_BITS 0x5555555555555555ULL /* low bit of every 2-bit slot */
@@ -342,21 +343,19 @@ static int widen(Map *m, size_t j, int lo, int hi, int n, u64 *regrows)
     return 0;
 }
 
-/* Shrink entry i's degree range past degrees whose count is zero; returns 0
- * when the entry is empty. */
+/* Shrink entry i's degree range past its highest degrees whose count is
+ * zero; returns 0 when the entry is empty.  The lowest degree needs no scan:
+ * first_sum and add_shifted start every sum at s->lo + k, the source's
+ * lowest degree, whose count is nonzero, and the degree cap only cuts hi. */
 static int trim(Map *m, size_t i)
 {
     Entry *e = &m->e[i];
     if (m->elem == sizeof(u64)) {
         const u64 *v = at(m, e->block);
-        while (e->lo <= e->hi && !v[e->lo - e->base])
-            e->lo++;
         while (e->hi >= e->lo && !v[e->hi - e->base])
             e->hi--;
     } else {
         const u128 *v = at(m, e->block);
-        while (e->lo <= e->hi && !v[e->lo - e->base])
-            e->lo++;
         while (e->hi >= e->lo && !v[e->hi - e->base])
             e->hi--;
     }
@@ -785,25 +784,22 @@ static int degree_cap(const Geometry *g, u64 key, int r, int c)
 }
 
 /* Fills ``em`` with the targets of ``key`` (see transitions), in the top
- * row under the next column's canonical keys, hashes each target key once
- * and prefetches the index slot its probe in ``nxt`` will start at.
- * Returns 1 on a forbidden kink, 2 on a top-row target whose slot W + 1 is
- * occupied, else 0. */
+ * row under the next column's canonical keys, and hashes each target key
+ * once.  Returns 1 on a forbidden kink, else 0.  A top-row target never
+ * occupies slot W + 1, which the shift retires: transitions clears slots W
+ * and W + 1 at r == W, emits nothing upward there, and relabels only
+ * occupied slots below them. */
 static int expand(const Geometry *g, u64 key, int r, int first_col,
-                  Emitter *em, const Map *nxt)
+                  Emitter *em)
 {
     if ((em->completes = transitions(key, r, g->width, first_col, em)) < 0)
         return 1;
     for (int t = 0; t < em->n; t++) {
         Target *tg = &em->t[t];
         tg->mirrored = 0;
-        if (r == g->width) {
-            if ((tg->key >> (2 * (g->width + 1))) & 3)
-                return 2;
+        if (r == g->width)
             tg->key = canonical_key(g, tg->key, &tg->mirrored);
-        }
         tg->hash = hash_key(tg->key);
-        prefetch_slot(nxt, tg->hash);
     }
     return 0;
 }
@@ -820,7 +816,6 @@ static int sweep_row(const Geometry *g, Map *cur, Map *nxt, int r, int c,
     int n = g->n_max + 1;
     Emitter ems[2];
     size_t j, h;
-    int err;
     map_clear(nxt);
     *live = 0;
     /* Software pipeline, one live source deep: entry i is expanded into
@@ -833,8 +828,10 @@ static int sweep_row(const Geometry *g, Map *cur, Map *nxt, int r, int c,
         if (i < cur->count) {
             if (!trim(cur, i))
                 continue;
-            if ((err = expand(g, cur->e[i].key, r, c == 0, ahead, nxt)))
-                return err;
+            if (expand(g, cur->e[i].key, r, c == 0, ahead))
+                return 1;
+            for (int t = 0; t < ahead->n; t++)
+                prefetch_slot(nxt, ahead->t[t].hash);
         }
         Emitter *em = due;
         size_t s = src;
@@ -877,7 +874,7 @@ static int sweep_row(const Geometry *g, Map *cur, Map *nxt, int r, int c,
 static int geometry(int width, int prune, int n_max, Geometry *g)
 {
     int nslots = width + 2, fb = 2 * nslots;
-    if (width < 0 || nslots > MAX_SLOTS || 2 * nslots + 2 > 62)
+    if (width < 0 || nslots > MAX_SLOTS)
         return 4;
     *g = (Geometry){width, fb, prune, n_max, (1ULL << fb) - 1, 3ULL << fb};
     return 0;
@@ -969,20 +966,16 @@ done:
  * gives them to the sweep (in the top row under the next column's canonical
  * keys): keys[t] and ks[t] for the t-th target, in order (both hold
  * MAX_TARGETS), and *completes.  Returns the number of targets, or -1 on a
- * forbidden kink, -2 on a top-row target whose slot W + 1 is occupied and
- * -4 on bad arguments. */
+ * forbidden kink and -4 on bad arguments. */
 int sawenum_targets(int width, int r, int first_col, u64 key, u64 *keys,
                     int *ks, int *completes)
 {
     Geometry geo;
     if (geometry(width, 0, 0, &geo) || r < 0 || r > width)
         return -4;
-    uint32_t slot = 0; /* a one-slot index, for expand's prefetch_slot */
-    Map one = {.index = &slot, .index_size = 1};
     Emitter em;
-    int err = expand(&geo, key, r, first_col, &em, &one);
-    if (err)
-        return -err;
+    if (expand(&geo, key, r, first_col, &em))
+        return -1;
     for (int t = 0; t < em.n; t++) {
         keys[t] = em.t[t].key;
         ks[t] = em.t[t].k;

@@ -8,8 +8,10 @@ generating function in one 64-bit word.  The first sum of a state that
 passes 2**64 widens every count to an unsigned 128-bit integer and is
 finished there, and the rest of the sweep keeps 128 bits, so no row is
 swept twice; the ledger always has 128 bits.  A sweep whose counts would
-pass 2**128 raises instead (c_79, the longest published walk
-count, is about 2**113).  Like the engine it sums each state and its mirror
+pass 2**128 raises ``OverflowError`` instead (c_79, the longest published
+walk count, is about 2**113); one that meets a forbidden kink state, runs
+out of memory or gets a width whose keys do not fit 62 bits raises
+``engine.EngineFault``.  Like the engine it sums each state and its mirror
 image under one key at column boundaries, which about halves the states it
 carries, and with pruning on it leaves columns < W of the ledger empty.
 Its work per state follows the state's occupied slots rather than the
@@ -47,7 +49,6 @@ SOURCE = Path(__file__).with_name("ckernel.c")
 
 _ERRORS = {
     1: "forbidden kink state",
-    2: "occupied vertical edge above the lattice",
     3: "out of memory",
     4: "bad arguments (width too large)",
 }

@@ -175,8 +175,7 @@ def transitions(key: int, r: int, width: int, first_col: bool):
         # the next column's key: the shifted target or its mirror image
         next_keys = []
         for tk, k in targets:
-            if (tk >> (2 * (width + 1))) & 3:
-                raise EngineFault("occupied vertical edge above the lattice")
+            assert not (tk >> (2 * (width + 1))) & 3, "slot W + 1 is occupied"
             tk = ((tk << 2) & edges_mask) | (tk & ~edges_mask)
             next_keys.append((min(tk, mirror(tk, width)), k))
         targets = next_keys
