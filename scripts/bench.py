@@ -67,9 +67,9 @@ Measures, for each checkout, in fresh interpreters:
   model, mu = 1/0.379052277752, k = 3 and m = 1.  An equal digest means
   the amplitude fits still give the same bytes;
 - ``src_py_lines`` and ``ckernel_c_lines``, also once per checkout: the
-  total of ``wc -l src/sawenum/*.py`` and the line count of
-  ``src/sawenum/ckernel.c`` (0 where there is none), so a change that
-  shrinks the code records by how much;
+  totals of ``wc -l src/sawenum/*.py`` and of ``wc -l src/sawenum/*.c``
+  (the kernel and the module that wraps it; 0 where there is none), so a
+  change that shrinks the code records by how much;
 - ``setup_modules``, also once per checkout: how many modules the set-up
   import that ``bench/child.py`` times (``from sawenum import analysis,
   cli`` after ``import mpmath``) adds to ``sys.modules``.  It is exact, so
@@ -377,7 +377,7 @@ def counts(checkout: Path) -> dict:
                                         checkout, env)
     package = checkout / "src" / "sawenum"
     for name, pattern in (("src_py_lines", "*.py"),
-                          ("ckernel_c_lines", "ckernel.c")):
+                          ("ckernel_c_lines", "*.c")):
         row[name] = sum(p.read_bytes().count(b"\n")
                         for p in package.glob(pattern))
     row["setup_modules"] = child(SETUP_MODULES, [], checkout, env)

@@ -21,22 +21,32 @@ it, so every width is swept exactly once whatever its degrees' spread.  The
 row loop expands each state one step ahead of applying it and prefetches
 where its targets' hash probes will land, which hides most cache misses of
 the large maps.
+``ckernel_module.c`` compiles ``ckernel.c`` into a CPython extension
+module whose ``sweep`` builds the ledger as lists of Python ints straight
+from the kernel's counts; ``ckernel.c`` stays a plain C file that builds on
+its own.
 ``flm`` runs every sweep on it (``enumerate``, ``box`` and
 ``scripts/generate_series.py`` alike) when a C compiler is found.  The
 Python engine stays the reference the kernel is tested against, and the
 fallback where no compiler is found.  Every command imports this module
-through ``flm``, so it imports what a sweep needs (``ctypes``, ``zlib``, the
-build's ``subprocess``) inside the functions that use it, and ``engine``
-only to raise its ``EngineFault`` when a sweep fails: a run on the kernel
-never loads the Python engine.
+through ``flm``, so it imports what a sweep needs (``zlib``,
+``importlib``'s loaders, the build's ``subprocess`` and ``sysconfig``)
+inside the functions that use it, and ``engine`` only to raise its
+``EngineFault`` when a sweep fails: a run on the kernel never loads the
+Python engine, and one whose module is cached loads none of the build's
+modules.
 
-The shared library is built on first use with the C compiler named by ``CC``
+The module is built on first use with the C compiler named by ``CC``
 (default ``cc``; it must accept GCC builtins such as ``__builtin_ctzll`` and
-``__builtin_prefetch``, as GCC and Clang do) and cached next to this
-module's bytecode, keyed by the CRC-32 and length of the source (see
-:func:`_lib_path`); a build removes the libraries of other sources there.
-:func:`available` reports whether a compiler is there to build it; a build
-that fails raises an ``OSError`` with the compiler's stderr.
+``__builtin_prefetch``, as GCC and Clang do) against the running
+interpreter's ``Python.h``, and cached next to this module's bytecode,
+keyed by the CRC-32 and length of both C sources and named with the
+interpreter's extension suffix (see :func:`_lib_path`); a build removes the
+modules of other sources there that carry its own suffix (or none), and
+leaves those of other interpreters alone.  :func:`available` reports
+whether a compiler is there to build it; a build that fails, or finds no
+``Python.h``, raises an ``OSError`` that names the compiler's stderr or the
+missing header.
 """
 
 from __future__ import annotations
@@ -46,6 +56,7 @@ import sys
 from pathlib import Path
 
 SOURCE = Path(__file__).with_name("ckernel.c")
+MODULE_SOURCE = SOURCE.with_name("ckernel_module.c")
 
 _ERRORS = {
     1: "forbidden kink state",
@@ -68,17 +79,23 @@ def available() -> bool:
     return _lib is not None or _compiler() is not None
 
 
-def _lib_path(src: bytes) -> Path:
-    """Where the library built from the kernel source ``src`` is cached.
+def _lib_path(kernel: bytes, module: bytes) -> Path:
+    """Where the module built from the sources ``kernel`` (``ckernel.c``)
+    and ``module`` (``ckernel_module.c``) is cached.
 
-    The key is the source's CRC-32 and length.  CRC-32 catches every change
-    of up to 32 consecutive bits, so an edit never loads a stale library,
-    and unlike ``hashlib`` it does not load OpenSSL into every process.
+    The key is the CRC-32 of both sources in turn and the length of each.
+    CRC-32 catches every change of up to 32 consecutive bits, so an edit
+    never loads a stale module, and unlike ``hashlib`` it does not load
+    OpenSSL into every process.  The name ends with this interpreter's
+    extension suffix, since the module is built for its ABI.
     """
     import zlib
+    from importlib.machinery import EXTENSION_SUFFIXES
 
-    tag = f"{zlib.crc32(src):08x}-{len(src)}"
-    return Path(__file__).with_name("__pycache__") / f"ckernel-{tag}.so"
+    crc = zlib.crc32(module, zlib.crc32(kernel))
+    tag = f"{crc:08x}-{len(kernel)}-{len(module)}"
+    return (Path(__file__).with_name("__pycache__")
+            / f"ckernel-{tag}{EXTENSION_SUFFIXES[0]}")
 
 
 def _load():
@@ -86,34 +103,41 @@ def _load():
     if _lib is not None:
         return _lib
     # imported here, not at module level, so that importing the CLI stays cheap
-    import ctypes
+    from importlib.util import module_from_spec, spec_from_file_location
 
-    lib_path = _lib_path(SOURCE.read_bytes())
+    lib_path = _lib_path(SOURCE.read_bytes(), MODULE_SOURCE.read_bytes())
     if not lib_path.exists():
         _build(lib_path)
-    lib = ctypes.CDLL(str(lib_path))
-    lib.sawenum_sweep.restype = ctypes.c_int
-    lib.sawenum_sweep.argtypes = [
-        ctypes.c_int, ctypes.c_int, ctypes.c_int, ctypes.c_int,
-        ctypes.c_void_p, ctypes.POINTER(ctypes.c_uint64),
-    ]
+    spec = spec_from_file_location("sawenum._ckernel", lib_path)
+    lib = module_from_spec(spec)
+    spec.loader.exec_module(lib)
     _lib = lib
     return lib
 
 
 def _build(lib_path: Path) -> None:
     import subprocess
+    import sysconfig
     import tempfile
+    from importlib.machinery import EXTENSION_SUFFIXES
 
     cc = _compiler()
     if cc is None:
         raise OSError("no C compiler found (set CC)")
+    header = Path(sysconfig.get_path("include")) / "Python.h"
+    if not header.is_file():
+        raise OSError(f"{header} is missing: building the kernel needs the "
+                      f"Python development headers")
+    flags = ["-O3", "-shared", "-fPIC", f"-I{header.parent}"]
+    if sys.platform == "darwin":
+        # macOS links an extension's Python symbols only when it is loaded
+        flags += ["-undefined", "dynamic_lookup"]
     lib_path.parent.mkdir(exist_ok=True)
     fd, tmp = tempfile.mkstemp(suffix=".so", dir=lib_path.parent)
     os.close(fd)
     try:
         proc = subprocess.run(
-            [cc, "-O3", "-shared", "-fPIC", "-o", tmp, str(SOURCE)],
+            [cc, *flags, "-o", tmp, str(MODULE_SOURCE)],
             capture_output=True, text=True, errors="replace",
         )
         if proc.returncode:
@@ -123,9 +147,12 @@ def _build(lib_path: Path) -> None:
     finally:
         if os.path.exists(tmp):
             os.remove(tmp)
-    # a process that loaded an older library keeps it mapped when unlinked
-    for old in set(lib_path.parent.glob("ckernel-*.so")) - {lib_path}:
-        old.unlink(missing_ok=True)
+    # a process that loaded an older module keeps it mapped when unlinked;
+    # those built for other interpreters stay
+    for old in lib_path.parent.glob("ckernel-*"):
+        if old != lib_path and (old.name.endswith(EXTENSION_SUFFIXES[0])
+                                or old.suffixes == [".so"]):
+            old.unlink(missing_ok=True)
 
 
 def sweep(width: int, l_max: int, n_max: int,
@@ -147,13 +174,7 @@ def sweep(width: int, l_max: int, n_max: int,
     mirror image were summed into, see ``signatures.mirror``).  Raises
     OverflowError when a count of the sweep does not fit 128 bits.
     """
-    import ctypes
-
-    lib = _load()
-    n = n_max + 1
-    out = ctypes.create_string_buffer(16 * (l_max + 1) * n)
-    stats = (ctypes.c_uint64 * 6)()
-    err = lib.sawenum_sweep(width, l_max, n_max, int(prune), out, stats)
+    err, ledger, stats = _load().sweep(width, l_max, n_max, prune)
     if err == OVERFLOW:
         raise OverflowError(
             f"a count of the width-{width} sweep to column {l_max} and "
@@ -162,10 +183,4 @@ def sweep(width: int, l_max: int, n_max: int,
         from .engine import EngineFault
 
         raise EngineFault(f"compiled sweep failed: {_ERRORS.get(err, err)}")
-    raw = out.raw
-    counts = [int.from_bytes(raw[i:i + 16], sys.byteorder)
-              for i in range(0, len(raw), 16)]
-    ledger = [counts[c * n:(c + 1) * n] for c in range(l_max + 1)]
-    return ledger, {"peak_states": stats[0], "state_rows": stats[1],
-                    "peak_bytes": stats[2], "regrows": stats[3],
-                    "merged": stats[4], "wide_rows": stats[5]}
+    return ledger, stats

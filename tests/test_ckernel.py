@@ -7,6 +7,8 @@ import os
 import random
 import subprocess
 import sys
+import sysconfig
+from importlib.machinery import EXTENSION_SUFFIXES
 from pathlib import Path
 
 import pytest
@@ -20,31 +22,56 @@ pytestmark = pytest.mark.skipif(
     not ckernel.available(), reason="no C compiler to build the kernel")
 
 
+SOURCES = (ckernel.SOURCE.read_bytes(), ckernel.MODULE_SOURCE.read_bytes())
+
+
 def test_cached_library_follows_the_source():
-    src = ckernel.SOURCE.read_bytes()
-    path = ckernel._lib_path(src)
-    assert ckernel._lib_path(bytes(bytearray(src))) == path
-    # an edit of any one byte builds a new library, never loads the old one
-    for pos in (0, len(src) // 2, len(src) - 1):
-        edited = bytearray(src)
-        edited[pos] = (edited[pos] + 1) % 256
-        assert ckernel._lib_path(bytes(edited)) != path
+    path = ckernel._lib_path(*SOURCES)
+    assert ckernel._lib_path(*map(bytes, map(bytearray, SOURCES))) == path
+    assert path.name.endswith(EXTENSION_SUFFIXES[0])
+    # an edit of any one byte of either source builds a new library, never
+    # loads the old one
+    for i, src in enumerate(SOURCES):
+        for pos in (0, len(src) // 2, len(src) - 1):
+            edited = list(SOURCES)
+            edited[i] = bytearray(src)
+            edited[i][pos] = (edited[i][pos] + 1) % 256
+            assert ckernel._lib_path(*map(bytes, edited)) != path
+    # a byte moved from one source to the other
+    kernel, module = SOURCES
+    assert ckernel._lib_path(kernel[:-1], kernel[-1:] + module) != path
 
 
 def test_a_build_removes_the_libraries_of_other_sources(tmp_path):
-    stale = tmp_path / "ckernel-deadbeef-1.so"
-    stale.write_bytes(b"")
-    lib_path = tmp_path / ckernel._lib_path(ckernel.SOURCE.read_bytes()).name
+    # one of this interpreter's, and one from before the module had a suffix
+    for name in ("ckernel-deadbeef-1-2" + EXTENSION_SUFFIXES[0],
+                 "ckernel-deadbeef-1.so"):
+        (tmp_path / name).write_bytes(b"")
+    lib_path = tmp_path / ckernel._lib_path(*SOURCES).name
     ckernel._build(lib_path)
     assert [p.name for p in tmp_path.iterdir()] == [lib_path.name]
 
 
+def test_a_build_keeps_the_libraries_of_other_interpreters(tmp_path):
+    other = tmp_path / "ckernel-deadbeef-1-2.cpython-39-x86_64-linux-gnu.so"
+    assert not other.name.endswith(EXTENSION_SUFFIXES[0])
+    other.write_bytes(b"")
+    lib_path = tmp_path / ckernel._lib_path(*SOURCES).name
+    ckernel._build(lib_path)
+    assert sorted(p.name for p in tmp_path.iterdir()) == sorted(
+        [lib_path.name, other.name])
+
+
 def test_the_kernel_compiles_without_warnings(tmp_path):
-    proc = subprocess.run(
-        [ckernel._compiler(), "-O3", "-Wall", "-Wextra", "-Werror", "-c",
-         "-o", str(tmp_path / "ckernel.o"), str(ckernel.SOURCE)],
-        capture_output=True, text=True)
-    assert proc.returncode == 0, proc.stderr
+    # the kernel alone, and the module that wraps it for the interpreter
+    include = sysconfig.get_path("include")
+    for source, flags in ((ckernel.SOURCE, []),
+                          (ckernel.MODULE_SOURCE, [f"-I{include}"])):
+        proc = subprocess.run(
+            [ckernel._compiler(), "-O3", "-Wall", "-Wextra", "-Werror", "-c",
+             *flags, "-o", str(tmp_path / "ckernel.o"), str(source)],
+            capture_output=True, text=True)
+        assert proc.returncode == 0, (source.name, proc.stderr)
 
 
 def test_a_sweep_does_not_load_openssl():
@@ -89,7 +116,9 @@ def test_the_set_up_import_loads_only_what_a_command_runs():
               "sawenum.signatures", "sawenum.oracle"}
     assert unused.isdisjoint(startup)
     assert kernel == "c"
-    assert "sawenum.engine" not in after_sweep
+    # nor, with the library cached, the sweep's foreign-function interface
+    # or the build's header lookup
+    assert {"sawenum.engine", "ctypes", "sysconfig"}.isdisjoint(after_sweep)
 
 
 MAX_TARGETS = 32  # ckernel.c's bound on the targets of one kink move
@@ -97,7 +126,8 @@ MAX_TARGETS = 32  # ckernel.c's bound on the targets of one kink move
 
 @pytest.fixture(scope="module")
 def lib():
-    lib = ckernel._load()
+    # the kernel's test entry points, from the library that sweeps
+    lib = ctypes.CDLL(ckernel._load().__file__)
     lib.sawenum_targets.restype = ctypes.c_int
     lib.sawenum_targets.argtypes = [
         ctypes.c_int, ctypes.c_int, ctypes.c_int, ctypes.c_uint64,

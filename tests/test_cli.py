@@ -1,5 +1,6 @@
 """End-to-end command-line behaviour."""
 
+import sysconfig
 from pathlib import Path
 
 import pytest
@@ -385,13 +386,35 @@ class TestErrorHandling:
         monkeypatch.setenv("CC", str(cc))
         monkeypatch.setattr(ckernel, "_lib", None)
         monkeypatch.setattr(ckernel, "_lib_path",
-                            lambda src: cache / "ckernel-test.so")
+                            lambda *sources: cache / "ckernel-test.so")
         out = tmp_path / "o.series"
         assert run("enumerate", "--wmax", "2", "-o", str(out)) == 2
         err = capsys.readouterr().err
         assert err.startswith(f"error: {cc} failed to build the kernel")
         assert "ckernel.c:1: no such builtin" in err
         assert list(cache.iterdir()) == []  # no temporary library is left
+        assert not out.exists()
+
+    def test_a_kernel_build_without_python_h_is_an_error(
+            self, tmp_path, capsys, monkeypatch):
+        cc = tmp_path / "cc"
+        cc.write_text("#!/bin/sh\necho 'the compiler ran' >&2\nexit 1\n")
+        cc.chmod(0o755)
+        include = tmp_path / "include"
+        include.mkdir()
+        cache = tmp_path / "cache"
+        monkeypatch.setenv("CC", str(cc))
+        monkeypatch.setattr(sysconfig, "get_path",
+                            lambda name, *args, **kwargs: str(include))
+        monkeypatch.setattr(ckernel, "_lib", None)
+        monkeypatch.setattr(ckernel, "_lib_path",
+                            lambda *sources: cache / "ckernel-test.so")
+        out = tmp_path / "o.series"
+        assert run("enumerate", "--wmax", "2", "-o", str(out)) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {include / 'Python.h'} is missing")
+        assert "the compiler ran" not in err
+        assert list(cache.glob("*")) == []  # no temporary library is left
         assert not out.exists()
 
     def test_enumerate_refuses_a_width_past_the_key_layout_up_front(
